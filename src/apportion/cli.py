@@ -75,9 +75,12 @@ def parse_votes(source, districts_col: str = "districts"):
     ``(VoteTally, SeedDistribution | None)`` — the seed distribution is
     present exactly when the districts column is.  Party ids are opaque
     and preserved verbatim; counts must be base-10 non-negative integers.
+    A leading UTF-8 byte order mark, as spreadsheet exports write, is
+    skipped.
     """
-    if isinstance(source, str):
-        source = io.StringIO(source)
+    if not isinstance(source, str):
+        source = source.read()
+    source = io.StringIO(source.removeprefix("\ufeff"))
     rows = [
         (lineno, row)
         for lineno, row in enumerate(csv.reader(source), start=1)
@@ -126,7 +129,13 @@ def _parse_count(lineno, what, text):
         raise InputError(
             f"line {lineno}: {what} must be a base-10 non-negative integer, got {text!r}"
         )
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:  # beyond the interpreter's int-string digit limit
+        raise InputError(
+            f"line {lineno}: {what} has {len(text)} digits, over the "
+            f"{sys.get_int_max_str_digits()}-digit limit"
+        ) from None
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -441,7 +450,12 @@ def _fmt(value) -> str:
         return str(value)
     if value.denominator == 1:
         return str(value.numerator)
-    return f"{value} (~{float(value):.4f})"
+    try:
+        approx = f"{float(value):.4f}"
+    except OverflowError:  # beyond the float range: round exactly instead
+        whole, frac = divmod(abs(round(value * 10_000)), 10_000)
+        approx = f"{'-' if value < 0 else ''}{whole}.{frac:04d}"
+    return f"{value} (~{approx})"
 
 
 def _layout(rows) -> str:

@@ -28,6 +28,7 @@ objects only materialise in reports and traces.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from fractions import Fraction
 
@@ -143,35 +144,13 @@ def sequential_hare(
     log (which seat went where, at what deficit).
     """
     _check_house(house_size)
-    total = tally.total_votes
-    k = tally.party_count
-    ranks = tie.ranks(tally)
-    # Deficits share the fixed denominator `total`; only numerators move.
+    seats = [0] * tally.party_count
     deficits = [house_size * v for v in tally.votes]
-    seats = [0] * k
-    awards = []
-    events = []
-    for j in range(1, house_size + 1):
-        best = max(range(k), key=lambda i: (deficits[i], -ranks[i]))
-        tied = [i for i in range(k) if deficits[i] == deficits[best]]
-        if len(tied) > 1:
-            events.append(
-                TieEvent(
-                    context=f"award {j}",
-                    tied=tuple(tally.party_ids[i] for i in tied),
-                    winners=(tally.party_ids[best],),
-                )
-            )
-        awards.append(
-            SeatAward(
-                iteration=j,
-                house_target=house_size,
-                party=tally.party_ids[best],
-                deficit=Fraction(deficits[best], total),
-            )
-        )
-        seats[best] += 1
-        deficits[best] -= total
+    awards, events = [], []
+    _award_deficits(
+        tally.party_ids, tally.total_votes, tie.ranks(tally), seats, deficits,
+        house_size, range(1, house_size + 1), "award", awards, events,
+    )
     allocation = Allocation(
         party_ids=tally.party_ids,
         seats=tuple(seats),
@@ -181,6 +160,43 @@ def sequential_hare(
         tie_events=tuple(events),
     )
     return allocation, tuple(awards)
+
+
+def _award_deficits(
+    ids, total, ranks, seats, nums, house, iterations, context, awards, events
+):
+    """Give one seat per iteration ``j`` to the largest deficit.
+
+    ``nums[i]`` is party i's deficit ``house * v_i / V - seats[i]`` over the
+    common denominator ``total`` = V; only the winner's numerator moves.
+    Equal deficits go to the lowest tie rank and are logged as a tie event.
+    Updates ``seats`` and ``nums`` in place and appends to ``awards`` and
+    ``events``.
+    """
+    parties = range(len(nums))
+    for j in iterations:
+        top = max(nums)
+        tied = [i for i in parties if nums[i] == top]
+        best = tied[0]
+        if len(tied) > 1:
+            best = min(tied, key=ranks.__getitem__)
+            events.append(
+                TieEvent(
+                    context=f"{context} {j}",
+                    tied=tuple(ids[i] for i in tied),
+                    winners=(ids[best],),
+                )
+            )
+        awards.append(
+            SeatAward(
+                iteration=j,
+                house_target=house,
+                party=ids[best],
+                deficit=Fraction(top, total),
+            )
+        )
+        seats[best] += 1
+        nums[best] = top - total
 
 
 def _present_quota(votes, seats, method):
@@ -278,14 +294,13 @@ class _Bid:
     the heap pops coincident thresholds in tie-policy order.
     """
 
-    __slots__ = ("num", "den", "rank", "party", "ordinal")
+    __slots__ = ("num", "den", "rank", "party")
 
-    def __init__(self, num, den, rank, party, ordinal):
+    def __init__(self, num, den, rank, party):
         self.num = num
         self.den = den
         self.rank = rank
         self.party = party
-        self.ordinal = ordinal
 
     def __lt__(self, other):
         lhs = self.num * other.den
@@ -299,6 +314,68 @@ class _Bid:
 
     def value(self):
         return Fraction(self.num, self.den)
+
+
+def _thresholds(tally, base, t, ranks):
+    """Every seat threshold above ``base`` seats, in (value, tie rank) order.
+
+    Holding n seats, party i gains one more when the multiplier reaches
+    ``(n + t) * V / v_i``, so its thresholds lie ``V / v_i`` apart and the
+    first sits at ``(base[i] + t) * V / v_i``.  Parties without votes never
+    gain a seat; the stream is endless because some party has votes.
+    """
+    p, q = t.numerator, t.denominator
+    total = tally.total_votes
+    step = q * total
+    heap = [
+        _Bid((b * q + p) * total, q * v, ranks[i], i)
+        for i, (v, b) in enumerate(zip(tally.votes, base))
+        if v > 0
+    ]
+    heapq.heapify(heap)
+    while True:
+        bid = heap[0]
+        yield bid
+        heapq.heapreplace(heap, _Bid(bid.num + step, bid.den, bid.rank, bid.party))
+
+
+def _fill(tally, base, t, ranks, count, with_trace):
+    """Take the ``count`` smallest seat thresholds above ``base`` seats.
+
+    Returns ``(seats, snapshots, taken, overhang, following)``: the seats
+    gained per party; when tracing, a ``(multiplier, seats)`` snapshot per
+    seat; the bids taken at the last multiplier; the bids coincident with
+    them that did not fit (a tie straddling the target); and the first bid
+    above that multiplier.
+    """
+    seats = [0] * tally.party_count
+    snapshots = []
+    taken = []
+    stream = _thresholds(tally, base, t, ranks)
+    for bid in itertools.islice(stream, count):
+        seats[bid.party] += 1
+        if taken and bid.same_value(taken[0]):
+            taken.append(bid)
+        else:
+            taken = [bid]
+        if with_trace:
+            snapshots.append((bid.value(), tuple(seats)))
+    following = next(stream)
+    overhang = []
+    while taken and following.same_value(taken[0]):
+        overhang.append(following)
+        following = next(stream)
+    return seats, snapshots, taken, overhang, following
+
+
+def _straddle_event(party_ids, multiplier, taken, overhang):
+    """Coincident thresholds straddle the target: ``taken`` keep their
+    seats and the tie policy de-assigns ``overhang``."""
+    return TieEvent(
+        context=f"multiplier {multiplier}",
+        tied=tuple(party_ids[i] for i in sorted(b.party for b in taken + overhang)),
+        winners=tuple(party_ids[i] for i in sorted(b.party for b in taken)),
+    )
 
 
 def _round_threshold(rounding, round_threshold):
@@ -325,18 +402,6 @@ def _method_label(t):
     if t == Fraction(1, 2):
         return SAINTE_LAGUE
     return f"nearest-{t.numerator}/{t.denominator}"
-
-
-def _seat_thresholds(tally, t, ranks):
-    """Initial heap: each positive-vote party's threshold for seat one."""
-    p, q = t.numerator, t.denominator
-    total = tally.total_votes
-    heap = []
-    for i, v in enumerate(tally.votes):
-        if v > 0:
-            heap.append(_Bid(p * total, q * v, ranks[i], i, 1))
-    heapq.heapify(heap)
-    return heap
 
 
 def multiplicative(
@@ -439,105 +504,58 @@ def _implied_quota(total, witness, t):
 
 
 def _multiplicative_threshold(tally, house_size, t, ranks, with_trace):
-    total = tally.total_votes
-    q = t.denominator
-    p = t.numerator
-    heap = _seat_thresholds(tally, t, ranks)
-    seats = [0] * tally.party_count
-    steps = []
-    popped_at_last = []  # bids taken at the eventual witness value
-    last = None
-    for _ in range(house_size):
-        bid = heapq.heappop(heap)
-        seats[bid.party] += 1
-        if last is None or not bid.same_value(last):
-            popped_at_last = [bid]
-        else:
-            popped_at_last.append(bid)
-        last = bid
-        if with_trace:
-            steps.append(
-                MultiplierStep(
-                    action="raise",
-                    multiplier=bid.value(),
-                    seats=tuple(seats),
-                    total=sum(seats),
-                )
-            )
-        heapq.heappush(
-            heap,
-            _Bid((bid.ordinal * q + p) * total, bid.den, bid.rank, bid.party, bid.ordinal + 1),
-        )
-    if last is None:
+    seats, snapshots, taken, overhang, _ = _fill(
+        tally, (0,) * tally.party_count, t, ranks, house_size, with_trace
+    )
+    steps = [
+        MultiplierStep(action="raise", multiplier=m, seats=s, total=j)
+        for j, (m, s) in enumerate(snapshots, start=1)
+    ]
+    if not taken:
         return seats, steps, [], Fraction(0), True
-    witness = last.value()
-    events = []
-    exact = True
-    overhang = []
-    while heap and heap[0].same_value(last):
-        overhang.append(heapq.heappop(heap))
-    if overhang:
-        # The witness multiplier awards every coincident threshold at once;
-        # the tie policy keeps the first `house_size` of them and strips the
-        # rest, so the witness alone over-fills the house.
-        exact = False
-        group = sorted(b.party for b in popped_at_last + overhang)
-        winners = sorted(b.party for b in popped_at_last)
-        events.append(
-            TieEvent(
-                context=f"multiplier {witness}",
-                tied=tuple(tally.party_ids[i] for i in group),
-                winners=tuple(tally.party_ids[i] for i in winners),
+    witness = taken[0].value()
+    if not overhang:
+        return seats, steps, [], witness, True
+    # The witness multiplier awards every coincident threshold at once; the
+    # tie policy keeps the first `house_size` of them and strips the rest,
+    # so the witness alone over-fills the house.
+    if with_trace:
+        steps.append(
+            MultiplierStep(
+                action="deassign",
+                multiplier=witness,
+                seats=tuple(seats),
+                total=house_size,
             )
         )
-        if with_trace:
-            steps.append(
-                MultiplierStep(
-                    action="deassign",
-                    multiplier=witness,
-                    seats=tuple(seats),
-                    total=sum(seats),
-                )
-            )
-    return seats, steps, events, witness, exact
-
-
-def _pull_group(heap, total, q, p):
-    """Pop one maximal equal-value bid group, replenishing the heap."""
-    first = heapq.heappop(heap)
-    group = [first]
-    while heap and heap[0].same_value(first):
-        group.append(heapq.heappop(heap))
-    for bid in group:
-        heapq.heappush(
-            heap,
-            _Bid((bid.ordinal * q + p) * total, bid.den, bid.rank, bid.party, bid.ordinal + 1),
-        )
-    return group
+    event = _straddle_event(tally.party_ids, witness, taken, overhang)
+    return seats, steps, [event], witness, False
 
 
 def _multiplicative_sweep(tally, house_size, t, ranks, with_trace):
-    total = tally.total_votes
-    q = t.denominator
-    p = t.numerator
     k = tally.party_count
     start = Fraction(house_size)
-    heap = _seat_thresholds(tally, t, ranks)
+    stream = _thresholds(tally, (0,) * k, t, ranks)
     # Pre-pull threshold groups until they both reach the house size and
     # clear the starting multiplier M = N.  At most N + k thresholds can
     # lie at or below N (each party over-rounds by less than one seat), so
     # this stays linear in the house size.
     groups = []
     pulled = 0
-    while heap and (pulled < house_size or _bid_le(heap[0], start)):
-        group = _pull_group(heap, total, q, p)
+    bid = next(stream)
+    while pulled < house_size or _bid_le(bid, start):
+        group = [bid]
+        bid = next(stream)
+        while bid.same_value(group[0]):
+            group.append(bid)
+            bid = next(stream)
         groups.append(group)
         pulled += len(group)
     seats = [0] * k
     crossed = 0  # number of leading groups currently counted into `seats`
     count = 0
     for group in groups:
-        if _group_value_le(group, start):
+        if _bid_le(group[0], start):
             for bid in group:
                 seats[bid.party] += 1
             crossed += 1
@@ -568,16 +586,7 @@ def _multiplicative_sweep(tally, house_size, t, ranks, with_trace):
                 count = house_size
                 witness = group[0].value()
                 events.append(
-                    TieEvent(
-                        context=f"multiplier {witness}",
-                        tied=tuple(
-                            tally.party_ids[i] for i in sorted(b.party for b in group)
-                        ),
-                        winners=tuple(
-                            tally.party_ids[i]
-                            for i in sorted(b.party for b in group[:need])
-                        ),
-                    )
+                    _straddle_event(tally.party_ids, witness, group[:need], group[need:])
                 )
                 if with_trace:
                     steps.append(
@@ -623,6 +632,3 @@ def _multiplicative_sweep(tally, house_size, t, ranks, with_trace):
 def _bid_le(bid: _Bid, bound: Fraction) -> bool:
     return bid.num * bound.denominator <= bound.numerator * bid.den
 
-
-def _group_value_le(group, bound: Fraction) -> bool:
-    return _bid_le(group[0], bound)

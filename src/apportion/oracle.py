@@ -231,16 +231,6 @@ def _allocate(method: str, tally, house_size, tie):
     return allocation
 
 
-def _hare_within_quota(tally, house_size, seats) -> bool:
-    total = tally.total_votes
-    for v, n in zip(tally.votes, seats):
-        lower, rem = divmod(house_size * v, total)
-        upper = lower if rem == 0 else lower + 1
-        if not lower <= n <= upper:
-            return False
-    return True
-
-
 def _equivalence_chunk(args):
     space, start, stop = args
     agreements = 0
@@ -267,7 +257,7 @@ def _equivalence_chunk(args):
             disagreements.append(Disagreement(trial, tuple(mismatches)))
         else:
             agreements += 1
-        if _hare_within_quota(tally, n, lr.seats):
+        if check_quota_property(tally, n, lr)[0]:
             quota_ok += 1
     return agreements, disagreements, quota_ok
 

@@ -20,22 +20,19 @@ never dilute, so the residual stop rule would chase it forever.
 
 from __future__ import annotations
 
-import heapq
 import math
 from fractions import Fraction
 
-from .methods import _Bid, _round_threshold
+from .methods import _award_deficits, _fill, _round_threshold, _straddle_event
 from .types import (
     InputError,
     IterationGuardError,
-    SeatAward,
     SeedDistribution,
     SeededRun,
     STOP_CAP,
     STOP_FIXED,
     STOP_RESIDUAL,
     SweepStep,
-    TieEvent,
     TiePolicy,
     VoteTally,
 )
@@ -96,47 +93,22 @@ def seeded_sequential_hare(
     """
     _check_seed(tally, seed)
     total = tally.total_votes
-    k = tally.party_count
-    ids = tally.party_ids
     ranks = tie.ranks(tally)
-    d = seed.district_seats
-    dist_total = seed.total
-    m = list(d)
-    awards = []
-    events = []
-
-    def award(j, house, nums):
-        best = max(range(k), key=lambda i: (nums[i], -ranks[i]))
-        tied = [i for i in range(k) if nums[i] == nums[best]]
-        if len(tied) > 1:
-            events.append(
-                TieEvent(
-                    context=f"top-up {j}",
-                    tied=tuple(ids[i] for i in tied),
-                    winners=(ids[best],),
-                )
-            )
-        awards.append(
-            SeatAward(
-                iteration=j,
-                house_target=house,
-                party=ids[best],
-                deficit=Fraction(nums[best], total),
-            )
-        )
-        m[best] += 1
-
+    m = list(seed.district_seats)
+    awards, events = [], []
     if seed.fixed_extra is not None:
-        house = dist_total + seed.fixed_extra
-        for j in range(1, seed.fixed_extra + 1):
-            nums = [house * v - mi * total for v, mi in zip(tally.votes, m)]
-            award(j, house, nums)
         stop_j, reason = seed.fixed_extra, STOP_FIXED
+        house = seed.total + stop_j
+        nums = [house * v - mi * total for v, mi in zip(tally.votes, m)]
+        _award_deficits(
+            tally.party_ids, total, ranks, m, nums, house, range(1, stop_j + 1),
+            "top-up", awards, events,
+        )
     else:
+        # nums[i] is the residual (D + j) * v_i / V - m_i over the denominator V
+        nums = [seed.total * v - mi * total for v, mi in zip(tally.votes, m)]
         j = 0
         while True:
-            house = dist_total + j
-            nums = [house * v - mi * total for v, mi in zip(tally.votes, m)]
             if all(-total < x < total for x in nums):  # |residual| < 1, exactly
                 reason = STOP_RESIDUAL
                 break
@@ -150,23 +122,21 @@ def seeded_sequential_hare(
                     f"{_dilution_bound(tally, seed)}"
                 )
             j += 1
-            house = dist_total + j
-            nums = [house * v - mi * total for v, mi in zip(tally.votes, m)]
-            award(j, house, nums)
+            nums = [x + v for x, v in zip(nums, tally.votes)]
+            _award_deficits(
+                tally.party_ids, total, ranks, m, nums, seed.total + j, (j,),
+                "top-up", awards, events,
+            )
         stop_j = j
 
-    house = dist_total + stop_j
-    residuals = tuple(
-        Fraction(house * v - mi * total, total) for v, mi in zip(tally.votes, m)
-    )
     return SeededRun(
-        party_ids=ids,
-        district_seats=d,
-        extra_seats=tuple(mi - di for mi, di in zip(m, d)),
+        party_ids=tally.party_ids,
+        district_seats=seed.district_seats,
+        extra_seats=tuple(mi - di for mi, di in zip(m, seed.district_seats)),
         totals=tuple(m),
         stop_iteration=stop_j,
         stop_reason=reason,
-        residuals=residuals,
+        residuals=tuple(Fraction(x, total) for x in nums),
         awards=tuple(awards),
         tie_events=tuple(events),
     )
@@ -316,64 +286,21 @@ def _divisor_residual_stop(tally, seed, t, with_trace):
 
 def _divisor_fixed_stop(tally, seed, t, tie, with_trace):
     total = tally.total_votes
-    p, q = t.numerator, t.denominator
-    target = seed.fixed_extra
-    ranks = tie.ranks(tally)
-    heap = []
-    for i, (v, di) in enumerate(zip(tally.votes, seed.district_seats)):
-        if v > 0:
-            heap.append(_Bid((di * q + p) * total, q * v, ranks[i], i, 1))
-    heapq.heapify(heap)
-    extras = [0] * tally.party_count
-    sweep = []
-    last = None
-    popped_at_last = []
-    for _ in range(target):
-        bid = heapq.heappop(heap)
-        extras[bid.party] += 1
-        if last is None or not bid.same_value(last):
-            popped_at_last = [bid]
-        else:
-            popped_at_last.append(bid)
-        last = bid
-        if with_trace:
-            sweep.append(
-                SweepStep(
-                    multiplier=bid.value(),
-                    extra_seats=tuple(extras),
-                    total_extra=sum(extras),
-                )
-            )
-        heapq.heappush(
-            heap,
-            _Bid(
-                ((seed.district_seats[bid.party] + bid.ordinal) * q + p) * total,
-                bid.den,
-                bid.rank,
-                bid.party,
-                bid.ordinal + 1,
-            ),
-        )
+    extras, snapshots, taken, overhang, following = _fill(
+        tally, seed.district_seats, t, tie.ranks(tally), seed.fixed_extra, with_trace
+    )
+    sweep = [
+        SweepStep(multiplier=m, extra_seats=s, total_extra=j)
+        for j, (m, s) in enumerate(snapshots, start=1)
+    ]
     events = []
-    witness = None
-    interval = None
-    if last is not None:
-        witness = last.value()
-        overhang = []
-        while heap and heap[0].same_value(last):
-            overhang.append(heapq.heappop(heap))
+    witness = interval = None
+    if taken:
+        witness = taken[0].value()
         if overhang:
-            group = sorted(b.party for b in popped_at_last + overhang)
-            winners = sorted(b.party for b in popped_at_last)
-            events.append(
-                TieEvent(
-                    context=f"multiplier {witness}",
-                    tied=tuple(tally.party_ids[i] for i in group),
-                    winners=tuple(tally.party_ids[i] for i in winners),
-                )
-            )
+            events.append(_straddle_event(tally.party_ids, witness, taken, overhang))
         else:
-            interval = (witness, heap[0].value()) if heap else None
+            interval = (witness, following.value())
     totals = tuple(di + x for di, x in zip(seed.district_seats, extras))
     eval_at = witness if witness is not None else Fraction(0)
     residuals = tuple(
@@ -384,7 +311,7 @@ def _divisor_fixed_stop(tally, seed, t, tie, with_trace):
         district_seats=seed.district_seats,
         extra_seats=tuple(extras),
         totals=totals,
-        stop_iteration=target,
+        stop_iteration=seed.fixed_extra,
         stop_reason=STOP_FIXED,
         residuals=residuals,
         sweep=tuple(sweep),

@@ -2,7 +2,9 @@
 
 import io
 import json
+import re
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -169,6 +171,25 @@ class TestFixedHouseRuns:
         code, out, _ = cli("-", "--seats", "10", stdin=WORKED)
         assert code == 0
         assert "house size 10" in out
+
+    def test_byte_order_mark_is_skipped(self, cli, csv_file, tmp_path):
+        plain = cli(csv_file(WORKED), "--seats", "10")
+        path = tmp_path / "exported.csv"
+        path.write_text(WORKED, encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert cli(str(path), "--seats", "10") == plain
+        assert cli("-", "--seats", "10", stdin="\ufeff" + WORKED) == plain
+        assert plain[0] == 0
+
+    def test_approximation_beyond_the_float_range(self, cli, csv_file):
+        big = 10**311
+        path = csv_file(f"party,votes\nA,{big + 1}\nB,{3 * big + 2}\n")
+        code, out, err = cli(path, "--seats", "7")
+        assert (code, err) == (0, "")
+        exact, approx = re.search(r"ideal quota (\S+) \(~(\S+)\)", out).groups()
+        assert Fraction(exact) == Fraction(4 * big + 3, 7)
+        assert re.fullmatch(r"\d{311}\.\d{4}", approx)
+        assert abs(Fraction(approx) - Fraction(exact)) <= Fraction(1, 20_000)
 
 
 class TestJsonReports:
@@ -368,6 +389,17 @@ class TestBadInvocations:
         code, _, err = cli("no-such-file.csv", "--seats", "5")
         assert code == 1
         assert "cannot read" in err
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"),
+        reason="this interpreter converts digit strings of any length",
+    )
+    def test_count_over_the_digit_limit(self, cli, csv_file):
+        digits = sys.get_int_max_str_digits() + 1
+        path = csv_file(f"party,votes\nA,5\nB,{'9' * digits}\n")
+        code, out, err = cli(path, "--seats", "5")
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: line 3: votes has {digits} digits")
 
     def test_bad_csv(self, cli, csv_file):
         code, _, err = cli(csv_file("party,votes\nA,x\n"), "--seats", "5")

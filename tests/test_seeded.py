@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apportion import (
     InputError,
@@ -13,8 +15,10 @@ from apportion import (
     SeedDistribution,
     TiePolicy,
     VoteTally,
+    multiplicative,
     seeded_divisor,
     seeded_sequential_hare,
+    sequential_hare,
 )
 
 
@@ -244,3 +248,55 @@ class TestValidation:
     def test_rounding_validation(self, lopsided):
         with pytest.raises(InputError):
             seeded_divisor(*lopsided, rounding="floor", round_threshold=Fraction(1, 2))
+
+
+@st.composite
+def zero_district_cases(draw):
+    """Small vote counts (ties are common) with no district seats."""
+    k = draw(st.integers(1, 5))
+    votes = draw(st.lists(st.integers(0, 6), min_size=k, max_size=k).filter(any))
+    tally = VoteTally(tuple(f"P{i + 1}" for i in range(k)), tuple(votes))
+    house = draw(st.integers(0, 30))
+    seed = SeedDistribution(tally.party_ids, (0,) * k, fixed_extra=house)
+    tie = draw(
+        st.one_of(
+            st.just(TiePolicy()),
+            st.integers(0, 2**64 - 1).map(lambda s: TiePolicy("random", s)),
+        )
+    )
+    return tally, seed, house, tie
+
+
+class TestZeroDistrictsMatchFixedHouse:
+    """With no district seats, a fixed_extra = N run is a fixed-house run."""
+
+    @settings(max_examples=300)
+    @given(zero_district_cases(), st.sampled_from(["floor", "nearest"]))
+    def test_fixed_stop_is_the_threshold_engine(self, case, rounding):
+        tally, seed, house, tie = case
+        run = seeded_divisor(tally, seed, rounding, "fixed", tie=tie)
+        allocation, trace = multiplicative(
+            tally, house, rounding, tie=tie, engine="threshold"
+        )
+        assert run.totals == allocation.seats
+        if house > 0:
+            assert run.multiplier == trace.witness
+        assert run.tie_events == allocation.tie_events
+        raises = [
+            (s.multiplier, s.seats, s.total) for s in trace.steps if s.action == "raise"
+        ]
+        assert [
+            (s.multiplier, s.extra_seats, s.total_extra) for s in run.sweep
+        ] == raises
+
+    @settings(max_examples=300)
+    @given(zero_district_cases())
+    def test_fixed_extra_is_sequential_hare(self, case):
+        tally, seed, house, tie = case
+        run = seeded_sequential_hare(tally, seed, tie)
+        allocation, awards = sequential_hare(tally, house, tie)
+        assert run.totals == allocation.seats
+        assert run.awards == awards
+        assert [(e.tied, e.winners) for e in run.tie_events] == [
+            (e.tied, e.winners) for e in allocation.tie_events
+        ]
