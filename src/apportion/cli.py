@@ -276,13 +276,19 @@ def _tie_policy(config: RunConfig) -> TiePolicy:
 
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            if hasattr(sys.stdin, "reconfigure"):  # UTF-8 whatever the locale
+                sys.stdin.reconfigure(encoding="utf-8", errors="strict")
+            return sys.stdin.read()
         with open(path, encoding="utf-8") as handle:
             return handle.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        line = exc.object[: exc.start].count(b"\n") + 1
+        source = "standard input" if path == "-" else path
+        raise InputError(f"{source}, line {line}: not valid UTF-8 text") from None
 
 
 def run(config: RunConfig) -> str:

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import math
 from fractions import Fraction
 
 from .types import (
@@ -316,50 +315,68 @@ class _Bid:
         return Fraction(self.num, self.den)
 
 
-def _thresholds(tally, base, t, ranks):
-    """Every seat threshold above ``base`` seats, in (value, tie rank) order.
+def _thresholds(tally, base, t, ranks, down=False):
+    """Seat thresholds from ``base`` seats on, as a stream of ``_Bid``s.
 
     Holding n seats, party i gains one more when the multiplier reaches
-    ``(n + t) * V / v_i``, so its thresholds lie ``V / v_i`` apart and the
-    first sits at ``(base[i] + t) * V / v_i``.  Parties without votes never
-    gain a seat; the stream is endless because some party has votes.
+    ``(n + t) * V / v_i``, so its thresholds lie ``V / v_i`` apart.  The
+    stream yields every threshold above ``base`` in (value, tie rank) order;
+    it is endless because some party has votes.  With ``down`` it yields
+    the thresholds of the seats held instead, highest first, as bids with
+    negated numerators, and ends when no seat is left.  Parties without
+    votes never gain a seat.
     """
     p, q = t.numerator, t.denominator
     total = tally.total_votes
     step = q * total
+    if down:  # negated, so the highest threshold pops first; 0: none held
+        firsts = [-((b - 1) * q + p) * total if b else 0 for b in base]
+    else:
+        firsts = [(b * q + p) * total for b in base]
     heap = [
-        _Bid((b * q + p) * total, q * v, ranks[i], i)
-        for i, (v, b) in enumerate(zip(tally.votes, base))
-        if v > 0
+        _Bid(num, q * v, ranks[i], i)
+        for i, (v, num) in enumerate(zip(tally.votes, firsts))
+        if v > 0 and num != 0
     ]
     heapq.heapify(heap)
-    while True:
+    while heap:
         bid = heap[0]
         yield bid
-        heapq.heapreplace(heap, _Bid(bid.num + step, bid.den, bid.rank, bid.party))
+        num = bid.num + step
+        if down and num >= 0:  # that was the party's first seat
+            heapq.heappop(heap)
+        else:
+            heapq.heapreplace(heap, _Bid(num, bid.den, bid.rank, bid.party))
 
 
-def _fill(tally, base, t, ranks, count, with_trace):
+def _fill(tally, base, t, ranks, count, with_trace, *, start=None, groups=False):
     """Take the ``count`` smallest seat thresholds above ``base`` seats.
 
     Returns ``(seats, snapshots, taken, overhang, following)``: the seats
-    gained per party; when tracing, a ``(multiplier, seats)`` snapshot per
-    seat; the bids taken at the last multiplier; the bids coincident with
-    them that did not fit (a tie straddling the target); and the first bid
-    above that multiplier.
+    per party, counted up from ``start`` (zeros by default); when tracing,
+    a ``(multiplier, seats)`` snapshot per seat, or with ``groups`` one per
+    distinct multiplier; the bids taken at the last multiplier; the bids
+    coincident with them that did not fit (a tie straddling the target);
+    and the first bid above that multiplier.
     """
-    seats = [0] * tally.party_count
+    seats = [0] * tally.party_count if start is None else list(start)
+    per_seat = with_trace and not groups
+    per_group = with_trace and groups
     snapshots = []
     taken = []
     stream = _thresholds(tally, base, t, ranks)
     for bid in itertools.islice(stream, count):
-        seats[bid.party] += 1
         if taken and bid.same_value(taken[0]):
             taken.append(bid)
         else:
+            if per_group and taken:
+                snapshots.append((taken[0].value(), tuple(seats)))
             taken = [bid]
-        if with_trace:
+        seats[bid.party] += 1
+        if per_seat:
             snapshots.append((bid.value(), tuple(seats)))
+    if per_group and taken:
+        snapshots.append((taken[0].value(), tuple(seats)))
     following = next(stream)
     overhang = []
     while taken and following.same_value(taken[0]):
@@ -423,9 +440,10 @@ def multiplicative(
     * ``"threshold"`` pops the N smallest seat-gain thresholds from a heap
       (M never has to be searched for — the N-th threshold *is* a valid
       multiplier).
-    * ``"sweep"`` starts at M = N and walks threshold groups up or down
-      until the rounded counts fit, recording every probe; it exists for
-      its didactic trace.
+    * ``"sweep"`` rounds every party at the pilot M = N, then steps M over
+      whole groups of coincident thresholds, down or up, until the rounded
+      counts fit.  The pilot misses by fewer than k seats, so the walk
+      costs O(k log k) whatever N is; the trace records every probe.
 
     When coincident thresholds straddle the house boundary the tie policy
     de-assigns the surplus seats; the witness then over-fills the house on
@@ -479,12 +497,17 @@ def seats_at_multiplier(
     multiplier = Fraction(multiplier)
     if multiplier < 0:
         raise InputError("multiplier must be non-negative")
+    return tuple(_rounded(tally, multiplier, t))
+
+
+def _rounded(tally, multiplier, t):
+    """``round_t(M * v_i / V)`` per party, in integers: with M = a/b and
+    t = p/q, ``max(0, floor((q*a*v_i - p*b*V) / (q*b*V)) + 1)``."""
+    a, b = multiplier.numerator, multiplier.denominator
+    p, q = t.numerator, t.denominator
     total = tally.total_votes
-    seats = []
-    for v in tally.votes:
-        x = multiplier * Fraction(v, total)
-        seats.append(math.floor(x - t) + 1 if x >= t else 0)
-    return tuple(seats)
+    offset, den = p * b * total, q * b * total
+    return [max(0, (q * a * v - offset) // den + 1) for v in tally.votes]
 
 
 def _implied_quota(total, witness, t):
@@ -533,102 +556,43 @@ def _multiplicative_threshold(tally, house_size, t, ranks, with_trace):
 
 
 def _multiplicative_sweep(tally, house_size, t, ranks, with_trace):
-    k = tally.party_count
-    start = Fraction(house_size)
-    stream = _thresholds(tally, (0,) * k, t, ranks)
-    # Pre-pull threshold groups until they both reach the house size and
-    # clear the starting multiplier M = N.  At most N + k thresholds can
-    # lie at or below N (each party over-rounds by less than one seat), so
-    # this stays linear in the house size.
-    groups = []
-    pulled = 0
-    bid = next(stream)
-    while pulled < house_size or _bid_le(bid, start):
-        group = [bid]
-        bid = next(stream)
-        while bid.same_value(group[0]):
-            group.append(bid)
-            bid = next(stream)
-        groups.append(group)
-        pulled += len(group)
-    seats = [0] * k
-    crossed = 0  # number of leading groups currently counted into `seats`
-    count = 0
-    for group in groups:
-        if _bid_le(group[0], start):
-            for bid in group:
-                seats[bid.party] += 1
-            crossed += 1
-            count += len(group)
-        else:
-            break
+    """Round at the pilot multiplier M = N, then step to the house size.
+
+    Rounding ``N * v_i / V`` misses the house by fewer than k seats.  While
+    the counts over-fill it, whole groups of coincident thresholds are shed
+    from the top (``lower`` rows); the seats still missing are then taken
+    from the thresholds above (``raise`` rows), and a group straddling the
+    house size is cut by the tie policy (``deassign``).
+    """
+    seats = _rounded(tally, house_size, t)
+    count = sum(seats)
     steps = []
-    events = []
     if with_trace:
-        steps.append(
-            MultiplierStep(
-                action="start", multiplier=start, seats=tuple(seats), total=count
-            )
-        )
-    while True:
+        steps.append(MultiplierStep("start", Fraction(house_size), tuple(seats), count))
+    if count >= house_size:
+        held = _thresholds(tally, seats, t, ranks, down=True)
+        top = next(held, None)
+        while count > house_size:
+            group = top
+            while top is not None and top.same_value(group):
+                seats[top.party] -= 1
+                count -= 1
+                top = next(held, None)
+            if with_trace:
+                below = Fraction(0) if top is None else -top.value()
+                steps.append(MultiplierStep("lower", below, tuple(seats), count))
         if count == house_size:
-            witness = groups[crossed - 1][0].value() if crossed > 0 else Fraction(0)
-            return seats, steps, events, witness, True
-        if count < house_size:
-            group = groups[crossed]
-            need = house_size - count
-            if len(group) > need:
-                # This threshold group straddles the boundary: crossing it
-                # over-fills the house, so the tie policy keeps `need` of
-                # the coincident bids and de-assigns the rest.
-                for bid in group[:need]:
-                    seats[bid.party] += 1
-                count = house_size
-                witness = group[0].value()
-                events.append(
-                    _straddle_event(tally.party_ids, witness, group[:need], group[need:])
-                )
-                if with_trace:
-                    steps.append(
-                        MultiplierStep(
-                            action="deassign",
-                            multiplier=witness,
-                            seats=tuple(seats),
-                            total=count,
-                        )
-                    )
-                return seats, steps, events, witness, False
-            for bid in group:
-                seats[bid.party] += 1
-            count += len(group)
-            crossed += 1
-            if with_trace:
-                steps.append(
-                    MultiplierStep(
-                        action="raise",
-                        multiplier=group[0].value(),
-                        seats=tuple(seats),
-                        total=count,
-                    )
-                )
-        else:
-            crossed -= 1
-            group = groups[crossed]
-            for bid in group:
-                seats[bid.party] -= 1
-            count -= len(group)
-            if with_trace:
-                below = groups[crossed - 1][0].value() if crossed > 0 else Fraction(0)
-                steps.append(
-                    MultiplierStep(
-                        action="lower",
-                        multiplier=below,
-                        seats=tuple(seats),
-                        total=count,
-                    )
-                )
-
-
-def _bid_le(bid: _Bid, bound: Fraction) -> bool:
-    return bid.num * bound.denominator <= bound.numerator * bid.den
-
+            witness = Fraction(0) if top is None else -top.value()
+            return seats, steps, [], witness, True
+    seats, snapshots, taken, overhang, _ = _fill(
+        tally, seats, t, ranks, house_size - count, with_trace,
+        start=seats, groups=True,
+    )
+    steps += [MultiplierStep("raise", m, s, sum(s)) for m, s in snapshots]
+    witness = taken[0].value()
+    if not overhang:
+        return seats, steps, [], witness, True
+    if with_trace:
+        steps[-1] = MultiplierStep("deassign", witness, steps[-1].seats, house_size)
+    event = _straddle_event(tally.party_ids, witness, taken, overhang)
+    return seats, steps, [event], witness, False

@@ -23,7 +23,14 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .methods import _award_deficits, _fill, _round_threshold, _straddle_event
+from .methods import (
+    _award_deficits,
+    _fill,
+    _round_threshold,
+    _rounded,
+    _straddle_event,
+    _thresholds,
+)
 from .types import (
     InputError,
     IterationGuardError,
@@ -105,6 +112,11 @@ def seeded_sequential_hare(
             "top-up", awards, events,
         )
     else:
+        # The residual stop needs D + j > bound; when it lies beyond the
+        # guard and no cap ends the run first, refuse before any award.
+        bound = _dilution_bound(tally, seed)
+        capped = seed.cap is not None and seed.cap <= max_iterations
+        doomed = math.floor(bound) - seed.total + 1 > max_iterations and not capped
         # nums[i] is the residual (D + j) * v_i / V - m_i over the denominator V
         nums = [seed.total * v - mi * total for v, mi in zip(tally.votes, m)]
         j = 0
@@ -115,11 +127,10 @@ def seeded_sequential_hare(
             if seed.cap is not None and j >= seed.cap:
                 reason = STOP_CAP
                 break
-            if j >= max_iterations:
+            if doomed or j >= max_iterations:
                 raise IterationGuardError(
                     f"no residual stop within {max_iterations} top-up seats; "
-                    f"the stop region begins above multiplier "
-                    f"{_dilution_bound(tally, seed)}"
+                    f"the stop region begins above multiplier {bound}"
                 )
             j += 1
             nums = [x + v for x, v in zip(nums, tally.votes)]
@@ -144,57 +155,8 @@ def seeded_sequential_hare(
 
 def _topups_at(tally, seed, t, M):
     """Top-up seats per party under multiplier M: round_t(M*v/V - d), min 0."""
-    total = tally.total_votes
-    out = []
-    for v, di in zip(tally.votes, seed.district_seats):
-        if v == 0:
-            out.append(0)
-            continue
-        x = M * Fraction(v, total) - di
-        out.append(math.floor(x - t) + 1 if x >= t else 0)
-    return out
-
-
-def _next_threshold_above(tally, seed, t, lo: Fraction) -> Fraction:
-    """Smallest top-up seat threshold strictly greater than ``lo``."""
-    total = tally.total_votes
-    best = None
-    for v, di in zip(tally.votes, seed.district_seats):
-        if v == 0:
-            continue
-        # thresholds sit at (d + s - 1 + t) * V / v for s = 1, 2, ...
-        x = lo * Fraction(v, total) - di + 1 - t
-        s = max(1, math.floor(x) + 1)
-        value = (di + s - 1 + t) * Fraction(total, v)
-        if best is None or value < best:
-            best = value
-    return best
-
-
-def _threshold_values_between(tally, seed, t, lo, hi):
-    """Distinct top-up thresholds in (lo, hi], refusing oversized traces."""
-    total = tally.total_votes
-    count = 0
-    for v, di in zip(tally.votes, seed.district_seats):
-        if v == 0:
-            continue
-        a = lo * Fraction(v, total) - di + 1 - t
-        b = hi * Fraction(v, total) - di + 1 - t
-        count += max(0, math.floor(b) - max(math.floor(a), 0))
-    if count > MAX_SWEEP_ROWS:
-        raise IterationGuardError(
-            f"sweep trace would contain {count} rows (limit {MAX_SWEEP_ROWS}); "
-            "rerun with with_trace=False"
-        )
-    values = set()
-    for v, di in zip(tally.votes, seed.district_seats):
-        if v == 0:
-            continue
-        a = lo * Fraction(v, total) - di + 1 - t
-        b = hi * Fraction(v, total) - di + 1 - t
-        for s in range(max(1, math.floor(a) + 1), math.floor(b) + 1):
-            values.add((di + s - 1 + t) * Fraction(total, v))
-    return sorted(values)
+    seats = _rounded(tally, M, t)
+    return [max(0, s - d) for s, d in zip(seats, seed.district_seats)]
 
 
 def seeded_divisor(
@@ -238,41 +200,41 @@ def seeded_divisor(
 
 def _divisor_residual_stop(tally, seed, t, with_trace):
     total = tally.total_votes
+    ds = seed.district_seats
     start = Fraction(seed.total + 1)
     bound = _dilution_bound(tally, seed)
     lo = start if bound < start else bound
-    hi = _next_threshold_above(tally, seed, t, lo)
+    # Only whole threshold groups are taken here, so tie order is moot.
+    ranks = range(tally.party_count)
+    held = [d + x for d, x in zip(ds, _topups_at(tally, seed, t, lo))]
+    hi = next(_thresholds(tally, held, t, ranks)).value()
     witness = start if bound < start else (lo + hi) / 2
     extras = _topups_at(tally, seed, t, witness)
-    totals = tuple(di + x for di, x in zip(seed.district_seats, extras))
+    totals = tuple(d + x for d, x in zip(ds, extras))
     residuals = tuple(
         witness * Fraction(v, total) - mi for v, mi in zip(tally.votes, totals)
     )
     sweep = []
     if with_trace:
-        sweep.append(
-            SweepStep(
-                multiplier=start,
-                extra_seats=tuple(_topups_at(tally, seed, t, start)),
-                total_extra=sum(_topups_at(tally, seed, t, start)),
+        first = _topups_at(tally, seed, t, start)
+        # one seat threshold per top-up seat gained in (start, witness]
+        count = sum(extras) - sum(first)
+        if count > MAX_SWEEP_ROWS:
+            raise IterationGuardError(
+                f"sweep trace would contain {count} rows (limit {MAX_SWEEP_ROWS}); "
+                "rerun with with_trace=False"
             )
+        _, snapshots, *_ = _fill(
+            tally, [d + x for d, x in zip(ds, first)], t, ranks, count, True,
+            start=first, groups=True,
         )
-        for value in _threshold_values_between(tally, seed, t, start, witness):
-            xs = _topups_at(tally, seed, t, value)
-            sweep.append(
-                SweepStep(multiplier=value, extra_seats=tuple(xs), total_extra=sum(xs))
-            )
-        if witness != start and (not sweep or sweep[-1].multiplier != witness):
-            sweep.append(
-                SweepStep(
-                    multiplier=witness,
-                    extra_seats=tuple(extras),
-                    total_extra=sum(extras),
-                )
-            )
+        sweep = [SweepStep(start, tuple(first), sum(first))]
+        sweep += [SweepStep(m, xs, sum(xs)) for m, xs in snapshots]
+        if witness != start:  # strictly between two thresholds: its own row
+            sweep.append(SweepStep(witness, tuple(extras), sum(extras)))
     return SeededRun(
         party_ids=tally.party_ids,
-        district_seats=seed.district_seats,
+        district_seats=ds,
         extra_seats=tuple(extras),
         totals=totals,
         stop_iteration=sum(extras),

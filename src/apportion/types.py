@@ -39,6 +39,11 @@ STOP_CAP = "cap-reached"
 STOP_FIXED = "fixed-extra-exhausted"
 
 
+def _is_count(n) -> bool:
+    """A non-negative int; bools are refused although ``True == 1``."""
+    return isinstance(n, int) and not isinstance(n, bool) and n >= 0
+
+
 @dataclass(frozen=True)
 class VoteTally:
     """Party identifiers with their raw vote counts.
@@ -59,7 +64,7 @@ class VoteTally:
         if len(set(self.party_ids)) != len(self.party_ids):
             raise InputError("duplicate party id in tally")
         for pid, v in zip(self.party_ids, self.votes):
-            if isinstance(v, bool) or not isinstance(v, int) or v < 0:
+            if not _is_count(v):
                 raise InputError(f"party {pid!r}: votes must be a non-negative integer")
         if not any(self.votes):
             raise InputError("at least one party must have positive votes")
@@ -167,8 +172,8 @@ class Allocation:
     def __post_init__(self):
         if len(self.party_ids) != len(self.seats):
             raise InputError("party_ids and seats must have equal length")
-        if any(n < 0 for n in self.seats):
-            raise InputError("negative seat count")
+        if not all(map(_is_count, self.seats)):
+            raise InputError("seat counts must be non-negative integers")
         if sum(self.seats) != self.house_size:
             raise InputError(
                 f"seats sum to {sum(self.seats)}, expected house size {self.house_size}"
@@ -245,7 +250,7 @@ class SeedDistribution:
         if len(self.party_ids) != len(self.district_seats):
             raise InputError("party_ids and district_seats must have equal length")
         for pid, d in zip(self.party_ids, self.district_seats):
-            if isinstance(d, bool) or not isinstance(d, int) or d < 0:
+            if not _is_count(d):
                 raise InputError(
                     f"party {pid!r}: district seats must be a non-negative integer"
                 )
@@ -308,8 +313,8 @@ class SeededRun:
     tie_events: tuple[TieEvent, ...] = ()
 
     def __post_init__(self):
-        if any(x < 0 for x in self.extra_seats):
-            raise InputError("negative extra seat count")
+        if not all(map(_is_count, self.extra_seats + self.totals)):
+            raise InputError("extra seats and totals must be non-negative integers")
         expected = tuple(d + x for d, x in zip(self.district_seats, self.extra_seats))
         if expected != self.totals:
             raise InputError("totals must equal district_seats + extra_seats")

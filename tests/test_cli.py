@@ -2,9 +2,12 @@
 
 import io
 import json
+import os
 import re
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +31,7 @@ THREE_WAY = "party,votes\nA,53\nB,24\nC,23\n"
 CLOSE = "party,votes\nA,78\nB,78\nC,422\nD,422\n"
 SEEDED = "party,votes,districts\nA,20,3\nB,80,1\n"
 GUARDED = "party,votes,districts\nA,1,3\nB,1000000,0\n"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -180,6 +184,30 @@ class TestFixedHouseRuns:
         assert cli(str(path), "--seats", "10") == plain
         assert cli("-", "--seats", "10", stdin="\ufeff" + WORKED) == plain
         assert plain[0] == 0
+
+    def test_undecodable_input_is_an_input_error(self, cli, tmp_path, monkeypatch):
+        latin1 = "party,votes\nCaf\xe9,10\nB,5\n".encode("latin-1")
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(latin1)
+        code, out, err = cli(str(path), "--seats", "3")
+        assert (code, out) == (1, "")
+        assert err == f"error: {path}, line 2: not valid UTF-8 text\n"
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(latin1)))
+        code, out, err = cli("-", "--seats", "3")
+        assert (code, out) == (1, "")
+        assert err == "error: standard input, line 2: not valid UTF-8 text\n"
+
+    def test_undecodable_stdin_in_a_fresh_interpreter(self):
+        # the real stdin: under the C locale it would smuggle the byte through
+        # as a surrogate escape
+        env = {**os.environ, "PYTHONPATH": str(SRC), "LC_ALL": "C"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "apportion.cli", "-", "--seats", "3"],
+            input=b"party,votes\nCaf\xe9,10\n", capture_output=True, env=env,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == b""
+        assert proc.stderr == b"error: standard input, line 2: not valid UTF-8 text\n"
 
     def test_approximation_beyond_the_float_range(self, cli, csv_file):
         big = 10**311

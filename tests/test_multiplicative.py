@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apportion import (
     DHONDT,
@@ -61,26 +63,77 @@ def test_implied_quota_equals_last_winning_divisor_bid(three_way, rounding, meth
         assert mult_trace.implied_quota == last.next_quota[winner]
 
 
+# (rounding, round_threshold, divisor-table method with the same seats)
+RULES = [
+    ("floor", None, DHONDT),
+    ("nearest", None, SAINTE_LAGUE),
+    ("nearest", Fraction(1, 3), None),
+    ("nearest", Fraction(3, 4), None),
+    ("nearest", 1, DHONDT),
+]
+
+
 def test_engines_agree_everywhere():
     rng = random.Random(2024)
-    for _ in range(150):
+    for trial in range(300):
         k = rng.randint(1, 6)
-        votes = [rng.randint(0, 500) for _ in range(k)]
+        max_votes = 500 if trial % 2 else 6  # small votes tie often
+        votes = [rng.randint(0, max_votes) for _ in range(k)]
         if not any(votes):
             votes[0] = 1
         tally = VoteTally(tuple(f"P{i}" for i in range(k)), tuple(votes))
         house_size = rng.randint(0, 40)
         tie = TiePolicy("random", rng.getrandbits(64))
-        for rounding in ("floor", "nearest"):
+        for rounding, threshold, method in RULES:
             fast, fast_trace = multiplicative(
-                tally, house_size, rounding, tie=tie, engine="threshold"
+                tally, house_size, rounding, round_threshold=threshold, tie=tie,
+                engine="threshold",
             )
             slow, slow_trace = multiplicative(
-                tally, house_size, rounding, tie=tie, engine="sweep"
+                tally, house_size, rounding, round_threshold=threshold, tie=tie,
+                engine="sweep",
             )
             assert fast == slow  # seats, labels, and tie events
             assert fast_trace.witness == slow_trace.witness
             assert fast_trace.witness_is_exact == slow_trace.witness_is_exact
+            if method is not None:
+                table, _ = highest_averages(
+                    tally, house_size, method, tie, with_trace=False
+                )
+                assert fast.seats == table.seats
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(st.integers(0, 6), min_size=1, max_size=6).filter(any),
+    st.integers(0, 30),
+    st.sampled_from(RULES),
+    st.integers(0, 2**64 - 1),
+)
+def test_sweep_rows_are_the_rounded_counts(votes, house_size, rule, rng_seed):
+    rounding, threshold, _ = rule
+    tally = VoteTally(tuple(f"P{i}" for i in range(len(votes))), tuple(votes))
+    _, trace = multiplicative(
+        tally, house_size, rounding, round_threshold=threshold,
+        tie=TiePolicy("random", rng_seed), engine="sweep",
+    )
+    for step in trace.steps:
+        if step.action == "deassign":
+            continue
+        assert step.seats == seats_at_multiplier(
+            tally, step.multiplier, rounding, round_threshold=threshold
+        )
+        assert sum(step.seats) == step.total
+
+
+def test_sweep_lowers_into_a_straddling_tie():
+    tally = VoteTally(("A", "B", "C"), (1, 1, 1))
+    _, trace = multiplicative(tally, 2, "nearest", engine="sweep")
+    assert [(s.action, s.multiplier, s.seats, s.total) for s in trace.steps] == [
+        ("start", Fraction(2), (1, 1, 1), 3),
+        ("lower", Fraction(0), (0, 0, 0), 0),
+        ("deassign", Fraction(3, 2), (1, 1, 0), 2),
+    ]
 
 
 def test_sweep_trace_walks_down_to_the_witness(three_way):

@@ -20,6 +20,8 @@ from apportion import (
     seeded_sequential_hare,
     sequential_hare,
 )
+from apportion.methods import _round_threshold
+from apportion.seeded import _topups_at
 
 
 @pytest.fixture
@@ -117,6 +119,26 @@ class TestSequential:
         with pytest.raises(IterationGuardError):
             seeded_sequential_hare(tally, seed, max_iterations=5)
 
+    def test_guard_fails_fast_when_the_stop_lies_beyond_it(self, monkeypatch):
+        # the stop region begins above 290,029: some 290,000 top-ups away
+        tally = VoteTally(("A", "B"), (1, 10_000))
+
+        def no_awards(*args):
+            raise AssertionError("a seat was awarded")
+
+        monkeypatch.setattr("apportion.seeded._award_deficits", no_awards)
+        seed = SeedDistribution(("A", "B"), (30, 0))
+        with pytest.raises(IterationGuardError, match="above multiplier 290029"):
+            seeded_sequential_hare(tally, seed, max_iterations=1000)
+
+    def test_a_cap_inside_the_guard_still_ends_the_run(self):
+        tally = VoteTally(("A", "B"), (1, 10_000))
+        capped = SeedDistribution(("A", "B"), (30, 0), cap=500)
+        run = seeded_sequential_hare(tally, capped, max_iterations=1000)
+        assert run.stop_reason == STOP_CAP
+        assert run.stop_iteration == 500
+        assert run.totals == (30, 500)
+
 
 class TestDivisorResidualStop:
     def test_origin_already_balanced(self):
@@ -158,8 +180,6 @@ class TestDivisorResidualStop:
         assert run.residuals == (Fraction(-15, 16), Fraction(1, 4))
 
     def test_reported_multiplier_reproduces_the_seats(self, lopsided):
-        from apportion.seeded import _topups_at
-
         tally, seed = lopsided
         run = seeded_divisor(tally, seed)
         assert tuple(_topups_at(tally, seed, Fraction(1), run.multiplier)) == (0, 7)
@@ -300,3 +320,33 @@ class TestZeroDistrictsMatchFixedHouse:
         assert [(e.tied, e.winners) for e in run.tie_events] == [
             (e.tied, e.winners) for e in allocation.tie_events
         ]
+
+
+@st.composite
+def seeded_cases(draw):
+    """Small votes and district seats; every district holder polled votes."""
+    k = draw(st.integers(1, 5))
+    votes = draw(st.lists(st.integers(0, 6), min_size=k, max_size=k).filter(any))
+    districts = tuple(draw(st.integers(0, 4)) if v else 0 for v in votes)
+    tally = VoteTally(tuple(f"P{i + 1}" for i in range(k)), tuple(votes))
+    return tally, SeedDistribution(tally.party_ids, districts)
+
+
+class TestResidualSweepRows:
+    @settings(max_examples=300)
+    @given(
+        seeded_cases(),
+        st.sampled_from([("floor", None), ("nearest", None), ("nearest", Fraction(1, 3))]),
+    )
+    def test_rows_climb_to_the_multiplier_at_the_rounded_counts(self, case, rule):
+        tally, seed = case
+        rounding, threshold = rule
+        run = seeded_divisor(tally, seed, rounding, round_threshold=threshold)
+        t = _round_threshold(rounding, threshold)
+        multipliers = [s.multiplier for s in run.sweep]
+        assert multipliers[0] == seed.total + 1
+        assert multipliers[-1] == run.multiplier
+        assert all(a < b for a, b in zip(multipliers, multipliers[1:]))
+        for row in run.sweep:
+            assert row.extra_seats == tuple(_topups_at(tally, seed, t, row.multiplier))
+            assert row.total_extra == sum(row.extra_seats)

@@ -5,7 +5,9 @@ import pytest
 from apportion import (
     Allocation,
     InputError,
+    STOP_RESIDUAL,
     SeedDistribution,
+    SeededRun,
     TiePolicy,
     VoteTally,
     compute_quotas,
@@ -74,6 +76,17 @@ def test_allocation_must_sum_to_house_size():
         Allocation(("A", "B"), (1, 1), 3, "hare", "largest-remainder")
     with pytest.raises(InputError):
         Allocation(("A", "B"), (1, -1), 0, "hare", "largest-remainder")
+
+
+def test_seat_counts_reject_bools():
+    with pytest.raises(InputError):
+        Allocation(("A",), (True,), 1, "hare", "largest-remainder")
+    with pytest.raises(InputError):  # totals that equal d + x but are bools
+        SeededRun(("A",), (0,), (1,), (True,), 1, STOP_RESIDUAL, (Fraction(0),))
+    with pytest.raises(InputError):
+        SeededRun(("A",), (0,), (True,), (1,), 1, STOP_RESIDUAL, (Fraction(0),))
+    run = SeededRun(("A",), (0,), (1,), (1,), 1, STOP_RESIDUAL, (Fraction(0),))
+    assert run.totals == (1,)
 
 
 def test_allocation_seat_lookup():
