@@ -230,22 +230,10 @@ def _config_from_args(args) -> RunConfig:
             raise InputError("--seed must fit in 64 bits")
     elif args.seed is not None:
         raise InputError("--seed applies to --tie random only")
-    if args.seats is not None and args.seats < 0:
-        raise InputError("--seats must be non-negative")
-    if args.cap is not None and args.cap < 0:
-        raise InputError("--cap must be non-negative")
-    if args.fixed_extra is not None and args.fixed_extra < 0:
-        raise InputError("--fixed-extra must be non-negative")
-    if args.cap is not None and args.fixed_extra is not None:
-        raise InputError("--cap and --fixed-extra are mutually exclusive")
     if args.stop == "fixed" and args.fixed_extra is None:
         raise InputError("--stop fixed requires --fixed-extra")
     if args.stop == "residual" and args.fixed_extra is not None:
         raise InputError("--fixed-extra implies --stop fixed")
-    if args.trials is not None and args.trials < 0:
-        raise InputError("--trials must be non-negative")
-    if args.master_seed is not None and args.master_seed < 0:
-        raise InputError("--master-seed must be non-negative")
     if args.jobs is not None and args.jobs < 1:
         raise InputError("--jobs must be at least 1")
     return RunConfig(
@@ -387,8 +375,6 @@ def _run_seeded(config, tally, seed):
             raise InputError(
                 "two-stage divisor runs need --method dhondt or sainte-lague"
             )
-        if config.cap is not None:
-            raise InputError("--cap applies to sequential two-stage runs only")
         rounding = "floor" if config.method == DHONDT else "nearest"
         stop = config.stop or ("fixed" if config.fixed_extra is not None else "residual")
         run_result = seeded_divisor(
@@ -413,26 +399,20 @@ def _run_seeded(config, tally, seed):
 # --------------------------------------------------------------------- suites
 
 
-def _space(config) -> InstanceSpace:
-    return InstanceSpace.default(trials=config.trials, master_seed=config.master_seed)
-
-
 def _run_suite(config):
-    space = _space(config)
-    if config.suite == "equivalence":
-        report = equivalence_suite(space, jobs=config.jobs)
+    space = InstanceSpace.default(trials=config.trials, master_seed=config.master_seed)
+    if config.suite in ("equivalence", "bias"):
+        suite, table = (
+            (equivalence_suite, _suite_counts_table)
+            if config.suite == "equivalence"
+            else (bias_montecarlo, _bias_table)
+        )
+        report = suite(space, jobs=config.jobs)
         if config.format == "json":
             return serialize.dumps(
                 {"config": _config_payload(config), "suite_report": report}
             )
-        return _suite_counts_table(report)
-    if config.suite == "bias":
-        report = bias_montecarlo(space, jobs=config.jobs)
-        if config.format == "json":
-            return serialize.dumps(
-                {"config": _config_payload(config), "suite_report": report}
-            )
-        return _bias_table(report)
+        return table(report)
     searches = []
     for method in (HARE, DHONDT, SAINTE_LAGUE):
         witness = find_house_monotonicity_violation(space, method)
@@ -673,24 +653,14 @@ def _config_payload(config) -> dict:
 
 
 def _json_report(config, tally, report, allocations, trace, seeded_run) -> str:
-    tie_events = []
-    for allocation in allocations:
-        for event in allocation.tie_events:
-            tie_events.append(
-                {
-                    "source": f"{allocation.method}/{allocation.form}",
-                    "context": event.context,
-                    "tied": list(event.tied),
-                    "winners": list(event.winners),
-                }
-            )
+    tie_events = [
+        {"source": f"{allocation.method}/{allocation.form}", **dataclasses.asdict(event)}
+        for allocation in allocations
+        for event in allocation.tie_events
+    ]
     payload = {
         "config": _config_payload(config),
-        "tally": {
-            "party_ids": list(tally.party_ids),
-            "votes": list(tally.votes),
-            "total_votes": tally.total_votes,
-        },
+        "tally": {**dataclasses.asdict(tally), "total_votes": tally.total_votes},
         "allocations": allocations,
         "quota_report": report,
         "tie_events": tie_events,
@@ -715,6 +685,14 @@ def main(argv=None) -> int:
     except IterationGuardError as exc:
         print(f"execution error: {exc}", file=sys.stderr)
         return 2
+    except ValueError as exc:
+        if "integer string conversion" not in str(exc):  # not the digit limit
+            traceback.print_exc()
+            return 2
+        limit = sys.get_int_max_str_digits()
+        print(f"error: a result has a number over the {limit}-digit limit",
+              file=sys.stderr)
+        return 1
     except Exception:  # pragma: no cover - unexpected execution errors
         traceback.print_exc()
         return 2

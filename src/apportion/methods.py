@@ -42,6 +42,7 @@ from .types import (
     TiePolicy,
     TraceTable,
     VoteTally,
+    _is_count,
 )
 
 HARE = "hare"
@@ -58,7 +59,7 @@ _DIVISORS = {
 
 
 def _check_house(house_size):
-    if isinstance(house_size, bool) or not isinstance(house_size, int) or house_size < 0:
+    if not _is_count(house_size):
         raise InputError("house size must be a non-negative integer")
 
 

@@ -262,9 +262,20 @@ def _equivalence_chunk(args):
     return agreements, disagreements, quota_ok
 
 
-def _chunk_bounds(trials: int, jobs: int):
+def _run_chunks(chunk, space: InstanceSpace, jobs: int) -> list:
+    """``chunk((space, start, stop))`` over ``jobs`` slices of the trial range.
+
+    Results come back in trial order; ``jobs`` > 1 runs the slices in
+    worker processes.
+    """
+    trials = space.trials
     jobs = max(1, min(jobs, trials)) if trials else 1
-    return [(i * trials // jobs, (i + 1) * trials // jobs) for i in range(jobs)]
+    bounds = [i * trials // jobs for i in range(jobs + 1)]
+    slices = [(space, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    if jobs == 1:
+        return [chunk(s) for s in slices]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(chunk, slices))
 
 
 def equivalence_suite(space: InstanceSpace, jobs: int = 1) -> SuiteReport:
@@ -279,16 +290,10 @@ def equivalence_suite(space: InstanceSpace, jobs: int = 1) -> SuiteReport:
     ``jobs`` > 1 splits the trial range over worker processes; the merged
     report is identical to a serial run.
     """
-    chunks = [(space, lo, hi) for lo, hi in _chunk_bounds(space.trials, jobs)]
-    if len(chunks) == 1 or jobs <= 1:
-        results = [_equivalence_chunk(c) for c in chunks]
-    else:
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            results = list(pool.map(_equivalence_chunk, chunks))
     agreements = 0
     disagreements = []
     quota_ok = 0
-    for a, d, q in results:
+    for a, d, q in _run_chunks(_equivalence_chunk, space, jobs):
         agreements += a
         disagreements.extend(d)
         quota_ok += q
@@ -382,15 +387,9 @@ def bias_montecarlo(space: InstanceSpace, jobs: int = 1) -> SuiteReport:
     classic large-party advantage.  These are descriptive statistics, not
     assertions — the suite always reports, never fails.
     """
-    chunks = [(space, lo, hi) for lo, hi in _chunk_bounds(space.trials, jobs)]
-    if len(chunks) == 1 or jobs <= 1:
-        results = [_bias_chunk(c) for c in chunks]
-    else:
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            results = list(pool.map(_bias_chunk, chunks))
     by_rank = {}
     largest = [Fraction(0), Fraction(0), Fraction(0)]
-    for rank_data, largest_part in results:
+    for rank_data, largest_part in _run_chunks(_bias_chunk, space, jobs):
         for rank, (count, sum_dh, sum_dsl) in rank_data.items():
             c0, d0, s0 = by_rank.get(rank, (0, 0, 0))
             by_rank[rank] = (c0 + count, d0 + sum_dh, s0 + sum_dsl)

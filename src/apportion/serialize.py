@@ -3,27 +3,21 @@
 Rationals travel as ``{"num": int, "den": int}`` — never as decimals, so
 a report can be re-parsed into the identical exact values.  ``dumps`` is
 canonical (sorted keys, fixed indentation, trailing newline): identical
-data always produces byte-identical output.
+data always produces byte-identical output.  ``from_json`` inverts
+``jsonify`` for any domain dataclass, guided by its field annotations, so
+the JSON shape of a type is decided by its fields alone.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
+import types
+import typing
 from fractions import Fraction
 
-from .types import (
-    Allocation,
-    DivisorStep,
-    MultiplierStep,
-    QuotaReport,
-    SeatAward,
-    SeededRun,
-    SweepStep,
-    TieEvent,
-    TraceTable,
-    VoteTally,
-)
+from .types import Allocation, QuotaReport, SeededRun, TraceTable, VoteTally
 
 
 def jsonify(value):
@@ -53,109 +47,85 @@ def dumps(payload) -> str:
     return json.dumps(jsonify(payload), sort_keys=True, indent=2) + "\n"
 
 
+def from_json(hint, obj):
+    """Rebuild a value of type ``hint`` from its :func:`jsonify` form.
+
+    ``hint`` is a domain dataclass or an annotation its fields use:
+    ``int``, ``str``, ``bool``, ``Fraction`` (a num/den pair), ``X | None``,
+    ``tuple[X, ...]``, fixed-length tuples, nested dataclasses, and unions
+    of dataclasses, whose member is the one with the object's keys as its
+    field names.
+    """
+    return _decoder(hint)(obj)
+
+
+def _same(obj):
+    return obj
+
+
+@functools.cache
+def _decoder(hint):
+    """The decoding function for ``hint``, built once per hint."""
+    if hint in (int, str, bool):
+        return _same
+    if hint is Fraction:
+        return lambda obj: Fraction(obj["num"], obj["den"])
+    if dataclasses.is_dataclass(hint):
+        hints = typing.get_type_hints(hint)
+        decoded = [
+            (f.name, decode)
+            for f in dataclasses.fields(hint)
+            if (decode := _decoder(hints[f.name])) is not _same
+        ]
+
+        def build(obj):
+            kwargs = dict(obj)  # plain fields as they are, for a hand-written speed
+            for name, decode in decoded:
+                kwargs[name] = decode(kwargs[name])
+            return hint(**kwargs)
+
+        return build
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is tuple and args[-1:] == (...,):
+        item = _decoder(args[0])
+        return tuple if item is _same else lambda obj: tuple(map(item, obj))
+    if origin is tuple:
+        items = [_decoder(arg) for arg in args]
+        return lambda obj: tuple(d(x) for d, x in zip(items, obj, strict=True))
+    if origin in (typing.Union, types.UnionType):
+        members = [arg for arg in args if arg is not type(None)]
+        if len(members) < len(args):
+            inner = _decoder(typing.Union[tuple(members)])
+            return lambda obj: None if obj is None else inner(obj)
+        by_keys = {
+            frozenset(f.name for f in dataclasses.fields(m)): _decoder(m)
+            for m in members
+        }
+        if len(by_keys) < len(members):
+            raise TypeError(f"members of {hint} share their field names")
+        return lambda obj: by_keys[frozenset(obj)](obj)
+    raise TypeError(f"cannot decode {hint!r}")
+
+
 def fraction_from_json(obj) -> Fraction | None:
-    if obj is None:
-        return None
-    return Fraction(obj["num"], obj["den"])
-
-
-def tie_event_from_json(obj) -> TieEvent:
-    return TieEvent(
-        context=obj["context"],
-        tied=tuple(obj["tied"]),
-        winners=tuple(obj["winners"]),
-    )
+    return from_json(Fraction | None, obj)
 
 
 def tally_from_json(obj) -> VoteTally:
-    return VoteTally(tuple(obj["party_ids"]), tuple(obj["votes"]))
+    return from_json(VoteTally, obj)
 
 
 def allocation_from_json(obj) -> Allocation:
-    return Allocation(
-        party_ids=tuple(obj["party_ids"]),
-        seats=tuple(obj["seats"]),
-        house_size=obj["house_size"],
-        method=obj["method"],
-        form=obj["form"],
-        tie_events=tuple(tie_event_from_json(e) for e in obj["tie_events"]),
-    )
+    return from_json(Allocation, obj)
 
 
 def quota_report_from_json(obj) -> QuotaReport:
-    return QuotaReport(
-        party_ids=tuple(obj["party_ids"]),
-        house_size=obj["house_size"],
-        ideals=tuple(fraction_from_json(x) for x in obj["ideals"]),
-        lowers=tuple(obj["lowers"]),
-        uppers=tuple(obj["uppers"]),
-        remainders=tuple(fraction_from_json(x) for x in obj["remainders"]),
-        ideal_quota=fraction_from_json(obj["ideal_quota"]),
-    )
-
-
-def _step_from_json(obj):
-    if "step" in obj:
-        return DivisorStep(
-            step=obj["step"],
-            seats_before=tuple(obj["seats_before"]),
-            present_quota=tuple(fraction_from_json(x) for x in obj["present_quota"]),
-            next_quota=tuple(fraction_from_json(x) for x in obj["next_quota"]),
-            winner=obj["winner"],
-        )
-    return MultiplierStep(
-        action=obj["action"],
-        multiplier=fraction_from_json(obj["multiplier"]),
-        seats=tuple(obj["seats"]),
-        total=obj["total"],
-    )
+    return from_json(QuotaReport, obj)
 
 
 def trace_from_json(obj) -> TraceTable:
-    return TraceTable(
-        form=obj["form"],
-        method=obj["method"],
-        party_ids=tuple(obj["party_ids"]),
-        steps=tuple(_step_from_json(s) for s in obj["steps"]),
-        final_seats=tuple(obj["final_seats"]),
-        witness=fraction_from_json(obj["witness"]),
-        witness_is_exact=obj["witness_is_exact"],
-        implied_quota=fraction_from_json(obj["implied_quota"]),
-    )
+    return from_json(TraceTable, obj)
 
 
 def seeded_run_from_json(obj) -> SeededRun:
-    interval = obj["multiplier_interval"]
-    return SeededRun(
-        party_ids=tuple(obj["party_ids"]),
-        district_seats=tuple(obj["district_seats"]),
-        extra_seats=tuple(obj["extra_seats"]),
-        totals=tuple(obj["totals"]),
-        stop_iteration=obj["stop_iteration"],
-        stop_reason=obj["stop_reason"],
-        residuals=tuple(fraction_from_json(x) for x in obj["residuals"]),
-        awards=tuple(
-            SeatAward(
-                iteration=a["iteration"],
-                house_target=a["house_target"],
-                party=a["party"],
-                deficit=fraction_from_json(a["deficit"]),
-            )
-            for a in obj["awards"]
-        ),
-        sweep=tuple(
-            SweepStep(
-                multiplier=fraction_from_json(s["multiplier"]),
-                extra_seats=tuple(s["extra_seats"]),
-                total_extra=s["total_extra"],
-            )
-            for s in obj["sweep"]
-        ),
-        multiplier=fraction_from_json(obj["multiplier"]),
-        multiplier_interval=(
-            None
-            if interval is None
-            else (fraction_from_json(interval[0]), fraction_from_json(interval[1]))
-        ),
-        tie_events=tuple(tie_event_from_json(e) for e in obj["tie_events"]),
-    )
+    return from_json(SeededRun, obj)

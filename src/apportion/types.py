@@ -225,7 +225,7 @@ class TraceTable:
     form: str
     method: str
     party_ids: tuple[str, ...]
-    steps: tuple
+    steps: tuple[DivisorStep | MultiplierStep, ...]
     final_seats: tuple[int, ...]
     witness: Fraction | None = None
     witness_is_exact: bool = True

@@ -1,5 +1,6 @@
 """End-to-end command-line behaviour: parsing, rendering, exit codes."""
 
+import contextlib
 import io
 import json
 import os
@@ -8,8 +9,11 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apportion import (
     SeedDistribution,
@@ -360,11 +364,12 @@ class TestSuites:
         assert "sainte-lague: no witness found" in out
 
     def test_parallel_json_is_byte_identical(self, cli):
-        argv = ("--suite", "equivalence", "--trials", "40", "--format", "json")
-        serial = cli(*argv, "--jobs", "1")
-        parallel = cli(*argv, "--jobs", "2")
-        assert serial[0] == parallel[0] == 0
-        assert serial[1] == parallel[1]
+        for suite in ("equivalence", "bias"):
+            argv = ("--suite", suite, "--trials", "40", "--format", "json")
+            serial = cli(*argv, "--jobs", "1")
+            parallel = cli(*argv, "--jobs", "2")
+            assert serial[0] == parallel[0] == 0
+            assert serial[1] == parallel[1]
 
 
 class TestBadInvocations:
@@ -429,7 +434,134 @@ class TestBadInvocations:
         assert (code, out) == (1, "")
         assert err.startswith(f"error: line 3: votes has {digits} digits")
 
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"),
+        reason="this interpreter converts digit strings of any length",
+    )
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--seats", "100000"),
+            ("--seats", "100000", "--format", "json"),
+            ("--seats", "3"),  # only the total votes passes the limit
+            ("--seats", "3", "--format", "json"),
+        ],
+    )
+    def test_result_over_the_digit_limit(self, cli, csv_file, flags):
+        # each count is within the limit, their sum and products are not
+        digits = sys.get_int_max_str_digits()
+        path = csv_file(f"party,votes\nA,{'9' * digits}\nB,{'8' * digits}\n")
+        code, out, err = cli(path, *flags)
+        assert (code, out) == (1, "")
+        assert err == f"error: a result has a number over the {digits}-digit limit\n"
+
     def test_bad_csv(self, cli, csv_file):
         code, _, err = cli(csv_file("party,votes\nA,x\n"), "--seats", "5")
         assert code == 1
         assert "line 2" in err
+
+
+# ------------------------------------------------------------------ fuzzing
+
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+_FAULTS = ["bom", "byte", "blank", "short", "long", "garbage", "party", "header"]
+if _DIGIT_LIMIT:
+    _FAULTS += ["past-limit", "at-limit"]
+
+
+@st.composite
+def _csv_bytes(draw):
+    """A valid votes CSV with up to two faults from ``_FAULTS`` worked in."""
+    districts = draw(st.booleans())
+    k = draw(st.integers(1, 5))
+    # with districts, small counts keep every run far below 10**5 top-ups
+    rows = [
+        [f"P{i}", str(draw(st.integers(0, 100 if districts else 10**6)))]
+        + ([str(draw(st.integers(0, 5)))] if districts else [])
+        for i in range(k)
+    ]
+    rows.insert(0, ["party", "votes"] + (["districts"] if districts else []))
+    prefix, bad_byte = "", None
+    for fault in draw(st.lists(st.sampled_from(_FAULTS), max_size=2)):
+        row = rows[draw(st.integers(1, k))]
+        if fault == "bom":
+            prefix = "\ufeff"
+        elif fault == "byte":
+            bad_byte = draw(st.sampled_from([b"\xff", b"\xe9", b"\xc3"]))
+        elif fault == "blank":
+            blank = [draw(st.sampled_from(["", " "]))]
+            rows.insert(draw(st.integers(0, len(rows))), blank)
+        elif fault == "short":
+            row.pop()
+        elif fault == "long":
+            row.append("1")
+        elif fault == "garbage":
+            row[-1] = draw(st.sampled_from(["", "x", "-1", "1.5", " 7 ", "1e3", "١٢"]))
+        elif fault == "party":
+            row[0] = draw(st.sampled_from(["", " P0 ", "P1", "a,b", '"q"', "é"]))
+        elif fault == "header":
+            rows[0] = draw(st.sampled_from([["name", "votes"], ["party"], rows[0] * 2]))
+        elif fault == "past-limit":
+            row[-1] = "7" * (_DIGIT_LIMIT + 1)
+        elif not districts and len(row) > 1:  # at-limit: parses, its sums may not print
+            row[1] = draw(st.sampled_from(["9", "5"])) * _DIGIT_LIMIT
+    data = (prefix + "\n".join(",".join(row) for row in rows) + "\n").encode("utf-8")
+    if bad_byte is not None:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + bad_byte + data[at:]
+    return data, districts
+
+
+_FLAGS = st.one_of(
+    st.tuples(st.just("--method"), st.sampled_from(["hare", "dhondt", "sainte-lague"])),
+    st.tuples(st.just("--form"),
+              st.sampled_from(["divisor", "multiplicative", "sequential"])),
+    st.sampled_from([("--tie", "random", "--seed", "9"), ("--tie", "random"),
+                     ("--seed", "-1"), ("--tie", "random", "--seed", str(2**64))]),
+    st.tuples(st.just("--cap"), st.integers(-1, 20).map(str)),
+    st.tuples(st.just("--fixed-extra"), st.integers(-1, 20).map(str)),
+    st.tuples(st.just("--stop"), st.sampled_from(["residual", "fixed"])),
+    st.just(("--format", "json")),
+    st.just(("--districts-col", "won")),
+    st.tuples(st.just("--suite"), st.sampled_from(["equivalence", "bias", "paradox"]),
+              st.just("--trials"), st.integers(0, 3).map(str)),  # 10**4 by default
+    st.tuples(st.just("--trials"), st.integers(-1, 3).map(str)),
+    st.tuples(st.just("--master-seed"), st.integers(-1, 3).map(str)),
+    st.tuples(st.just("--jobs"), st.integers(0, 1).map(str)),
+    st.just(("--compare",)),
+    st.just(("--trace",)),
+)
+
+
+@st.composite
+def _invocations(draw):
+    """``(argv, stdin bytes)``: mostly runs that fit their input, some that clash."""
+    data, districts = draw(_csv_bytes())
+    argv = ["-"] if draw(st.sampled_from([True, True, True, True, False])) else []
+    if districts:
+        seats = draw(st.sampled_from([None, None, None, 5]))
+    else:
+        seats = draw(st.sampled_from([None, -1, 0, 1, 2, 3, 5, 10, 37, 200, 200]))
+    if seats is not None:
+        argv += ["--seats", str(seats)]
+    for flag in draw(st.lists(_FLAGS, max_size=3)):
+        argv += flag
+    return argv, data
+
+
+@settings(max_examples=300, deadline=None)
+@given(invocation=_invocations())
+def test_fuzzed_invocations_keep_the_exit_code_contract(invocation):
+    argv, data = invocation
+    out, err = io.StringIO(), io.StringIO()
+    stdin = io.TextIOWrapper(io.BytesIO(data))
+    with mock.patch.object(sys, "stdin", stdin), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        code = main(argv)
+    err = err.getvalue()
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.startswith("execution error:")
+    else:
+        assert code in (0, 1)
+        assert (err == "") if code == 0 else err.startswith("error: ")

@@ -1,11 +1,16 @@
 """JSON round-trips: exact rationals in, byte-identical text out."""
 
+import dataclasses
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from apportion import (
+    DHONDT,
+    SAINTE_LAGUE,
     SeedDistribution,
     TieEvent,
     TiePolicy,
@@ -21,10 +26,12 @@ from apportion import (
     seeded_divisor,
     seeded_run_from_json,
     seeded_sequential_hare,
+    sequential_hare,
     tally_from_json,
     trace_from_json,
 )
-from apportion.serialize import fraction_from_json
+from apportion.serialize import fraction_from_json, from_json
+from apportion.types import SeatAward
 
 
 def test_fractions_become_num_den_pairs():
@@ -51,6 +58,21 @@ def test_floats_are_rejected():
 def test_dumps_is_canonical():
     assert dumps({"b": 1, "a": 2}) == '{\n  "a": 2,\n  "b": 1\n}\n'
     assert dumps({"a": 2, "b": 1}) == dumps({"b": 1, "a": 2})
+
+
+def test_from_json_refuses_what_it_cannot_decode():
+    @dataclasses.dataclass(frozen=True)
+    class Count:
+        value: int
+
+    @dataclasses.dataclass(frozen=True)
+    class Name:
+        value: str
+
+    with pytest.raises(TypeError, match="cannot decode"):
+        from_json(dict, {})
+    with pytest.raises(TypeError, match="share their field names"):
+        from_json(Count | Name, {"value": 1})
 
 
 def _reload(obj):
@@ -110,3 +132,66 @@ def test_fixed_run_round_trip_with_tie():
     assert revived == run
     assert revived.multiplier_interval is None
     assert revived.tie_events == (TieEvent("multiplier 2", ("A", "B"), ("A",)),)
+
+
+# Votes 0..6 make coincident bids, and so tie events, common.
+_VOTES = st.lists(st.integers(0, 6), min_size=1, max_size=5).filter(any)
+_TIES = st.one_of(
+    st.just(TiePolicy()),
+    st.integers(0, 2**64 - 1).map(lambda s: TiePolicy("random", s)),
+)
+
+
+def _tally(votes):
+    return VoteTally(tuple(f"P{i}" for i in range(len(votes))), tuple(votes))
+
+
+def _round_trips(value, hint=None):
+    hint = type(value) if hint is None else hint
+    assert from_json(hint, json.loads(dumps(value))) == value
+
+
+@settings(max_examples=60, deadline=None)
+@given(votes=_VOTES, house=st.integers(0, 40), tie=_TIES)
+@example(votes=[1, 1, 1], house=2, tie=TiePolicy())  # sweep lower + deassign rows
+@example(votes=[3, 1], house=0, tie=TiePolicy())  # empty house: witness 0
+def test_fixed_house_reports_round_trip(votes, house, tie):
+    tally = _tally(votes)
+    _round_trips(compute_quotas(tally, house))
+    _round_trips(hare_niemeyer(tally, house, tie))
+    allocation, awards = sequential_hare(tally, house, tie)
+    _round_trips(allocation)
+    _round_trips(awards, tuple[SeatAward, ...])
+    for method in (DHONDT, SAINTE_LAGUE):
+        for value in highest_averages(tally, house, method, tie):
+            _round_trips(value)
+    for rounding in ("floor", "nearest"):
+        for engine in ("threshold", "sweep"):
+            for value in multiplicative(tally, house, rounding, tie=tie, engine=engine):
+                _round_trips(value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    votes=_VOTES,
+    districts=st.lists(st.integers(0, 5), min_size=5, max_size=5),
+    rule=st.sampled_from(["residual", "cap", "fixed-extra", "fixed-stop"]),
+    extra=st.integers(0, 12),
+    cap=st.integers(0, 3),
+    tie=_TIES,
+)
+def test_seeded_runs_round_trip(votes, districts, rule, extra, cap, tie):
+    tally = _tally(votes)
+    seed = SeedDistribution(
+        tally.party_ids,
+        tuple(d if v else 0 for v, d in zip(votes, districts)),  # no zero-vote overhang
+        cap=cap if rule == "cap" else None,
+        fixed_extra=extra if rule in ("fixed-extra", "fixed-stop") else None,
+    )
+    if rule != "fixed-stop":
+        _round_trips(seeded_sequential_hare(tally, seed, tie))
+    if rule in ("residual", "fixed-stop"):
+        stop = "residual" if rule == "residual" else "fixed"
+        for rounding in ("floor", "nearest"):
+            _round_trips(seeded_divisor(tally, seed, rounding, stop, tie=tie))
+
