@@ -14,6 +14,7 @@ from .methods import (
     compute_quotas,
     hare_niemeyer,
     highest_averages,
+    jump_allocation,
     multiplicative,
     seats_at_multiplier,
     sequential_hare,
@@ -90,6 +91,7 @@ __all__ = [
     "hare_niemeyer",
     "highest_averages",
     "jsonify",
+    "jump_allocation",
     "multiplicative",
     "quota_report_from_json",
     "seats_at_multiplier",

@@ -21,10 +21,12 @@ from . import serialize
 from .methods import (
     DHONDT,
     HARE,
+    MAX_TRACE_ROWS,
     SAINTE_LAGUE,
     compute_quotas,
     hare_niemeyer,
     highest_averages,
+    jump_allocation,
     multiplicative,
     sequential_hare,
 )
@@ -303,8 +305,8 @@ def _run_fixed_house(config, tally):
     if config.compare:
         allocations = [
             hare_niemeyer(tally, config.seats, tie),
-            highest_averages(tally, config.seats, DHONDT, tie, with_trace=False)[0],
-            highest_averages(tally, config.seats, SAINTE_LAGUE, tie, with_trace=False)[0],
+            jump_allocation(tally, config.seats, DHONDT, tie),
+            jump_allocation(tally, config.seats, SAINTE_LAGUE, tie),
         ]
     else:
         allocation, trace = _single_run(config, tally, tie)
@@ -316,7 +318,13 @@ def _run_fixed_house(config, tally):
 
 
 def _single_run(config, tally, tie):
-    """One method/form dispatch; returns (allocation, trace-or-None)."""
+    """One method/form dispatch; returns (allocation, trace-or-None).
+
+    Untraced runs of the per-seat forms jump to their result, and the
+    multiplicative form always uses the sweep, so their cost does not grow
+    with the house size.  Traced runs of the per-seat forms build one row
+    per seat.
+    """
     n = config.seats
     if config.method == HARE:
         if config.form is None:
@@ -327,26 +335,33 @@ def _single_run(config, tally, tie):
                 )
             return hare_niemeyer(tally, n, tie), None
         if config.form == "sequential":
+            if not config.trace:
+                return jump_allocation(tally, n, HARE, tie), None
+            _check_trace_rows(n, "award log")
             allocation, awards = sequential_hare(tally, n, tie)
-            trace = None
-            if config.trace:
-                trace = {"form": "sequential", "method": HARE, "awards": awards}
-            return allocation, trace
+            return allocation, {"form": "sequential", "method": HARE, "awards": awards}
         raise InputError("hare supports --form sequential only")
     if config.form == "sequential":
         raise InputError("--form sequential applies to hare only")
     if config.form == "multiplicative":
         rounding = "floor" if config.method == DHONDT else "nearest"
-        engine = "sweep" if config.trace else "threshold"
         allocation, trace = multiplicative(
-            tally, n, rounding, tie=tie, engine=engine, with_trace=config.trace
+            tally, n, rounding, tie=tie, engine="sweep", with_trace=config.trace
         )
         return allocation, trace if config.trace else None
     # default form for the divisor methods is the divisor table itself
-    allocation, trace = highest_averages(
-        tally, n, config.method, tie, with_trace=config.trace
-    )
-    return allocation, trace if config.trace else None
+    if not config.trace:
+        return jump_allocation(tally, n, config.method, tie), None
+    _check_trace_rows(n, "divisor table")
+    return highest_averages(tally, n, config.method, tie)
+
+
+def _check_trace_rows(rows, trace):
+    if rows > MAX_TRACE_ROWS:
+        raise IterationGuardError(
+            f"the {trace} would have {rows} rows (limit {MAX_TRACE_ROWS}); "
+            "rerun without --trace"
+        )
 
 
 # ------------------------------------------------------------------ two-stage

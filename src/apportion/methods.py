@@ -21,6 +21,10 @@ presentations:
   N-th smallest threshold — no numeric search, and ties surface as exactly
   coincident thresholds rather than as near-misses.
 
+:func:`jump_allocation` returns what the per-seat forms (the divisor table
+and sequential Hare) return, with their tie events, without a loop over
+the seats: it rounds at a pilot multiplier and steps the last few seats.
+
 Hot paths compare candidates by integer cross-multiplication; `Fraction`
 objects only materialise in reports and traces.
 """
@@ -29,6 +33,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from fractions import Fraction
 
 from .types import (
@@ -50,6 +55,10 @@ DHONDT = "dhondt"
 SAINTE_LAGUE = "sainte-lague"
 
 METHODS = (HARE, DHONDT, SAINTE_LAGUE)
+
+#: Refuse to build a trace with more rows than this: the divisor table and
+#: the award log have one row per seat, a two-stage sweep one per top-up.
+MAX_TRACE_ROWS = 50_000
 
 # Divisor for a party's next seat, given its current seat count.
 _DIVISORS = {
@@ -227,11 +236,59 @@ def highest_averages(
     divisor_of = _DIVISORS[method]
     votes = tally.votes
     k = tally.party_count
-    ranks = tie.ranks(tally)
     seats = [0] * k
     steps = []
     events = []
-    for step in range(1, house_size + 1):
+
+    def record(step, best):
+        steps.append(
+            DivisorStep(
+                step=step,
+                seats_before=tuple(seats),
+                present_quota=tuple(
+                    _present_quota(votes[i], seats[i], method) for i in range(k)
+                ),
+                next_quota=tuple(
+                    Fraction(votes[i], divisor_of(seats[i])) for i in range(k)
+                ),
+                winner=tally.party_ids[best],
+            )
+        )
+
+    _bid_steps(
+        tally, divisor_of, tie.ranks(tally), seats, range(1, house_size + 1), events,
+        record if with_trace else None,
+    )
+    allocation = Allocation(
+        party_ids=tally.party_ids,
+        seats=tuple(seats),
+        house_size=house_size,
+        method=method,
+        form="divisor",
+        tie_events=tuple(events),
+    )
+    trace = TraceTable(
+        form="divisor",
+        method=method,
+        party_ids=tally.party_ids,
+        steps=tuple(steps),
+        final_seats=tuple(seats),
+    )
+    return allocation, trace
+
+
+def _bid_steps(tally, divisor_of, ranks, seats, steps, events, on_step=None):
+    """Give each seat ``step`` in ``steps`` to the highest standing bid.
+
+    A party holding n seats bids ``v_i / divisor_of(n)``; bids are compared
+    by integer cross-multiplication.  Equal top bids go to the lowest tie
+    rank and are logged as a ``seat j`` tie event listing every tied party.
+    ``on_step(step, best)`` sees the table before each seat is handed out.
+    Updates ``seats`` and ``events`` in place.
+    """
+    votes = tally.votes
+    k = len(votes)
+    for step in steps:
         best = 0
         best_num, best_den = votes[0], divisor_of(seats[0])
         tied = [0]
@@ -254,37 +311,9 @@ def highest_averages(
                     winners=(tally.party_ids[best],),
                 )
             )
-        if with_trace:
-            steps.append(
-                DivisorStep(
-                    step=step,
-                    seats_before=tuple(seats),
-                    present_quota=tuple(
-                        _present_quota(votes[i], seats[i], method) for i in range(k)
-                    ),
-                    next_quota=tuple(
-                        Fraction(votes[i], divisor_of(seats[i])) for i in range(k)
-                    ),
-                    winner=tally.party_ids[best],
-                )
-            )
+        if on_step is not None:
+            on_step(step, best)
         seats[best] += 1
-    allocation = Allocation(
-        party_ids=tally.party_ids,
-        seats=tuple(seats),
-        house_size=house_size,
-        method=method,
-        form="divisor",
-        tie_events=tuple(events),
-    )
-    trace = TraceTable(
-        form="divisor",
-        method=method,
-        party_ids=tally.party_ids,
-        steps=tuple(steps),
-        final_seats=tuple(seats),
-    )
-    return allocation, trace
 
 
 class _Bid:
@@ -597,3 +626,150 @@ def _multiplicative_sweep(tally, house_size, t, ranks, with_trace):
         steps[-1] = MultiplierStep("deassign", witness, steps[-1].seats, house_size)
     event = _straddle_event(tally.party_ids, witness, taken, overhang)
     return seats, steps, [event], witness, False
+
+
+def jump_allocation(
+    tally: VoteTally, house_size: int, method: str, tie: TiePolicy = TiePolicy()
+) -> Allocation:
+    """The per-seat forms' allocation, reached by jump-and-step.
+
+    Returns, field for field, what ``highest_averages(...,
+    with_trace=False)[0]`` returns for d'Hondt and Sainte-Laguë and what
+    ``sequential_hare(...)[0]`` returns for Hare: the same seats and every
+    per-seat tie event.  A pilot that cannot over-fill the house (the lower
+    quotas for Hare, ``round_t`` at M₀ = max(0, N - k(1 - t)) for the
+    divisor methods) leaves fewer than k seats, which the form's own
+    per-seat rule hands out.  The tie events below the pilot are rebuilt
+    from coincident thresholds.  Costs O(k²) plus O(k) per tie event,
+    whatever N is.
+    """
+    _check_house(house_size)
+    ranks = tie.ranks(tally)
+    if method == HARE:
+        seats, events = _jump_hare(tally, house_size, ranks)
+        form = "sequential"
+    elif method in _DIVISORS:
+        seats, events = _jump_divisor(tally, house_size, method, ranks)
+        form = "divisor"
+    else:
+        raise InputError(f"unknown method {method!r}")
+    return Allocation(
+        party_ids=tally.party_ids,
+        seats=tuple(seats),
+        house_size=house_size,
+        method=method,
+        form=form,
+        tie_events=tuple(events),
+    )
+
+
+def _jump_divisor(tally, house_size, method, ranks):
+    """Round at M₀ = max(0, N - k(1 - t)), then bid for the last seats.
+
+    ``round_t(M * v_i / V)`` lies in ``(M * v_i / V - t, M * v_i / V + 1 - t]``
+    for a party with votes, so the pilot counts sum to more than N - k and
+    to at most N.  They are every threshold up to M₀: the table's first
+    ``sum(seats)`` seats.
+    """
+    t = _round_threshold("floor" if method == DHONDT else "nearest", None)
+    pilot = max(Fraction(0), house_size - tally.party_count * (1 - t))
+    seats = _rounded(tally, pilot, t)
+    events = _group_events(tally, ranks, "seat", _divisor_groups(tally, seats, t))
+    _bid_steps(
+        tally, _DIVISORS[method], ranks, seats,
+        range(sum(seats) + 1, house_size + 1), events,
+    )
+    return seats, events
+
+
+def _divisor_groups(tally, seats, t):
+    """Coincident thresholds among the first ``seats[i]`` of each party.
+
+    With t = p/q, party i's n-th threshold is ``(q(n - 1) + p) * V / (q v_i)``.
+    Parties i and j coincide exactly where ``q(n_i - 1) + p = m a`` and
+    ``q(n_j - 1) + p = m b``, with ``a : b = v_i : v_j`` in lowest terms, at
+    the value ``m V / (q g)``, g = gcd(v_i, v_j).  For t = 1 that is every
+    m >= 1; for t = 1/2 every odd m, when a and b are odd.  Returns one
+    ``(earlier, members)`` pair per value: the count of thresholds strictly
+    below it and the parties holding it.
+    """
+    p, q = t.numerator, t.denominator
+    votes = tally.votes
+    tops = [q * (n - 1) + p for n in seats]  # m a at each party's last seat
+    groups = {}  # m / g of the value, in lowest terms -> parties
+    for i, j in itertools.combinations(range(len(votes)), 2):
+        if not (seats[i] and seats[j]):
+            continue
+        g = math.gcd(votes[i], votes[j])
+        a, b = votes[i] // g, votes[j] // g
+        if q == 2 and not a & b & 1:
+            continue
+        for m in range(1, min(tops[i] // a, tops[j] // b) + 1, q):
+            d = math.gcd(m, g)
+            groups.setdefault((m // d, g // d), set()).update((i, j))
+    # party l's thresholds below m V / (q g): those with (q(n - 1) + p) g < m v_l
+    return [
+        (sum(max(0, -((p * g - m * v) // (q * g))) for v in votes if v), members)
+        for (m, g), members in groups.items()
+    ]
+
+
+def _jump_hare(tally, house_size, ranks):
+    """Award the lower quotas at once, then the last seats by deficit.
+
+    Party i's deficits ``N v_i - n V`` (over V) run down from ``N v_i`` in
+    steps of V.  Its lower quota counts those of at least V, and no other
+    deficit reaches V, so the award loop hands them out first.  Parties
+    with equal remainders ``N v_i mod V`` tie at every level ``c V +
+    remainder`` that both of them hold.
+    """
+    total = tally.total_votes
+    ideals = [house_size * v for v in tally.votes]
+    seats, nums = [], []
+    for x in ideals:
+        lower, remainder = divmod(x, total)
+        seats.append(lower)
+        nums.append(remainder)
+    classes = {}  # remainder -> parties holding a level
+    for i, n in enumerate(seats):
+        if n:
+            classes.setdefault(nums[i], []).append(i)
+    groups = []
+    for remainder, members in classes.items():
+        if len(members) < 2:
+            continue
+        for c in range(1, sorted(seats[i] for i in members)[-2] + 1):
+            level = c * total + remainder
+            # party l's deficits above the level: N v_l - n V > level
+            earlier = sum(max(0, -((level - x) // total)) for x in ideals)
+            groups.append((earlier, [i for i in members if seats[i] >= c]))
+    events = _group_events(tally, ranks, "award", groups)
+    _award_deficits(
+        tally.party_ids, total, ranks, seats, nums, house_size,
+        range(sum(seats) + 1, house_size + 1), "award", [], events,
+    )
+    return seats, events
+
+
+def _group_events(tally, ranks, context, groups):
+    """The tie events a per-seat loop logs for groups of coincident values.
+
+    A group of g parties whose value has ``earlier`` values before it fills
+    steps ``earlier + 1 .. earlier + g``; at each step but the last the
+    members left tie, listed in index order, and the lowest tie rank wins.
+    """
+    ids = tally.party_ids
+    events = []
+    for earlier, members in sorted(groups, key=lambda group: group[0]):
+        left = sorted(members)
+        for step in range(earlier + 1, earlier + len(left)):
+            best = min(left, key=ranks.__getitem__)
+            events.append(
+                TieEvent(
+                    context=f"{context} {step}",
+                    tied=tuple(ids[i] for i in left),
+                    winners=(ids[best],),
+                )
+            )
+            left.remove(best)
+    return events

@@ -33,6 +33,7 @@ from .methods import (
     SAINTE_LAGUE,
     hare_niemeyer,
     highest_averages,
+    jump_allocation,
     multiplicative,
     sequential_hare,
 )
@@ -227,8 +228,7 @@ def check_quota_property(
 def _allocate(method: str, tally, house_size, tie):
     if method == HARE:
         return hare_niemeyer(tally, house_size, tie)
-    allocation, _ = highest_averages(tally, house_size, method, tie, with_trace=False)
-    return allocation
+    return jump_allocation(tally, house_size, method, tie)
 
 
 def _equivalence_chunk(args):

@@ -24,6 +24,7 @@ import math
 from fractions import Fraction
 
 from .methods import (
+    MAX_TRACE_ROWS,
     _award_deficits,
     _fill,
     _round_threshold,
@@ -47,9 +48,6 @@ from .types import (
 #: Abort the sequential run if the residual stop is still unmet after this
 #: many top-up seats.  Reachable only with extreme vote/district skew.
 MAX_TOPUP_ITERATIONS = 1_000_000
-
-#: Refuse to build sweep traces with more rows than this.
-MAX_SWEEP_ROWS = 50_000
 
 
 def _check_seed(tally: VoteTally, seed: SeedDistribution):
@@ -219,9 +217,9 @@ def _divisor_residual_stop(tally, seed, t, with_trace):
         first = _topups_at(tally, seed, t, start)
         # one seat threshold per top-up seat gained in (start, witness]
         count = sum(extras) - sum(first)
-        if count > MAX_SWEEP_ROWS:
+        if count > MAX_TRACE_ROWS:
             raise IterationGuardError(
-                f"sweep trace would contain {count} rows (limit {MAX_SWEEP_ROWS}); "
+                f"sweep trace would contain {count} rows (limit {MAX_TRACE_ROWS}); "
                 "rerun with with_trace=False"
             )
         _, snapshots, *_ = _fill(

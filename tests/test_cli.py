@@ -22,11 +22,13 @@ from apportion import (
     compute_quotas,
     hare_niemeyer,
     highest_averages,
+    multiplicative,
     quota_report_from_json,
     seeded_run_from_json,
     seeded_sequential_hare,
     trace_from_json,
 )
+from apportion import cli as cli_module
 from apportion.cli import main, parse_votes
 from apportion.types import InputError
 
@@ -35,6 +37,11 @@ THREE_WAY = "party,votes\nA,53\nB,24\nC,23\n"
 CLOSE = "party,votes\nA,78\nB,78\nC,422\nD,422\n"
 SEEDED = "party,votes,districts\nA,20,3\nB,80,1\n"
 GUARDED = "party,votes,districts\nA,1,3\nB,1000000,0\n"
+# Votes near 10**15: a pairwise gcd divides a difference of at most 12, so
+# no two seat thresholds coincide within the first 10**12 seats.
+HUGE = "party,votes\n" + "".join(
+    f"P{i},{10**15 + d}\n" for i, d in enumerate((1, 2, 3, 5, 7, 11, 13))
+)
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -222,6 +229,91 @@ class TestFixedHouseRuns:
         assert Fraction(exact) == Fraction(4 * big + 3, 7)
         assert re.fullmatch(r"\d{311}\.\d{4}", approx)
         assert abs(Fraction(approx) - Fraction(exact)) <= Fraction(1, 20_000)
+
+
+class TestUntracedCostDoesNotGrowWithSeats:
+    SEATS = 10**12
+    # each untraced method/form, and --compare: (flags, methods reported)
+    RUNS = [
+        (("--method", "hare"), ("hare",)),
+        (("--method", "hare", "--form", "sequential"), ("hare",)),
+        (("--method", "dhondt"), ("dhondt",)),
+        (("--method", "dhondt", "--form", "multiplicative"), ("dhondt",)),
+        (("--method", "sainte-lague"), ("sainte-lague",)),
+        (("--method", "sainte-lague", "--form", "multiplicative"), ("sainte-lague",)),
+        (("--compare",), ("hare", "dhondt", "sainte-lague")),
+    ]
+
+    @staticmethod
+    def expected(method):
+        tally, _ = parse_votes(HUGE)
+        n = TestUntracedCostDoesNotGrowWithSeats.SEATS
+        if method == "hare":
+            return list(hare_niemeyer(tally, n).seats)
+        rounding = "floor" if method == "dhondt" else "nearest"
+        allocation, _ = multiplicative(
+            tally, n, rounding, engine="sweep", with_trace=False
+        )
+        return list(allocation.seats)
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    @pytest.mark.parametrize("flags,methods", RUNS)
+    def test_a_trillion_seats(self, cli, csv_file, flags, methods, fmt):
+        code, out, err = cli(
+            csv_file(HUGE), "--seats", str(self.SEATS), "--format", fmt, *flags
+        )
+        assert (code, err) == (0, "")
+        if fmt == "json":
+            allocations = json.loads(out)["allocations"]
+            reported = [(a["method"], a["seats"]) for a in allocations]
+        else:
+            rows = [re.split(r" {2,}", line) for line in out.splitlines()[2:9]]
+            reported = [
+                (m, [int(row[5 + j]) for row in rows]) for j, m in enumerate(methods)
+            ]
+        assert reported == [(m, self.expected(m)) for m in methods]
+
+
+class TestTraceRowGuard:
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--method", "dhondt"),
+            ("--method", "sainte-lague"),
+            ("--method", "hare", "--form", "sequential"),
+        ],
+    )
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_per_seat_traces_are_capped(self, cli, csv_file, monkeypatch, flags, fmt):
+        monkeypatch.setattr(cli_module, "MAX_TRACE_ROWS", 5)
+        path = csv_file(WORKED)
+        argv = (path, "--trace", "--format", fmt) + flags
+        code, out, err = cli(*argv, "--seats", "6")
+        assert (code, out) == (2, "")
+        assert err.startswith("execution error:")
+        assert "6 rows (limit 5); rerun without --trace" in err
+        code, _, err = cli(*argv, "--seats", "5")
+        assert (code, err) == (0, "")
+        code, _, err = cli(*flags, path, "--seats", "6", "--format", fmt)
+        assert (code, err) == (0, "")
+
+    def test_the_multiplier_trace_is_not_capped(self, cli, csv_file, monkeypatch):
+        monkeypatch.setattr(cli_module, "MAX_TRACE_ROWS", 5)
+        code, _, err = cli(
+            csv_file(WORKED), "--seats", "6", "--method", "dhondt",
+            "--form", "multiplicative", "--trace",
+        )
+        assert (code, err) == (0, "")
+
+    def test_a_huge_traced_house_fails_fast(self, cli, csv_file):
+        code, out, err = cli(
+            csv_file(WORKED), "--seats", str(10**8), "--method", "dhondt", "--trace"
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "execution error: the divisor table would have 100000000 rows "
+            "(limit 50000); rerun without --trace\n"
+        )
 
 
 class TestJsonReports:

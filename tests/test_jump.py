@@ -1,0 +1,94 @@
+"""Jump-and-step: the per-seat forms' allocation without a loop over the seats."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from apportion import (
+    DHONDT,
+    HARE,
+    METHODS,
+    InputError,
+    TiePolicy,
+    VoteTally,
+    highest_averages,
+    jump_allocation,
+    sequential_hare,
+)
+
+
+def _tally(votes):
+    return VoteTally(tuple(f"P{i}" for i in range(len(votes))), tuple(votes))
+
+
+def _per_seat(tally, house_size, method, tie=TiePolicy()):
+    if method == HARE:
+        return sequential_hare(tally, house_size, tie)[0]
+    return highest_averages(tally, house_size, method, tie, with_trace=False)[0]
+
+
+_TIES = st.one_of(
+    st.just(TiePolicy()),
+    st.integers(0, 2**64 - 1).map(lambda seed: TiePolicy("random", seed)),
+)
+
+
+@settings(max_examples=600)
+@given(
+    st.one_of(
+        st.lists(st.integers(0, 6), min_size=1, max_size=8),  # ties are common
+        st.lists(st.integers(0, 500), min_size=1, max_size=8),
+    ).filter(any),
+    st.integers(0, 80),
+    st.sampled_from(METHODS),
+    _TIES,
+)
+def test_jump_is_the_per_seat_allocation(votes, house_size, method, tie):
+    tally = _tally(votes)
+    assert jump_allocation(tally, house_size, method, tie) == _per_seat(
+        tally, house_size, method, tie
+    )
+
+
+def test_equal_votes_tie_at_every_other_seat():
+    allocation = jump_allocation(_tally((10, 10)), 4, DHONDT)
+    assert allocation.seats == (2, 2)
+    assert [e.context for e in allocation.tie_events] == ["seat 1", "seat 3"]
+    assert [e.tied for e in allocation.tie_events] == [("P0", "P1")] * 2
+    assert allocation == _per_seat(_tally((10, 10)), 4, DHONDT)
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("tie", [TiePolicy(), TiePolicy("random", 7)])
+def test_tie_dense_house(method, tie):
+    # the house is far above the total vote: every level is a three-way tie
+    tally = _tally((7, 7, 7))
+    jumped = jump_allocation(tally, 3000, method, tie)
+    assert jumped == _per_seat(tally, 3000, method, tie)
+    assert len(jumped.tie_events) == 2000
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize(
+    "votes,house_size",
+    [
+        ((0, 5, 0, 5), 7),  # zero-vote parties never gain a seat
+        ((3, 0, 4), 0),  # the empty house
+        ((1, 2, 3, 4, 5), 2),  # N < k/2: the Sainte-Laguë pilot clamps to 0
+        ((0, 1, 0, 2, 0, 3), 1),
+        ((1000, 1000, 2000, 3), 10_000),  # equal and proportional votes
+        ((123_457, 98_765, 55_555, 31_416, 27_183, 1_000), 20_000),
+    ],
+)
+def test_explicit_cases(method, votes, house_size):
+    tally = _tally(votes)
+    for tie in (TiePolicy(), TiePolicy("random", 3)):
+        assert jump_allocation(tally, house_size, method, tie) == _per_seat(
+            tally, house_size, method, tie
+        )
+
+
+@pytest.mark.parametrize("method,house_size", [("imperiali", 3), (DHONDT, -1)])
+def test_rejects_bad_arguments(worked_example, method, house_size):
+    with pytest.raises(InputError):
+        jump_allocation(worked_example, house_size, method)

@@ -14,6 +14,7 @@ from apportion import (
     TiePolicy,
     VoteTally,
     highest_averages,
+    jump_allocation,
     multiplicative,
     seats_at_multiplier,
 )
@@ -101,6 +102,8 @@ def test_engines_agree_everywhere():
                     tally, house_size, method, tie, with_trace=False
                 )
                 assert fast.seats == table.seats
+                # the jump is a third side: the table's result, tie events too
+                assert jump_allocation(tally, house_size, method, tie) == table
 
 
 @settings(max_examples=300)

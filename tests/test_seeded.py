@@ -196,6 +196,18 @@ class TestDivisorResidualStop:
         assert run.multiplier == Fraction(4_000_005_000_001, 2_000_000)
         assert run.sweep == ()
 
+    def test_trace_guard_message(self):
+        # top-up seats from M = D + 1 = 4 (3 for B) to the witness (2,000,000)
+        tally = VoteTally(("A", "B"), (1, 1_000_000))
+        seed = SeedDistribution(("A", "B"), (3, 0))
+        message = (
+            "sweep trace would contain 1999997 rows (limit 50000); "
+            "rerun with with_trace=False"
+        )
+        with pytest.raises(IterationGuardError) as caught:
+            seeded_divisor(tally, seed, "floor")
+        assert str(caught.value) == message
+
 
 class TestDivisorFixedStop:
     def test_stops_at_the_target_threshold(self, lopsided):
