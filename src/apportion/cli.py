@@ -346,7 +346,7 @@ def _single_run(config, tally, tie):
     if config.form == "multiplicative":
         rounding = "floor" if config.method == DHONDT else "nearest"
         allocation, trace = multiplicative(
-            tally, n, rounding, tie=tie, engine="sweep", with_trace=config.trace
+            tally, n, rounding, tie=tie, with_trace=config.trace
         )
         return allocation, trace if config.trace else None
     # default form for the divisor methods is the divisor table itself

@@ -17,9 +17,10 @@ presentations:
   exactly.  Floor rounding reproduces d'Hondt-Jefferson; nearest rounding
   reproduces Sainte-Laguë.  A party gains its s-th seat exactly when M
   crosses the threshold ``(s - 1 + t) * V / v_i`` (t being the rounding
-  threshold: 1 for floor, 1/2 for nearest), so the house fills at the
-  N-th smallest threshold — no numeric search, and ties surface as exactly
-  coincident thresholds rather than as near-misses.
+  threshold: 1 for floor, 1/2 for nearest), so rounding at M = N and
+  stepping M over whole groups of coincident thresholds fills the house —
+  no numeric search, and ties surface as exactly coincident thresholds
+  rather than as near-misses.
 
 :func:`jump_allocation` returns what the per-seat forms (the divisor table
 and sequential Hare) return, with their tie events, without a loop over
@@ -40,6 +41,7 @@ from .types import (
     Allocation,
     DivisorStep,
     InputError,
+    IterationGuardError,
     MultiplierStep,
     QuotaReport,
     SeatAward,
@@ -58,6 +60,7 @@ METHODS = (HARE, DHONDT, SAINTE_LAGUE)
 
 #: Refuse to build a trace with more rows than this: the divisor table and
 #: the award log have one row per seat, a two-stage sweep one per top-up.
+#: A jump refuses to log more tie events than this.
 MAX_TRACE_ROWS = 50_000
 
 # Divisor for a party's next seat, given its current seat count.
@@ -208,13 +211,6 @@ def _award_deficits(
         nums[best] = top - total
 
 
-def _present_quota(votes, seats, method):
-    if seats == 0:
-        return None
-    den = seats if method == DHONDT else 2 * seats - 1
-    return Fraction(votes, den)
-
-
 def highest_averages(
     tally: VoteTally,
     house_size: int,
@@ -246,7 +242,8 @@ def highest_averages(
                 step=step,
                 seats_before=tuple(seats),
                 present_quota=tuple(
-                    _present_quota(votes[i], seats[i], method) for i in range(k)
+                    Fraction(votes[i], divisor_of(seats[i] - 1)) if seats[i] else None
+                    for i in range(k)
                 ),
                 next_quota=tuple(
                     Fraction(votes[i], divisor_of(seats[i])) for i in range(k)
@@ -458,40 +455,27 @@ def multiplicative(
     *,
     round_threshold=None,
     tie: TiePolicy = TiePolicy(),
-    engine: str = "threshold",
     with_trace: bool = True,
 ) -> tuple[Allocation, TraceTable]:
     """Fill the house by scaling shares with a common multiplier M.
 
     Party ``i`` receives ``round_t(M * v_i / V)`` seats; the function finds
     an M under which those counts sum to ``house_size`` and reports it as
-    the trace's ``witness``.  Two engines are available and always agree:
-
-    * ``"threshold"`` pops the N smallest seat-gain thresholds from a heap
-      (M never has to be searched for — the N-th threshold *is* a valid
-      multiplier).
-    * ``"sweep"`` rounds every party at the pilot M = N, then steps M over
-      whole groups of coincident thresholds, down or up, until the rounded
-      counts fit.  The pilot misses by fewer than k seats, so the walk
-      costs O(k log k) whatever N is; the trace records every probe.
+    the trace's ``witness``.  It rounds every party at the pilot M = N,
+    then steps M over whole groups of coincident thresholds, down or up,
+    until the rounded counts fit.  The pilot misses by fewer than k seats,
+    so the walk costs O(k log k) whatever N is; the trace records every
+    probe.
 
     When coincident thresholds straddle the house boundary the tie policy
     de-assigns the surplus seats; the witness then over-fills the house on
     its own and ``witness_is_exact`` is False.
     """
     _check_house(house_size)
-    if engine not in ("threshold", "sweep"):
-        raise InputError(f"unknown engine {engine!r}")
     t = _round_threshold(rounding, round_threshold)
-    ranks = tie.ranks(tally)
-    if engine == "threshold":
-        seats, steps, events, witness, exact = _multiplicative_threshold(
-            tally, house_size, t, ranks, with_trace
-        )
-    else:
-        seats, steps, events, witness, exact = _multiplicative_sweep(
-            tally, house_size, t, ranks, with_trace
-        )
+    seats, steps, events, witness, exact = _multiplicative_sweep(
+        tally, house_size, t, tie.ranks(tally), with_trace
+    )
     method = _method_label(t)
     allocation = Allocation(
         party_ids=tally.party_ids,
@@ -554,35 +538,6 @@ def _implied_quota(total, witness, t):
     if t == Fraction(1, 2):
         return Fraction(total) / (2 * witness)
     return None
-
-
-def _multiplicative_threshold(tally, house_size, t, ranks, with_trace):
-    seats, snapshots, taken, overhang, _ = _fill(
-        tally, (0,) * tally.party_count, t, ranks, house_size, with_trace
-    )
-    steps = [
-        MultiplierStep(action="raise", multiplier=m, seats=s, total=j)
-        for j, (m, s) in enumerate(snapshots, start=1)
-    ]
-    if not taken:
-        return seats, steps, [], Fraction(0), True
-    witness = taken[0].value()
-    if not overhang:
-        return seats, steps, [], witness, True
-    # The witness multiplier awards every coincident threshold at once; the
-    # tie policy keeps the first `house_size` of them and strips the rest,
-    # so the witness alone over-fills the house.
-    if with_trace:
-        steps.append(
-            MultiplierStep(
-                action="deassign",
-                multiplier=witness,
-                seats=tuple(seats),
-                total=house_size,
-            )
-        )
-    event = _straddle_event(tally.party_ids, witness, taken, overhang)
-    return seats, steps, [event], witness, False
 
 
 def _multiplicative_sweep(tally, house_size, t, ranks, with_trace):
@@ -695,18 +650,26 @@ def _divisor_groups(tally, seats, t):
     """
     p, q = t.numerator, t.denominator
     votes = tally.votes
+    k = len(votes)
     tops = [q * (n - 1) + p for n in seats]  # m a at each party's last seat
     groups = {}  # m / g of the value, in lowest terms -> parties
-    for i, j in itertools.combinations(range(len(votes)), 2):
+    found = 0
+    for i, j in itertools.combinations(range(k), 2):
         if not (seats[i] and seats[j]):
             continue
         g = math.gcd(votes[i], votes[j])
         a, b = votes[i] // g, votes[j] // g
         if q == 2 and not a & b & 1:
             continue
-        for m in range(1, min(tops[i] // a, tops[j] // b) + 1, q):
+        ms = range(1, min(tops[i] // a, tops[j] // b) + 1, q)
+        # Lower bounds on the events: each m is a value of its own, and a
+        # value s parties share is found by s(s - 1)/2 <= (s - 1)k/2 pairs.
+        found += len(ms)
+        _check_tie_events(max(len(ms), 2 * found // k))
+        for m in ms:
             d = math.gcd(m, g)
             groups.setdefault((m // d, g // d), set()).update((i, j))
+    _check_tie_events(sum(len(members) - 1 for members in groups.values()))
     # party l's thresholds below m V / (q g): those with (q(n - 1) + p) g < m v_l
     return [
         (sum(max(0, -((p * g - m * v) // (q * g))) for v in votes if v), members)
@@ -734,6 +697,12 @@ def _jump_hare(tally, house_size, ranks):
     for i, n in enumerate(seats):
         if n:
             classes.setdefault(nums[i], []).append(i)
+    # Level c of a class logs (members holding c) - 1 events: summed over
+    # the levels, every member's seats but the largest count.
+    _check_tie_events(sum(
+        sum(held) - max(held)
+        for held in ([seats[i] for i in members] for members in classes.values())
+    ))
     groups = []
     for remainder, members in classes.items():
         if len(members) < 2:
@@ -749,6 +718,13 @@ def _jump_hare(tally, house_size, ranks):
         range(sum(seats) + 1, house_size + 1), "award", [], events,
     )
     return seats, events
+
+
+def _check_tie_events(count):
+    if count > MAX_TRACE_ROWS:
+        raise IterationGuardError(
+            f"the allocation would log more than {MAX_TRACE_ROWS} tie events"
+        )
 
 
 def _group_events(tally, ranks, context, groups):

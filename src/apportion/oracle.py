@@ -359,21 +359,21 @@ def _bias_chunk(args):
     for index in range(start, stop):
         trial = space.trial_instance(index)
         tally, n, tie = trial.tally, trial.house_size, trial.tie
-        hare = hare_niemeyer(tally, n, tie).seats
-        dh, _ = highest_averages(tally, n, DHONDT, tie, with_trace=False)
-        sl, _ = highest_averages(tally, n, SAINTE_LAGUE, tie, with_trace=False)
+        hare, dh, sl = (
+            _allocate(m, tally, n, tie).seats for m in (HARE, DHONDT, SAINTE_LAGUE)
+        )
         order = sorted(range(tally.party_count), key=lambda i: (-tally.votes[i], i))
         for rank, i in enumerate(order, start=1):
             count, sum_dh, sum_dsl = by_rank.get(rank, (0, 0, 0))
             by_rank[rank] = (
                 count + 1,
-                sum_dh + (dh.seats[i] - hare[i]),
-                sum_dsl + (dh.seats[i] - sl.seats[i]),
+                sum_dh + (dh[i] - hare[i]),
+                sum_dsl + (dh[i] - sl[i]),
             )
         top = order[0]
         largest[0] += hare[top]
-        largest[1] += dh.seats[top]
-        largest[2] += sl.seats[top]
+        largest[1] += dh[top]
+        largest[2] += sl[top]
     return by_rank, largest
 
 

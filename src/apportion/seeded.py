@@ -46,7 +46,8 @@ from .types import (
 )
 
 #: Abort the sequential run if the residual stop is still unmet after this
-#: many top-up seats.  Reachable only with extreme vote/district skew.
+#: many top-up seats (reachable only with extreme vote/district skew), and
+#: refuse a larger ``fixed_extra``.
 MAX_TOPUP_ITERATIONS = 1_000_000
 
 
@@ -94,7 +95,8 @@ def seeded_sequential_hare(
     * j reached the configured ``cap``  ->  ``cap-reached``.
 
     With ``fixed_extra`` = T the run instead awards exactly T seats against
-    the fixed house target D + T and reports ``fixed-extra-exhausted``.
+    the fixed house target D + T and reports ``fixed-extra-exhausted``;
+    a T above ``max_iterations`` is refused before any award.
     """
     _check_seed(tally, seed)
     total = tally.total_votes
@@ -103,6 +105,11 @@ def seeded_sequential_hare(
     awards, events = [], []
     if seed.fixed_extra is not None:
         stop_j, reason = seed.fixed_extra, STOP_FIXED
+        if stop_j > max_iterations:  # the award log has a row per seat
+            raise IterationGuardError(
+                f"{stop_j} fixed extra seats exceed the guard of "
+                f"{max_iterations} top-up seats"
+            )
         house = seed.total + stop_j
         nums = [house * v - mi * total for v, mi in zip(tally.votes, m)]
         _award_deficits(

@@ -251,9 +251,7 @@ class TestUntracedCostDoesNotGrowWithSeats:
         if method == "hare":
             return list(hare_niemeyer(tally, n).seats)
         rounding = "floor" if method == "dhondt" else "nearest"
-        allocation, _ = multiplicative(
-            tally, n, rounding, engine="sweep", with_trace=False
-        )
+        allocation, _ = multiplicative(tally, n, rounding, with_trace=False)
         return list(allocation.seats)
 
     @pytest.mark.parametrize("fmt", ["table", "json"])
@@ -313,6 +311,24 @@ class TestTraceRowGuard:
         assert err == (
             "execution error: the divisor table would have 100000000 rows "
             "(limit 50000); rerun without --trace\n"
+        )
+
+
+class TestTieEventGuard:
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--method", "dhondt"),
+            ("--method", "sainte-lague"),
+            ("--method", "hare", "--form", "sequential"),
+            ("--compare",),
+        ],
+    )
+    def test_a_tie_dense_trillion_seats_fails_fast(self, cli, csv_file, flags):
+        code, out, err = cli(csv_file(WORKED), "--seats", str(10**12), *flags)
+        assert (code, out) == (2, "")
+        assert err == (
+            "execution error: the allocation would log more than 50000 tie events\n"
         )
 
 
@@ -415,6 +431,17 @@ class TestSeededRuns:
         code, out, _ = cli(path, "--districts-col", "won")
         assert code == 0
         assert "house 11" in out
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_fixed_extra_over_the_guard(self, cli, csv_file, fmt):
+        code, out, err = cli(
+            csv_file(SEEDED), "--fixed-extra", str(10**12), "--format", fmt
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "execution error: 1000000000000 fixed extra seats exceed the guard "
+            "of 1000000 top-up seats\n"
+        )
 
     def test_guard_trips_exit_code_2(self, cli, csv_file):
         code, _, err = cli(

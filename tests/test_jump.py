@@ -9,12 +9,14 @@ from apportion import (
     HARE,
     METHODS,
     InputError,
+    IterationGuardError,
     TiePolicy,
     VoteTally,
     highest_averages,
     jump_allocation,
     sequential_hare,
 )
+from apportion import methods
 
 
 def _tally(votes):
@@ -66,6 +68,21 @@ def test_tie_dense_house(method, tie):
     jumped = jump_allocation(tally, 3000, method, tie)
     assert jumped == _per_seat(tally, 3000, method, tie)
     assert len(jumped.tie_events) == 2000
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_tie_events_up_to_the_limit(method, monkeypatch):
+    # 600:300:100 ties 0.4 times a seat under d'Hondt and Hare
+    tally = _tally((600, 300, 100))
+    jumped = jump_allocation(tally, 10_000, method)
+    assert jumped == _per_seat(tally, 10_000, method)
+    count = len(jumped.tie_events)
+    assert count == (1000 if method == "sainte-lague" else 4000)
+    monkeypatch.setattr(methods, "MAX_TRACE_ROWS", count)
+    assert jump_allocation(tally, 10_000, method) == jumped
+    monkeypatch.setattr(methods, "MAX_TRACE_ROWS", count - 1)
+    with pytest.raises(IterationGuardError, match=f"more than {count - 1} tie events"):
+        jump_allocation(tally, 10_000, method)
 
 
 @pytest.mark.parametrize("method", METHODS)

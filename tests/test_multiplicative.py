@@ -86,22 +86,33 @@ def test_engines_agree_everywhere():
         house_size = rng.randint(0, 40)
         tie = TiePolicy("random", rng.getrandbits(64))
         for rounding, threshold, method in RULES:
-            fast, fast_trace = multiplicative(
+            sweep, trace = multiplicative(
                 tally, house_size, rounding, round_threshold=threshold, tie=tie,
-                engine="threshold",
             )
-            slow, slow_trace = multiplicative(
-                tally, house_size, rounding, round_threshold=threshold, tie=tie,
-                engine="sweep",
+            # the witness rounds to the seats; a straddling tie over-fills it
+            at_witness = seats_at_multiplier(
+                tally, trace.witness, rounding, round_threshold=threshold
             )
-            assert fast == slow  # seats, labels, and tie events
-            assert fast_trace.witness == slow_trace.witness
-            assert fast_trace.witness_is_exact == slow_trace.witness_is_exact
+            if trace.witness_is_exact:
+                assert at_witness == sweep.seats
+                assert sweep.tie_events == ()
+            else:
+                assert sum(at_witness) > house_size
+                assert all(a >= s for a, s in zip(at_witness, sweep.seats))
+                (event,) = sweep.tie_events
+                assert set(event.winners) < set(event.tied)
+            if house_size:
+                # the witness is the N-th smallest threshold: distinct
+                # thresholds here lie more than 10**-9 apart
+                below = trace.witness - Fraction(1, 10**9)
+                assert sum(seats_at_multiplier(
+                    tally, below, rounding, round_threshold=threshold
+                )) < house_size
             if method is not None:
                 table, _ = highest_averages(
                     tally, house_size, method, tie, with_trace=False
                 )
-                assert fast.seats == table.seats
+                assert sweep.seats == table.seats
                 # the jump is a third side: the table's result, tie events too
                 assert jump_allocation(tally, house_size, method, tie) == table
 
@@ -118,7 +129,7 @@ def test_sweep_rows_are_the_rounded_counts(votes, house_size, rule, rng_seed):
     tally = VoteTally(tuple(f"P{i}" for i in range(len(votes))), tuple(votes))
     _, trace = multiplicative(
         tally, house_size, rounding, round_threshold=threshold,
-        tie=TiePolicy("random", rng_seed), engine="sweep",
+        tie=TiePolicy("random", rng_seed),
     )
     for step in trace.steps:
         if step.action == "deassign":
@@ -131,7 +142,7 @@ def test_sweep_rows_are_the_rounded_counts(votes, house_size, rule, rng_seed):
 
 def test_sweep_lowers_into_a_straddling_tie():
     tally = VoteTally(("A", "B", "C"), (1, 1, 1))
-    _, trace = multiplicative(tally, 2, "nearest", engine="sweep")
+    _, trace = multiplicative(tally, 2, "nearest")
     assert [(s.action, s.multiplier, s.seats, s.total) for s in trace.steps] == [
         ("start", Fraction(2), (1, 1, 1), 3),
         ("lower", Fraction(0), (0, 0, 0), 0),
@@ -140,7 +151,7 @@ def test_sweep_lowers_into_a_straddling_tie():
 
 
 def test_sweep_trace_walks_down_to_the_witness(three_way):
-    _, trace = multiplicative(three_way, 3, "nearest", engine="sweep")
+    _, trace = multiplicative(three_way, 3, "nearest")
     actions = [(step.action, step.total) for step in trace.steps]
     assert actions[0] == ("start", 4)  # M = 3 over-fills the house
     assert actions[-1] == ("lower", 3)
@@ -186,11 +197,6 @@ def test_custom_rounding_threshold(three_way):
 def test_rounding_validation(three_way, kwargs):
     with pytest.raises(InputError):
         multiplicative(three_way, 3, **kwargs)
-
-
-def test_unknown_engine_rejected(three_way):
-    with pytest.raises(InputError):
-        multiplicative(three_way, 3, engine="bisect")
 
 
 def test_zero_house(worked_example):

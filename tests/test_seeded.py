@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apportion import (
+    DHONDT,
+    SAINTE_LAGUE,
     InputError,
     IterationGuardError,
     STOP_CAP,
@@ -15,6 +17,7 @@ from apportion import (
     SeedDistribution,
     TiePolicy,
     VoteTally,
+    highest_averages,
     multiplicative,
     seeded_divisor,
     seeded_sequential_hare,
@@ -130,6 +133,20 @@ class TestSequential:
         seed = SeedDistribution(("A", "B"), (30, 0))
         with pytest.raises(IterationGuardError, match="above multiplier 290029"):
             seeded_sequential_hare(tally, seed, max_iterations=1000)
+
+    def test_fixed_extra_over_the_guard_fails_before_any_award(self, monkeypatch):
+        tally = VoteTally(("A", "B"), (50, 50))
+        at_guard = SeedDistribution(("A", "B"), (2, 2), fixed_extra=5)
+        run = seeded_sequential_hare(tally, at_guard, max_iterations=5)
+        assert run.totals == (5, 4)
+
+        def no_awards(*args):
+            raise AssertionError("a seat was awarded")
+
+        monkeypatch.setattr("apportion.seeded._award_deficits", no_awards)
+        over = SeedDistribution(("A", "B"), (2, 2), fixed_extra=6)
+        with pytest.raises(IterationGuardError, match="6 fixed extra seats"):
+            seeded_sequential_hare(tally, over, max_iterations=5)
 
     def test_a_cap_inside_the_guard_still_ends_the_run(self):
         tally = VoteTally(("A", "B"), (1, 10_000))
@@ -304,22 +321,32 @@ class TestZeroDistrictsMatchFixedHouse:
 
     @settings(max_examples=300)
     @given(zero_district_cases(), st.sampled_from(["floor", "nearest"]))
-    def test_fixed_stop_is_the_threshold_engine(self, case, rounding):
+    def test_fixed_stop_is_the_divisor_table(self, case, rounding):
         tally, seed, house, tie = case
         run = seeded_divisor(tally, seed, rounding, "fixed", tie=tie)
-        allocation, trace = multiplicative(
-            tally, house, rounding, tie=tie, engine="threshold"
+        method, t = (
+            (DHONDT, 1) if rounding == "floor" else (SAINTE_LAGUE, Fraction(1, 2))
         )
-        assert run.totals == allocation.seats
-        if house > 0:
-            assert run.multiplier == trace.witness
-        assert run.tie_events == allocation.tie_events
-        raises = [
-            (s.multiplier, s.seats, s.total) for s in trace.steps if s.action == "raise"
-        ]
+        table, table_trace = highest_averages(tally, house, method, tie)
+        assert run.totals == table.seats
+        # row j: the multiplier at which the table's j-th winner gains its
+        # seat, (n + t) V / v_i, and the seats after that step
+        rows = []
+        for j, step in enumerate(table_trace.steps, start=1):
+            winner = tally.party_ids.index(step.winner)
+            after = list(step.seats_before)
+            after[winner] += 1
+            multiplier = (step.seats_before[winner] + t) * Fraction(
+                tally.total_votes, tally.votes[winner]
+            )
+            rows.append((multiplier, tuple(after), j))
         assert [
             (s.multiplier, s.extra_seats, s.total_extra) for s in run.sweep
-        ] == raises
+        ] == rows
+        sweep, trace = multiplicative(tally, house, rounding, tie=tie)
+        if house > 0:
+            assert run.multiplier == trace.witness
+        assert run.tie_events == sweep.tie_events
 
     @settings(max_examples=300)
     @given(zero_district_cases())

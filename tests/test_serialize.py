@@ -103,7 +103,7 @@ def test_divisor_trace_round_trip(three_way):
 
 
 def test_multiplier_trace_round_trip(worked_example):
-    _, trace = multiplicative(worked_example, 9, "floor", engine="sweep")
+    _, trace = multiplicative(worked_example, 9, "floor")
     revived = trace_from_json(_reload(trace))
     assert revived == trace
     assert revived.witness == Fraction(10)
@@ -166,9 +166,8 @@ def test_fixed_house_reports_round_trip(votes, house, tie):
         for value in highest_averages(tally, house, method, tie):
             _round_trips(value)
     for rounding in ("floor", "nearest"):
-        for engine in ("threshold", "sweep"):
-            for value in multiplicative(tally, house, rounding, tie=tie, engine=engine):
-                _round_trips(value)
+        for value in multiplicative(tally, house, rounding, tie=tie):
+            _round_trips(value)
 
 
 @settings(max_examples=100, deadline=None)
