@@ -223,69 +223,23 @@ def highest_averages(
 
     A party holding ``n`` seats bids ``v_i / (n + 1)`` under
     d'Hondt-Jefferson and ``v_i / (2n + 1)`` under Sainte-Laguë.  Bids are
-    compared by integer cross-multiplication.  The trace records, per
-    seat, the full bidding table (present and next votes-per-seat prices).
+    compared by integer cross-multiplication; equal top bids go to the
+    lowest tie rank and are logged as a ``seat j`` tie event listing every
+    tied party.  The trace records, per seat, the full bidding table
+    (present and next votes-per-seat prices).
     """
     _check_house(house_size)
     if method not in _DIVISORS:
         raise InputError(f"unknown divisor method {method!r}")
     divisor_of = _DIVISORS[method]
     votes = tally.votes
+    ids = tally.party_ids
+    ranks = tie.ranks(tally)
     k = tally.party_count
     seats = [0] * k
     steps = []
     events = []
-
-    def record(step, best):
-        steps.append(
-            DivisorStep(
-                step=step,
-                seats_before=tuple(seats),
-                present_quota=tuple(
-                    Fraction(votes[i], divisor_of(seats[i] - 1)) if seats[i] else None
-                    for i in range(k)
-                ),
-                next_quota=tuple(
-                    Fraction(votes[i], divisor_of(seats[i])) for i in range(k)
-                ),
-                winner=tally.party_ids[best],
-            )
-        )
-
-    _bid_steps(
-        tally, divisor_of, tie.ranks(tally), seats, range(1, house_size + 1), events,
-        record if with_trace else None,
-    )
-    allocation = Allocation(
-        party_ids=tally.party_ids,
-        seats=tuple(seats),
-        house_size=house_size,
-        method=method,
-        form="divisor",
-        tie_events=tuple(events),
-    )
-    trace = TraceTable(
-        form="divisor",
-        method=method,
-        party_ids=tally.party_ids,
-        steps=tuple(steps),
-        final_seats=tuple(seats),
-    )
-    return allocation, trace
-
-
-def _bid_steps(tally, divisor_of, ranks, seats, steps, events, on_step=None):
-    """Give each seat ``step`` in ``steps`` to the highest standing bid.
-
-    A party holding n seats bids ``v_i / divisor_of(n)``; bids are compared
-    by integer cross-multiplication.  Equal top bids go to the lowest tie
-    rank and are logged as a ``seat j`` tie event listing every tied party.
-    ``on_step(step, best)`` sees the table before each seat is handed out.
-    Updates ``seats`` and ``events`` in place.
-    """
-    votes = tally.votes
-    k = len(votes)
-    for step in steps:
+    for step in range(1, house_size + 1):
         best = 0
         best_num, best_den = votes[0], divisor_of(seats[0])
         tied = [0]
@@ -304,13 +258,42 @@ def _bid_steps(tally, divisor_of, ranks, seats, steps, events, on_step=None):
             events.append(
                 TieEvent(
                     context=f"seat {step}",
-                    tied=tuple(tally.party_ids[i] for i in tied),
-                    winners=(tally.party_ids[best],),
+                    tied=tuple(ids[i] for i in tied),
+                    winners=(ids[best],),
                 )
             )
-        if on_step is not None:
-            on_step(step, best)
+        if with_trace:
+            steps.append(
+                DivisorStep(
+                    step=step,
+                    seats_before=tuple(seats),
+                    present_quota=tuple(
+                        Fraction(votes[i], divisor_of(seats[i] - 1)) if seats[i] else None
+                        for i in range(k)
+                    ),
+                    next_quota=tuple(
+                        Fraction(votes[i], divisor_of(seats[i])) for i in range(k)
+                    ),
+                    winner=ids[best],
+                )
+            )
         seats[best] += 1
+    allocation = Allocation(
+        party_ids=ids,
+        seats=tuple(seats),
+        house_size=house_size,
+        method=method,
+        form="divisor",
+        tie_events=tuple(events),
+    )
+    trace = TraceTable(
+        form="divisor",
+        method=method,
+        party_ids=ids,
+        steps=tuple(steps),
+        final_seats=tuple(seats),
+    )
+    return allocation, trace
 
 
 class _Bid:
@@ -376,40 +359,27 @@ def _thresholds(tally, base, t, ranks, down=False):
             heapq.heapreplace(heap, _Bid(num, bid.den, bid.rank, bid.party))
 
 
-def _fill(tally, base, t, ranks, count, with_trace, *, start=None, groups=False):
+def _fill(tally, base, t, ranks, count):
     """Take the ``count`` smallest seat thresholds above ``base`` seats.
 
-    Returns ``(seats, snapshots, taken, overhang, following)``: the seats
-    per party, counted up from ``start`` (zeros by default); when tracing,
-    a ``(multiplier, seats)`` snapshot per seat, or with ``groups`` one per
-    distinct multiplier; the bids taken at the last multiplier; the bids
-    coincident with them that did not fit (a tie straddling the target);
-    and the first bid above that multiplier.
+    Returns ``(groups, overhang, following)``: the bids taken, as lists of
+    coincident thresholds in ascending order; the bids coincident with the
+    last group that did not fit (a tie straddling the target); and the
+    first bid above that multiplier.
     """
-    seats = [0] * tally.party_count if start is None else list(start)
-    per_seat = with_trace and not groups
-    per_group = with_trace and groups
-    snapshots = []
-    taken = []
+    groups = []
     stream = _thresholds(tally, base, t, ranks)
     for bid in itertools.islice(stream, count):
-        if taken and bid.same_value(taken[0]):
-            taken.append(bid)
+        if groups and bid.same_value(groups[-1][0]):
+            groups[-1].append(bid)
         else:
-            if per_group and taken:
-                snapshots.append((taken[0].value(), tuple(seats)))
-            taken = [bid]
-        seats[bid.party] += 1
-        if per_seat:
-            snapshots.append((bid.value(), tuple(seats)))
-    if per_group and taken:
-        snapshots.append((taken[0].value(), tuple(seats)))
+            groups.append([bid])
     following = next(stream)
     overhang = []
-    while taken and following.same_value(taken[0]):
+    while groups and following.same_value(groups[-1][0]):
         overhang.append(following)
         following = next(stream)
-    return seats, snapshots, taken, overhang, following
+    return groups, overhang, following
 
 
 def _straddle_event(party_ids, multiplier, taken, overhang):
@@ -569,11 +539,14 @@ def _multiplicative_sweep(tally, house_size, t, ranks, with_trace):
         if count == house_size:
             witness = Fraction(0) if top is None else -top.value()
             return seats, steps, [], witness, True
-    seats, snapshots, taken, overhang, _ = _fill(
-        tally, seats, t, ranks, house_size - count, with_trace,
-        start=seats, groups=True,
-    )
-    steps += [MultiplierStep("raise", m, s, sum(s)) for m, s in snapshots]
+    groups, overhang, _ = _fill(tally, seats, t, ranks, house_size - count)
+    for group in groups:
+        for bid in group:
+            seats[bid.party] += 1
+        count += len(group)
+        if with_trace:
+            steps.append(MultiplierStep("raise", group[0].value(), tuple(seats), count))
+    taken = groups[-1]
     witness = taken[0].value()
     if not overhang:
         return seats, steps, [], witness, True
@@ -593,9 +566,10 @@ def jump_allocation(
     ``sequential_hare(...)[0]`` returns for Hare: the same seats and every
     per-seat tie event.  A pilot that cannot over-fill the house (the lower
     quotas for Hare, ``round_t`` at M₀ = max(0, N - k(1 - t)) for the
-    divisor methods) leaves fewer than k seats, which the form's own
-    per-seat rule hands out.  The tie events below the pilot are rebuilt
-    from coincident thresholds.  Costs O(k²) plus O(k) per tie event,
+    divisor methods) leaves fewer than k seats: the next thresholds in
+    (value, tie rank) order, or the largest remainders.  Every tie event
+    is rebuilt from groups of coincident values.  Costs O(k²) for the
+    divisor methods and O(k log k) for Hare, plus O(k) per tie event,
     whatever N is.
     """
     _check_house(house_size)
@@ -619,22 +593,28 @@ def jump_allocation(
 
 
 def _jump_divisor(tally, house_size, method, ranks):
-    """Round at M₀ = max(0, N - k(1 - t)), then bid for the last seats.
+    """Round at M₀ = max(0, N - k(1 - t)), then take the last seats' thresholds.
 
     ``round_t(M * v_i / V)`` lies in ``(M * v_i / V - t, M * v_i / V + 1 - t]``
     for a party with votes, so the pilot counts sum to more than N - k and
     to at most N.  They are every threshold up to M₀: the table's first
-    ``sum(seats)`` seats.
+    ``sum(seats)`` seats.  The rest come from the threshold stream, where
+    the table's bid order is (value, tie rank).
     """
     t = _round_threshold("floor" if method == DHONDT else "nearest", None)
     pilot = max(Fraction(0), house_size - tally.party_count * (1 - t))
     seats = _rounded(tally, pilot, t)
-    events = _group_events(tally, ranks, "seat", _divisor_groups(tally, seats, t))
-    _bid_steps(
-        tally, _DIVISORS[method], ranks, seats,
-        range(sum(seats) + 1, house_size + 1), events,
-    )
-    return seats, events
+    ties = _divisor_groups(tally, seats, t)
+    earlier = sum(seats)
+    groups, overhang, _ = _fill(tally, seats, t, ranks, house_size - earlier)
+    for group in groups:
+        ties.append((earlier, [bid.party for bid in group]))
+        earlier += len(group)
+        for bid in group:
+            seats[bid.party] += 1
+    if overhang:  # the parties left out still tied for seat N
+        ties[-1][1].extend(bid.party for bid in overhang)
+    return seats, _group_events(tally, ranks, "seat", ties, house_size)
 
 
 def _divisor_groups(tally, seats, t):
@@ -678,46 +658,47 @@ def _divisor_groups(tally, seats, t):
 
 
 def _jump_hare(tally, house_size, ranks):
-    """Award the lower quotas at once, then the last seats by deficit.
+    """Award the lower quotas at once, then the leftover seats by remainder.
 
     Party i's deficits ``N v_i - n V`` (over V) run down from ``N v_i`` in
     steps of V.  Its lower quota counts those of at least V, and no other
-    deficit reaches V, so the award loop hands them out first.  Parties
-    with equal remainders ``N v_i mod V`` tie at every level ``c V +
-    remainder`` that both of them hold.
+    deficit reaches V, so the award loop hands them out first.  The fewer
+    than k seats left go one each to the largest remainders ``N v_i mod
+    V``, in tie-rank order among equals.  Parties with equal remainders tie
+    at every level ``c V + remainder`` that both of them hold, the
+    remainder itself (level 0) included.
     """
     total = tally.total_votes
     ideals = [house_size * v for v in tally.votes]
-    seats, nums = [], []
+    seats, rems = [], []
     for x in ideals:
         lower, remainder = divmod(x, total)
         seats.append(lower)
-        nums.append(remainder)
-    classes = {}  # remainder -> parties holding a level
-    for i, n in enumerate(seats):
-        if n:
-            classes.setdefault(nums[i], []).append(i)
-    # Level c of a class logs (members holding c) - 1 events: summed over
-    # the levels, every member's seats but the largest count.
+        rems.append(remainder)
+    base = sum(seats)
+    order = sorted(range(tally.party_count), key=lambda i: (-rems[i], ranks[i]))
+    classes = {}  # remainder -> (deficits above it, parties)
+    for position, i in enumerate(order):
+        classes.setdefault(rems[i], (base + position, []))[1].append(i)
+    # Level c >= 1 of a class logs (members holding c) - 1 events: summed
+    # over the levels, every member's seats but the largest count.
     _check_tie_events(sum(
         sum(held) - max(held)
-        for held in ([seats[i] for i in members] for members in classes.values())
+        for held in ([seats[i] for i in members] for _, members in classes.values())
     ))
     groups = []
-    for remainder, members in classes.items():
+    for remainder, (first, members) in classes.items():
         if len(members) < 2:
             continue
+        groups.append((first, members))
         for c in range(1, sorted(seats[i] for i in members)[-2] + 1):
             level = c * total + remainder
             # party l's deficits above the level: N v_l - n V > level
             earlier = sum(max(0, -((level - x) // total)) for x in ideals)
             groups.append((earlier, [i for i in members if seats[i] >= c]))
-    events = _group_events(tally, ranks, "award", groups)
-    _award_deficits(
-        tally.party_ids, total, ranks, seats, nums, house_size,
-        range(sum(seats) + 1, house_size + 1), "award", [], events,
-    )
-    return seats, events
+    for i in order[:house_size - base]:
+        seats[i] += 1
+    return seats, _group_events(tally, ranks, "award", groups, house_size)
 
 
 def _check_tie_events(count):
@@ -727,18 +708,20 @@ def _check_tie_events(count):
         )
 
 
-def _group_events(tally, ranks, context, groups):
+def _group_events(tally, ranks, context, groups, last):
     """The tie events a per-seat loop logs for groups of coincident values.
 
     A group of g parties whose value has ``earlier`` values before it fills
     steps ``earlier + 1 .. earlier + g``; at each step but the last the
     members left tie, listed in index order, and the lowest tie rank wins.
+    The loop ends at step ``last``, so a group straddling it logs the ties
+    up to ``last`` only.
     """
     ids = tally.party_ids
     events = []
     for earlier, members in sorted(groups, key=lambda group: group[0]):
         left = sorted(members)
-        for step in range(earlier + 1, earlier + len(left)):
+        for step in range(earlier + 1, min(earlier + len(left), last + 1)):
             best = min(left, key=ranks.__getitem__)
             events.append(
                 TieEvent(

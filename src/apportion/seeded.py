@@ -83,8 +83,6 @@ def seeded_sequential_hare(
     tally: VoteTally,
     seed: SeedDistribution,
     tie: TiePolicy = TiePolicy(),
-    *,
-    max_iterations: int = MAX_TOPUP_ITERATIONS,
 ) -> SeededRun:
     """Award top-up seats one at a time to the largest current deficit.
 
@@ -96,7 +94,7 @@ def seeded_sequential_hare(
 
     With ``fixed_extra`` = T the run instead awards exactly T seats against
     the fixed house target D + T and reports ``fixed-extra-exhausted``;
-    a T above ``max_iterations`` is refused before any award.
+    a T above ``MAX_TOPUP_ITERATIONS`` is refused before any award.
     """
     _check_seed(tally, seed)
     total = tally.total_votes
@@ -105,10 +103,10 @@ def seeded_sequential_hare(
     awards, events = [], []
     if seed.fixed_extra is not None:
         stop_j, reason = seed.fixed_extra, STOP_FIXED
-        if stop_j > max_iterations:  # the award log has a row per seat
+        if stop_j > MAX_TOPUP_ITERATIONS:  # the award log has a row per seat
             raise IterationGuardError(
                 f"{stop_j} fixed extra seats exceed the guard of "
-                f"{max_iterations} top-up seats"
+                f"{MAX_TOPUP_ITERATIONS} top-up seats"
             )
         house = seed.total + stop_j
         nums = [house * v - mi * total for v, mi in zip(tally.votes, m)]
@@ -120,8 +118,8 @@ def seeded_sequential_hare(
         # The residual stop needs D + j > bound; when it lies beyond the
         # guard and no cap ends the run first, refuse before any award.
         bound = _dilution_bound(tally, seed)
-        capped = seed.cap is not None and seed.cap <= max_iterations
-        doomed = math.floor(bound) - seed.total + 1 > max_iterations and not capped
+        capped = seed.cap is not None and seed.cap <= MAX_TOPUP_ITERATIONS
+        doomed = math.floor(bound) - seed.total + 1 > MAX_TOPUP_ITERATIONS and not capped
         # nums[i] is the residual (D + j) * v_i / V - m_i over the denominator V
         nums = [seed.total * v - mi * total for v, mi in zip(tally.votes, m)]
         j = 0
@@ -132,9 +130,9 @@ def seeded_sequential_hare(
             if seed.cap is not None and j >= seed.cap:
                 reason = STOP_CAP
                 break
-            if doomed or j >= max_iterations:
+            if doomed or j >= MAX_TOPUP_ITERATIONS:
                 raise IterationGuardError(
-                    f"no residual stop within {max_iterations} top-up seats; "
+                    f"no residual stop within {MAX_TOPUP_ITERATIONS} top-up seats; "
                     f"the stop region begins above multiplier {bound}"
                 )
             j += 1
@@ -204,7 +202,6 @@ def seeded_divisor(
 
 
 def _divisor_residual_stop(tally, seed, t, with_trace):
-    total = tally.total_votes
     ds = seed.district_seats
     start = Fraction(seed.total + 1)
     bound = _dilution_bound(tally, seed)
@@ -215,72 +212,91 @@ def _divisor_residual_stop(tally, seed, t, with_trace):
     hi = next(_thresholds(tally, held, t, ranks)).value()
     witness = start if bound < start else (lo + hi) / 2
     extras = _topups_at(tally, seed, t, witness)
-    totals = tuple(d + x for d, x in zip(ds, extras))
-    residuals = tuple(
-        witness * Fraction(v, total) - mi for v, mi in zip(tally.votes, totals)
-    )
     sweep = []
     if with_trace:
         first = _topups_at(tally, seed, t, start)
         # one seat threshold per top-up seat gained in (start, witness]
         count = sum(extras) - sum(first)
-        if count > MAX_TRACE_ROWS:
-            raise IterationGuardError(
-                f"sweep trace would contain {count} rows (limit {MAX_TRACE_ROWS}); "
-                "rerun with with_trace=False"
-            )
-        _, snapshots, *_ = _fill(
-            tally, [d + x for d, x in zip(ds, first)], t, ranks, count, True,
-            start=first, groups=True,
-        )
+        _check_sweep_rows(count)
+        groups, *_ = _fill(tally, [d + x for d, x in zip(ds, first)], t, ranks, count)
         sweep = [SweepStep(start, tuple(first), sum(first))]
-        sweep += [SweepStep(m, xs, sum(xs)) for m, xs in snapshots]
+        for group in groups:
+            for bid in group:
+                first[bid.party] += 1
+            sweep.append(SweepStep(group[0].value(), tuple(first), sum(first)))
         if witness != start:  # strictly between two thresholds: its own row
             sweep.append(SweepStep(witness, tuple(extras), sum(extras)))
-    return SeededRun(
-        party_ids=tally.party_ids,
-        district_seats=ds,
-        extra_seats=tuple(extras),
-        totals=totals,
-        stop_iteration=sum(extras),
-        stop_reason=STOP_RESIDUAL,
-        residuals=residuals,
-        sweep=tuple(sweep),
-        multiplier=witness,
-        multiplier_interval=(lo, hi),
-    )
+    return _report(tally, seed, extras, STOP_RESIDUAL, sweep, witness, (lo, hi))
+
+
+def _check_sweep_rows(count):
+    if count > MAX_TRACE_ROWS:
+        raise IterationGuardError(
+            f"sweep trace would contain {count} rows (limit {MAX_TRACE_ROWS}); "
+            "rerun with with_trace=False"
+        )
+
+
+def _pilot(tally, seed, t):
+    """The last integer multiplier under which fewer than ``fixed_extra``
+    top-up seats are due (0 when none are), by doubling then bisection.
+
+    A party's thresholds lie V / v_i >= 1 apart, so at most one of each
+    falls in the next unit of M: at most k seats remain to step.
+    """
+    def due(multiplier):
+        return sum(_topups_at(tally, seed, t, multiplier))
+
+    lo, hi = 0, 1
+    while due(hi) < seed.fixed_extra:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if due(mid) < seed.fixed_extra else (lo, mid)
+    return lo
 
 
 def _divisor_fixed_stop(tally, seed, t, tie, with_trace):
-    total = tally.total_votes
-    extras, snapshots, taken, overhang, following = _fill(
-        tally, seed.district_seats, t, tie.ranks(tally), seed.fixed_extra, with_trace
+    if with_trace:  # one row per seat: walk up from M = 0
+        _check_sweep_rows(seed.fixed_extra)
+    extras = _topups_at(tally, seed, t, 0 if with_trace else _pilot(tally, seed, t))
+    groups, overhang, following = _fill(
+        tally, [d + x for d, x in zip(seed.district_seats, extras)], t,
+        tie.ranks(tally), seed.fixed_extra - sum(extras),
     )
-    sweep = [
-        SweepStep(multiplier=m, extra_seats=s, total_extra=j)
-        for j, (m, s) in enumerate(snapshots, start=1)
-    ]
+    sweep = []
+    for group in groups:
+        for bid in group:
+            extras[bid.party] += 1
+            if with_trace:
+                sweep.append(SweepStep(bid.value(), tuple(extras), len(sweep) + 1))
     events = []
     witness = interval = None
-    if taken:
-        witness = taken[0].value()
+    if groups:
+        witness = groups[-1][0].value()
         if overhang:
-            events.append(_straddle_event(tally.party_ids, witness, taken, overhang))
+            events.append(_straddle_event(tally.party_ids, witness, groups[-1], overhang))
         else:
             interval = (witness, following.value())
-    totals = tuple(di + x for di, x in zip(seed.district_seats, extras))
-    eval_at = witness if witness is not None else Fraction(0)
-    residuals = tuple(
-        eval_at * Fraction(v, total) - mi for v, mi in zip(tally.votes, totals)
-    )
+    return _report(tally, seed, extras, STOP_FIXED, sweep, witness, interval, events)
+
+
+def _report(tally, seed, extras, reason, sweep, witness, interval, events=()):
+    """The report of a stop at ``witness``; residuals are taken at M = 0
+    when no seat was added."""
+    at = Fraction(0) if witness is None else witness
+    total = tally.total_votes
+    totals = tuple(d + x for d, x in zip(seed.district_seats, extras))
     return SeededRun(
         party_ids=tally.party_ids,
         district_seats=seed.district_seats,
         extra_seats=tuple(extras),
         totals=totals,
-        stop_iteration=seed.fixed_extra,
-        stop_reason=STOP_FIXED,
-        residuals=residuals,
+        stop_iteration=sum(extras),
+        stop_reason=reason,
+        residuals=tuple(
+            at * Fraction(v, total) - m for v, m in zip(tally.votes, totals)
+        ),
         sweep=tuple(sweep),
         multiplier=witness,
         multiplier_interval=interval,

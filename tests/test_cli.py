@@ -426,6 +426,31 @@ class TestSeededRuns:
         assert "stopped after 4 top-up seat(s): fixed-extra-exhausted" in out
         assert "multiplier 25/4" in out
 
+    def test_traced_fixed_stop_over_the_limit(self, cli, csv_file):
+        code, out, err = cli(
+            csv_file(SEEDED), "--form", "divisor", "--method", "dhondt",
+            "--fixed-extra", "50001", "--trace",
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "execution error: sweep trace would contain 50001 rows (limit 50000); "
+            "rerun with with_trace=False\n"
+        )
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    @pytest.mark.parametrize("method", ["dhondt", "sainte-lague"])
+    def test_a_trillion_fixed_extra_seats(self, cli, csv_file, method, fmt):
+        code, out, err = cli(
+            csv_file(SEEDED), "--form", "divisor", "--method", method,
+            "--fixed-extra", str(10**12), "--format", fmt,
+        )
+        assert (code, err) == (0, "")
+        if fmt == "json":
+            extra = json.loads(out)["seeded_run"]["extra_seats"]
+        else:
+            extra = [int(line.split()[3]) for line in out.splitlines()[2:4]]
+        assert sum(extra) == 10**12
+
     def test_custom_districts_column(self, cli, csv_file):
         path = csv_file("party,votes,won\nA,20,3\nB,80,1\n")
         code, out, _ = cli(path, "--districts-col", "won")
@@ -638,7 +663,8 @@ _FLAGS = st.one_of(
     st.sampled_from([("--tie", "random", "--seed", "9"), ("--tie", "random"),
                      ("--seed", "-1"), ("--tie", "random", "--seed", str(2**64))]),
     st.tuples(st.just("--cap"), st.integers(-1, 20).map(str)),
-    st.tuples(st.just("--fixed-extra"), st.integers(-1, 20).map(str)),
+    st.tuples(st.just("--fixed-extra"),
+              st.one_of(st.integers(-1, 20), st.just(10**12)).map(str)),
     st.tuples(st.just("--stop"), st.sampled_from(["residual", "fixed"])),
     st.just(("--format", "json")),
     st.just(("--districts-col", "won")),
@@ -660,7 +686,9 @@ def _invocations(draw):
     if districts:
         seats = draw(st.sampled_from([None, None, None, 5]))
     else:
-        seats = draw(st.sampled_from([None, -1, 0, 1, 2, 3, 5, 10, 37, 200, 200]))
+        seats = draw(
+            st.sampled_from([None, -1, 0, 1, 2, 3, 5, 10, 37, 200, 200, 10**12])
+        )
     if seats is not None:
         argv += ["--seats", str(seats)]
     for flag in draw(st.lists(_FLAGS, max_size=3)):

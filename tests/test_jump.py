@@ -71,6 +71,24 @@ def test_tie_dense_house(method, tie):
 
 
 @pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("tie", [TiePolicy(), TiePolicy("random", 7)])
+@pytest.mark.parametrize(
+    "votes,house_size",
+    [
+        ((10, 10, 10), 4),  # three coincident thresholds straddle N above the pilot
+        ((10, 10, 10), 5),
+        ((7, 7, 7), 3001),
+        ((3, 3, 3, 1), 5),  # Hare: four equal remainders, two leftover seats
+    ],
+)
+def test_a_tie_straddling_the_last_seat(method, tie, votes, house_size):
+    tally = _tally(votes)
+    jumped = jump_allocation(tally, house_size, method, tie)
+    assert jumped == _per_seat(tally, house_size, method, tie)
+    assert jumped.tie_events[-1].context.endswith(f" {house_size}")
+
+
+@pytest.mark.parametrize("method", METHODS)
 def test_tie_events_up_to_the_limit(method, monkeypatch):
     # 600:300:100 ties 0.4 times a seat under d'Hondt and Hare
     tally = _tally((600, 300, 100))

@@ -1,5 +1,6 @@
 """Two-stage (district seats + proportional top-up) allocation."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from apportion import (
     seeded_sequential_hare,
     sequential_hare,
 )
+from apportion import seeded
 from apportion.methods import _round_threshold
 from apportion.seeded import _topups_at
 
@@ -117,10 +119,11 @@ class TestSequential:
         run = seeded_sequential_hare(tally, fixed, TiePolicy("random", 1))
         assert run.awards[0].party == "B"
 
-    def test_iteration_guard(self, lopsided):
+    def test_iteration_guard(self, lopsided, monkeypatch):
         tally, seed = lopsided
+        monkeypatch.setattr(seeded, "MAX_TOPUP_ITERATIONS", 5)
         with pytest.raises(IterationGuardError):
-            seeded_sequential_hare(tally, seed, max_iterations=5)
+            seeded_sequential_hare(tally, seed)
 
     def test_guard_fails_fast_when_the_stop_lies_beyond_it(self, monkeypatch):
         # the stop region begins above 290,029: some 290,000 top-ups away
@@ -130,14 +133,16 @@ class TestSequential:
             raise AssertionError("a seat was awarded")
 
         monkeypatch.setattr("apportion.seeded._award_deficits", no_awards)
+        monkeypatch.setattr(seeded, "MAX_TOPUP_ITERATIONS", 1000)
         seed = SeedDistribution(("A", "B"), (30, 0))
         with pytest.raises(IterationGuardError, match="above multiplier 290029"):
-            seeded_sequential_hare(tally, seed, max_iterations=1000)
+            seeded_sequential_hare(tally, seed)
 
     def test_fixed_extra_over_the_guard_fails_before_any_award(self, monkeypatch):
         tally = VoteTally(("A", "B"), (50, 50))
         at_guard = SeedDistribution(("A", "B"), (2, 2), fixed_extra=5)
-        run = seeded_sequential_hare(tally, at_guard, max_iterations=5)
+        monkeypatch.setattr(seeded, "MAX_TOPUP_ITERATIONS", 5)
+        run = seeded_sequential_hare(tally, at_guard)
         assert run.totals == (5, 4)
 
         def no_awards(*args):
@@ -146,12 +151,13 @@ class TestSequential:
         monkeypatch.setattr("apportion.seeded._award_deficits", no_awards)
         over = SeedDistribution(("A", "B"), (2, 2), fixed_extra=6)
         with pytest.raises(IterationGuardError, match="6 fixed extra seats"):
-            seeded_sequential_hare(tally, over, max_iterations=5)
+            seeded_sequential_hare(tally, over)
 
-    def test_a_cap_inside_the_guard_still_ends_the_run(self):
+    def test_a_cap_inside_the_guard_still_ends_the_run(self, monkeypatch):
         tally = VoteTally(("A", "B"), (1, 10_000))
         capped = SeedDistribution(("A", "B"), (30, 0), cap=500)
-        run = seeded_sequential_hare(tally, capped, max_iterations=1000)
+        monkeypatch.setattr(seeded, "MAX_TOPUP_ITERATIONS", 1000)
+        run = seeded_sequential_hare(tally, capped)
         assert run.stop_reason == STOP_CAP
         assert run.stop_iteration == 500
         assert run.totals == (30, 500)
@@ -226,6 +232,25 @@ class TestDivisorResidualStop:
         assert str(caught.value) == message
 
 
+_TIES = st.one_of(
+    st.just(TiePolicy()),
+    st.integers(0, 2**64 - 1).map(lambda s: TiePolicy("random", s)),
+)
+
+
+@st.composite
+def fixed_stop_cases(draw):
+    """Tie-prone or large votes, district seats and up to 120 top-ups."""
+    k = draw(st.integers(1, 6))
+    top = draw(st.sampled_from([6, 10**6]))
+    votes = draw(st.lists(st.integers(0, top), min_size=k, max_size=k).filter(any))
+    districts = tuple(draw(st.integers(0, 30)) if v else 0 for v in votes)
+    tally = VoteTally(tuple(f"P{i + 1}" for i in range(k)), tuple(votes))
+    fixed_extra = draw(st.integers(0, 120))
+    seed = SeedDistribution(tally.party_ids, districts, fixed_extra=fixed_extra)
+    return tally, seed, draw(_TIES)
+
+
 class TestDivisorFixedStop:
     def test_stops_at_the_target_threshold(self, lopsided):
         tally, _ = lopsided
@@ -253,6 +278,34 @@ class TestDivisorFixedStop:
         (event,) = run.tie_events
         assert event.tied == ("A", "B")
         assert event.winners == ("A",)
+
+    def test_trace_is_capped_before_any_row(self, lopsided, monkeypatch):
+        tally, _ = lopsided
+        monkeypatch.setattr(seeded, "MAX_TRACE_ROWS", 5)
+        at_limit = SeedDistribution(("A", "B"), (3, 1), fixed_extra=5)
+        assert len(seeded_divisor(tally, at_limit, stop="fixed").sweep) == 5
+        over = SeedDistribution(("A", "B"), (3, 1), fixed_extra=6)
+        untraced = seeded_divisor(tally, over, stop="fixed", with_trace=False)
+        assert untraced.totals == (3, 7)
+
+        def no_fill(*args):
+            raise AssertionError("a threshold was taken")
+
+        monkeypatch.setattr(seeded, "_fill", no_fill)
+        with pytest.raises(IterationGuardError) as caught:
+            seeded_divisor(tally, over, stop="fixed")
+        assert str(caught.value) == (
+            "sweep trace would contain 6 rows (limit 5); rerun with with_trace=False"
+        )
+
+    @settings(max_examples=300)
+    @given(fixed_stop_cases(), st.sampled_from(["floor", "nearest"]))
+    def test_the_pilot_lands_where_the_walk_does(self, case, rounding):
+        tally, seed, tie = case
+        walked = seeded_divisor(tally, seed, rounding, "fixed", tie=tie)
+        assert len(walked.sweep) == seed.fixed_extra
+        jumped = seeded_divisor(tally, seed, rounding, "fixed", tie=tie, with_trace=False)
+        assert jumped == dataclasses.replace(walked, sweep=())
 
     def test_zero_extra(self, lopsided):
         tally, _ = lopsided
@@ -307,13 +360,7 @@ def zero_district_cases(draw):
     tally = VoteTally(tuple(f"P{i + 1}" for i in range(k)), tuple(votes))
     house = draw(st.integers(0, 30))
     seed = SeedDistribution(tally.party_ids, (0,) * k, fixed_extra=house)
-    tie = draw(
-        st.one_of(
-            st.just(TiePolicy()),
-            st.integers(0, 2**64 - 1).map(lambda s: TiePolicy("random", s)),
-        )
-    )
-    return tally, seed, house, tie
+    return tally, seed, house, draw(_TIES)
 
 
 class TestZeroDistrictsMatchFixedHouse:
