@@ -188,9 +188,9 @@ def _award_deficits(
     parties = range(len(nums))
     for j in iterations:
         top = max(nums)
-        tied = [i for i in parties if nums[i] == top]
-        best = tied[0]
-        if len(tied) > 1:
+        best = nums.index(top)
+        if nums.count(top) > 1:
+            tied = [i for i in parties if nums[i] == top]
             best = min(tied, key=ranks.__getitem__)
             events.append(
                 TieEvent(
@@ -715,9 +715,10 @@ def _group_events(tally, ranks, context, groups, last):
     steps ``earlier + 1 .. earlier + g``; at each step but the last the
     members left tie, listed in index order, and the lowest tie rank wins.
     The loop ends at step ``last``, so a group straddling it logs the ties
-    up to ``last`` only.
+    up to ``last`` only.  Their total is checked before any event is built.
     """
     ids = tally.party_ids
+    _check_tie_events(sum(max(0, min(len(m) - 1, last - e)) for e, m in groups))
     events = []
     for earlier, members in sorted(groups, key=lambda group: group[0]):
         left = sorted(members)

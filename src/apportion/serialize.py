@@ -1,11 +1,11 @@
 """JSON encoding/decoding for the exact domain objects.
 
 Rationals travel as ``{"num": int, "den": int}`` — never as decimals, so
-a report can be re-parsed into the identical exact values.  ``dumps`` is
-canonical (sorted keys, fixed indentation, trailing newline): identical
-data always produces byte-identical output.  ``from_json`` inverts
-``jsonify`` for any domain dataclass, guided by its field annotations, so
-the JSON shape of a type is decided by its fields alone.
+a report can be re-parsed into the identical exact values.  ``dumps``
+writes canonical text (sorted keys, two-space indents, trailing newline)
+in one pass, in time linear in its length, so identical data always gives
+byte-identical output; ``jsonify`` is that text parsed.  ``from_json``
+inverts it for any domain dataclass, guided by its field annotations.
 """
 
 from __future__ import annotations
@@ -16,35 +16,63 @@ import json
 import types
 import typing
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote  # json.dumps's C function
 
 from .types import Allocation, QuotaReport, SeededRun, TraceTable, VoteTally
 
 
-def jsonify(value):
-    """Recursively convert domain values to plain JSON-compatible data.
-
-    Floats are deliberately unsupported: anything inexact reaching this
-    function is a bug upstream.
-    """
-    if isinstance(value, Fraction):
-        return {"num": value.numerator, "den": value.denominator}
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {
-            f.name: jsonify(getattr(value, f.name))
-            for f in dataclasses.fields(value)
-        }
-    if isinstance(value, dict):
-        return {str(k): jsonify(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [jsonify(v) for v in value]
-    if value is None or isinstance(value, (bool, int, str)):
-        return value
-    raise TypeError(f"cannot serialise {type(value).__name__} value {value!r}")
-
-
 def dumps(payload) -> str:
-    """Canonical JSON text for a payload of plain/domain values."""
-    return json.dumps(jsonify(payload), sort_keys=True, indent=2) + "\n"
+    """Canonical JSON text of plain/domain values; a float is a bug upstream."""
+    pieces = []
+    _writer(type(payload))(payload, "\n", pieces.append)
+    return "".join(pieces) + "\n"
+
+
+def jsonify(value):
+    """The plain JSON data of a payload: what :func:`dumps` writes, parsed."""
+    return json.loads(dumps(value))
+
+
+@functools.cache
+def _writer(cls):
+    """``write(value, newline, put)`` puts a ``cls`` value's text at ``newline``."""
+    if issubclass(cls, Fraction):
+        return lambda value, newline, put: put(
+            f'{{{newline}  "den": {int.__repr__(value.denominator)},'
+            f'{newline}  "num": {int.__repr__(value.numerator)}{newline}}}')
+    if dataclasses.is_dataclass(cls):  # before any builtin it subclasses
+        keys = sorted((f.name, f"{_quote(f.name)}: ") for f in dataclasses.fields(cls))
+        return lambda value, newline, put: _write_items(
+            "{}", [(key, getattr(value, name)) for name, key in keys], newline, put)
+    if issubclass(cls, dict):  # keys that str() merges keep the last value
+        return lambda value, newline, put: _write_items("{}", [
+            (f"{_quote(k)}: ", v) for k, v in sorted(
+                {str(k): v for k, v in value.items()}.items())], newline, put)
+    if issubclass(cls, (list, tuple)):
+        return lambda value, newline, put: _write_items(
+            "[]", [("", v) for v in value], newline, put)
+    if cls is bool or cls is type(None):
+        literals = {None: "null", True: "true", False: "false"}
+        return lambda value, _, put: put(literals[value])
+    if issubclass(cls, int):  # int.__repr__ raises past the digit limit
+        return lambda value, _, put: put(int.__repr__(value))
+    if issubclass(cls, str):
+        return lambda value, _, put: put(_quote(value))
+
+    def refuse(value, newline, put):
+        raise TypeError(f"cannot serialise {cls.__name__} value {value!r}")
+    return refuse
+
+
+def _write_items(brackets, items, newline, put):
+    """An object or array of (prefix, value) items; a prefix is '"key": ' or ''."""
+    inner = newline + "  "
+    start = brackets[0] + inner  # the opening bracket comes with the first item
+    for prefix, value in items:
+        put(start + prefix)
+        _writer(type(value))(value, inner, put)
+        start = "," + inner
+    put(newline + brackets[1] if items else brackets)
 
 
 def from_json(hint, obj):

@@ -107,6 +107,26 @@ def test_tie_events_up_to_the_limit(method, monkeypatch):
 @pytest.mark.parametrize(
     "votes,house_size",
     [
+        ((10, 10, 10), 2),  # no tie below the pilot: both events come from the step
+        ((10, 10, 10), 4),
+        ((7, 7, 7), 3001),
+        ((3, 3, 3, 1), 5),
+    ],
+)
+def test_stepped_ties_count_against_the_limit(method, votes, house_size, monkeypatch):
+    tally = _tally(votes)
+    count = len(_per_seat(tally, house_size, method).tie_events)
+    monkeypatch.setattr(methods, "MAX_TRACE_ROWS", count)
+    assert len(jump_allocation(tally, house_size, method).tie_events) == count
+    monkeypatch.setattr(methods, "MAX_TRACE_ROWS", count - 1)
+    with pytest.raises(IterationGuardError, match=f"more than {count - 1} tie events"):
+        jump_allocation(tally, house_size, method)
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize(
+    "votes,house_size",
+    [
         ((0, 5, 0, 5), 7),  # zero-vote parties never gain a seat
         ((3, 0, 4), 0),  # the empty house
         ((1, 2, 3, 4, 5), 2),  # N < k/2: the Sainte-Laguë pilot clamps to 0

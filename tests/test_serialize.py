@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -31,7 +32,36 @@ from apportion import (
     trace_from_json,
 )
 from apportion.serialize import fraction_from_json, from_json
-from apportion.types import SeatAward
+from apportion.types import MultiplierStep, SeatAward, TraceTable
+
+
+def _reference_jsonify(value):
+    """The recursive walk ``dumps`` replaced: domain values to plain data."""
+    if isinstance(value, Fraction):
+        return {"num": value.numerator, "den": value.denominator}
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {
+            f.name: _reference_jsonify(getattr(value, f.name))
+            for f in dataclasses.fields(value)
+        }
+    if isinstance(value, dict):
+        return {str(k): _reference_jsonify(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_reference_jsonify(v) for v in value]
+    if value is None or isinstance(value, (bool, int, str)):
+        return value
+    raise TypeError(f"cannot serialise {type(value).__name__} value {value!r}")
+
+
+def _reference_dumps(payload):
+    return json.dumps(_reference_jsonify(payload), sort_keys=True, indent=2) + "\n"
+
+
+def _same_as_reference(value):
+    text = dumps(value)
+    assert text == _reference_dumps(value)
+    assert jsonify(value) == json.loads(text) == _reference_jsonify(value)
+    return text
 
 
 def test_fractions_become_num_den_pairs():
@@ -55,9 +85,102 @@ def test_floats_are_rejected():
         jsonify({1, 2})
 
 
+@pytest.mark.parametrize(
+    "value", [{2: 0.5}, [(), frozenset()], SeatAward(1, 2, "A", 0.5), ({1},)]
+)
+def test_floats_and_sets_are_rejected_at_any_depth(value):
+    with pytest.raises(TypeError, match="cannot serialise (float|set|frozenset) value"):
+        dumps(value)
+    with pytest.raises(TypeError, match="cannot serialise"):
+        jsonify(value)
+
+
 def test_dumps_is_canonical():
     assert dumps({"b": 1, "a": 2}) == '{\n  "a": 2,\n  "b": 1\n}\n'
     assert dumps({"a": 2, "b": 1}) == dumps({"b": 1, "a": 2})
+
+
+@dataclasses.dataclass
+class _Noted(dict):
+    """A dataclass over a builtin: written as a dataclass, as jsonify did."""
+
+    note: str | None = None
+
+
+class _Count(int):
+    """An int whose own repr is not its digits: written as the digits."""
+
+    def __repr__(self):
+        return "many"
+
+    __str__ = __repr__
+
+
+def _nest(depth):
+    value = Fraction(-1, 3)
+    for level in range(depth):
+        value = [{"level": level, "next": value}] if level % 2 else (value, None)
+    return value
+
+
+_AWKWARD_IDS = ("Café", 'a"b', "c\\d", "tab\tnew\nline\x01\x7f", "☃", "\U0001f600", "")
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        (),
+        {},
+        [(), {}, [[]], {"": {}}],
+        {1: "one", 10: "ten", 2: "two", "b": None},
+        {1: "int key", "1": "str key"},  # str() merges the keys: the last value wins
+        {None: 0, True: 1, (1, 2): [3]},
+        dict.fromkeys(_AWKWARD_IDS, 0),
+        TieEvent("seat 1", _AWKWARD_IDS, _AWKWARD_IDS[:1]),
+        VoteTally(_AWKWARD_IDS, tuple(range(1, 8))),
+        TraceTable("multiplicative", "floor", (), (), ()),  # None fields
+        MultiplierStep("start", Fraction(7), (), 0),  # an integral Fraction
+        [Fraction(-7, 3), Fraction(0), Fraction(-5), Fraction(10**40, 3)],
+        SeatAward(-1, 0, "", Fraction(-1, 10**30)),
+        [True, False, None, 0, -1, 2**70, "", _Count(3), {_Count(4): _Count(5)}],
+        _Noted(note="a note"),
+        _nest(40),  # deeper than any report
+        "bare string",
+        None,
+        Fraction(3, 4),
+    ],
+)
+def test_dumps_matches_the_old_encoder(value):
+    _same_as_reference(value)
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"),
+    reason="this interpreter converts ints of any length",
+)
+@pytest.mark.parametrize(
+    "big", [lambda n: n, lambda n: Fraction(n, 7), lambda n: {"x": [n]}]
+)
+def test_dumps_refuses_ints_past_the_digit_limit(big):
+    value = big(10 ** sys.get_int_max_str_digits())
+    with pytest.raises(ValueError, match="integer string conversion"):
+        dumps(value)
+
+
+_PLAIN = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text()
+    | st.fractions(max_denominator=10**6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=3) | st.integers(-3, 3), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_PLAIN)
+def test_dumps_matches_the_old_encoder_on_plain_data(value):
+    _same_as_reference(value)
 
 
 def test_from_json_refuses_what_it_cannot_decode():
@@ -148,7 +271,7 @@ def _tally(votes):
 
 def _round_trips(value, hint=None):
     hint = type(value) if hint is None else hint
-    assert from_json(hint, json.loads(dumps(value))) == value
+    assert from_json(hint, json.loads(_same_as_reference(value))) == value
 
 
 @settings(max_examples=60, deadline=None)
