@@ -147,18 +147,25 @@ def hare_niemeyer(
 
 
 def sequential_hare(
-    tally: VoteTally, house_size: int, tie: TiePolicy = TiePolicy()
+    tally: VoteTally,
+    house_size: int,
+    tie: TiePolicy = TiePolicy(),
+    *,
+    with_trace: bool = True,
 ) -> tuple[Allocation, tuple[SeatAward, ...]]:
     """One-seat-at-a-time restatement of the largest-remainder rule.
 
     Seat ``j`` goes to the party with the largest deficit
     ``N * v_i / V - n_i``.  Returns the allocation together with the award
-    log (which seat went where, at what deficit).
+    log (which seat went where, at what deficit).  With
+    ``with_trace=False`` the same per-seat loop runs without building the
+    log, and ``()`` comes back in its place; tie events are kept.
     """
     _check_house(house_size)
     seats = [0] * tally.party_count
     deficits = [house_size * v for v in tally.votes]
-    awards, events = [], []
+    awards = [] if with_trace else None
+    events = []
     _award_deficits(
         tally.party_ids, tally.total_votes, tie.ranks(tally), seats, deficits,
         house_size, range(1, house_size + 1), "award", awards, events,
@@ -171,7 +178,7 @@ def sequential_hare(
         form="sequential",
         tie_events=tuple(events),
     )
-    return allocation, tuple(awards)
+    return allocation, tuple(awards) if with_trace else ()
 
 
 def _award_deficits(
@@ -182,8 +189,8 @@ def _award_deficits(
     ``nums[i]`` is party i's deficit ``house * v_i / V - seats[i]`` over the
     common denominator ``total`` = V; only the winner's numerator moves.
     Equal deficits go to the lowest tie rank and are logged as a tie event.
-    Updates ``seats`` and ``nums`` in place and appends to ``awards`` and
-    ``events``.
+    Updates ``seats`` and ``nums`` in place and appends to ``awards``
+    (unless it is None) and ``events``.
     """
     parties = range(len(nums))
     for j in iterations:
@@ -199,14 +206,15 @@ def _award_deficits(
                     winners=(ids[best],),
                 )
             )
-        awards.append(
-            SeatAward(
-                iteration=j,
-                house_target=house,
-                party=ids[best],
-                deficit=Fraction(top, total),
+        if awards is not None:
+            awards.append(
+                SeatAward(
+                    iteration=j,
+                    house_target=house,
+                    party=ids[best],
+                    deficit=Fraction(top, total),
+                )
             )
-        )
         seats[best] += 1
         nums[best] = top - total
 

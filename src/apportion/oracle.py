@@ -240,7 +240,7 @@ def _equivalence_chunk(args):
         trial = space.trial_instance(index)
         tally, n, tie = trial.tally, trial.house_size, trial.tie
         lr = hare_niemeyer(tally, n, tie)
-        seq, _ = sequential_hare(tally, n, tie)
+        seq, _ = sequential_hare(tally, n, tie, with_trace=False)
         dh_div, _ = highest_averages(tally, n, DHONDT, tie, with_trace=False)
         dh_mul, _ = multiplicative(tally, n, "floor", tie=tie, with_trace=False)
         sl_div, _ = highest_averages(tally, n, SAINTE_LAGUE, tie, with_trace=False)

@@ -8,6 +8,7 @@ reliably.  Nothing in this package goes through binary floating point.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -104,8 +105,8 @@ class TiePolicy:
     def __post_init__(self):
         if self.mode not in (DETERMINISTIC, SEEDED_RANDOM):
             raise InputError(f"unknown tie mode {self.mode!r}")
-        if self.mode == SEEDED_RANDOM and self.rng_seed is None:
-            raise InputError("random tie policy requires rng_seed")
+        if self.mode == SEEDED_RANDOM and not _is_count(self.rng_seed):
+            raise InputError("random tie policy requires a non-negative integer rng_seed")
         if self.mode == DETERMINISTIC and self.rng_seed is not None:
             raise InputError("rng_seed applies to the random tie policy only")
 
@@ -113,14 +114,25 @@ class TiePolicy:
         """Tie rank per party index; the lower rank wins a tie."""
         k = tally.party_count
         if self.mode == DETERMINISTIC:
-            order = sorted(range(k), key=lambda i: (-tally.votes[i], i))
-        else:
-            order = list(range(k))
-            random.Random(self.rng_seed).shuffle(order)
-        ranks = [0] * k
-        for position, index in enumerate(order):
-            ranks[index] = position
-        return tuple(ranks)
+            return _ranks_of(sorted(range(k), key=lambda i: (-tally.votes[i], i)))
+        return _random_ranks(self.rng_seed, k)
+
+
+def _ranks_of(order) -> tuple[int, ...]:
+    ranks = [0] * len(order)
+    for position, index in enumerate(order):
+        ranks[index] = position
+    return tuple(ranks)
+
+
+# A suite trial asks for the same random permutation once per engine it
+# runs; a few entries cover that, and the bound keeps a long suite's
+# distinct seeds from piling up.
+@functools.lru_cache(maxsize=16)
+def _random_ranks(seed: int, k: int) -> tuple[int, ...]:
+    order = list(range(k))
+    random.Random(seed).shuffle(order)
+    return _ranks_of(order)
 
 
 @dataclass(frozen=True)

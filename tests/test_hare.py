@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apportion import TiePolicy, VoteTally, hare_niemeyer, sequential_hare
 
@@ -89,3 +91,22 @@ def test_sequential_deficits_decrease_for_winner(three_way):
     first = awards[0]
     assert first.party == "A"  # biggest ideal count wins the first seat
     assert first.deficit == Fraction(53, 10)
+
+
+@settings(max_examples=300)
+@given(
+    st.one_of(
+        st.lists(st.integers(0, 6), min_size=1, max_size=8),  # ties are common
+        st.lists(st.integers(0, 10**6), min_size=1, max_size=8),
+    ).filter(any),
+    st.integers(0, 80),
+    st.one_of(
+        st.just(TiePolicy()),
+        st.integers(0, 2**64 - 1).map(lambda seed: TiePolicy("random", seed)),
+    ),
+)
+def test_untraced_sequential_form_skips_only_the_award_log(votes, house_size, tie):
+    tally = VoteTally(tuple(f"P{i}" for i in range(len(votes))), tuple(votes))
+    allocation, awards = sequential_hare(tally, house_size, tie, with_trace=False)
+    assert awards == ()
+    assert allocation == sequential_hare(tally, house_size, tie)[0]

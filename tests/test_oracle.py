@@ -23,6 +23,7 @@ from apportion import (
     hare_niemeyer,
     highest_averages,
 )
+from apportion import methods
 
 
 class TestInstanceSpace:
@@ -157,6 +158,21 @@ class TestEquivalenceSuite:
     def test_parallel_run_is_identical_to_serial(self):
         space = InstanceSpace.default(trials=120, master_seed=4)
         assert equivalence_suite(space, jobs=3) == equivalence_suite(space, jobs=1)
+
+    def test_hare_side_is_the_per_seat_loop(self, monkeypatch):
+        # the suite compares largest remainder against an independent
+        # seat-by-seat loop, not against the jump or largest remainder itself
+        runs = []
+        award = methods._award_deficits
+
+        def counting(*args):
+            runs.append(args)
+            return award(*args)
+
+        monkeypatch.setattr(methods, "_award_deficits", counting)
+        report = equivalence_suite(InstanceSpace.default(trials=20, master_seed=5))
+        assert report.agreements == 20
+        assert len(runs) == 20
 
     def test_empty_space(self):
         report = equivalence_suite(InstanceSpace.default(trials=0, master_seed=0))

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from apportion import (
     compute_quotas,
     hare_niemeyer,
 )
+from apportion import types
 
 
 def test_tally_totals_and_shares():
@@ -62,9 +64,33 @@ def test_random_ranks_are_replayable_permutations():
     assert TiePolicy("random", 1).ranks(pair) == (1, 0)
 
 
+def test_random_ranks_survive_eviction_from_the_memo():
+    memo = types._random_ranks
+    memo.cache_clear()
+    keys = [(seed, k) for seed in range(memo.cache_info().maxsize + 4) for k in (3, 7)]
+    evicted, recent = keys[:5], keys[-3:]
+    for seed, k in keys + evicted + recent:
+        order = list(range(k))
+        random.Random(seed).shuffle(order)
+        tally = VoteTally(tuple(f"P{i}" for i in range(k)), (1,) * k)
+        ranks = TiePolicy("random", seed).ranks(tally)
+        assert [ranks.index(position) for position in range(k)] == order
+    info = memo.cache_info()
+    assert (info.misses, info.hits) == (len(keys) + len(evicted), len(recent))
+
+
 @pytest.mark.parametrize(
     "mode,seed",
-    [("coin-flip", None), ("random", None), ("deterministic", 1)],
+    [
+        ("coin-flip", None),
+        ("random", None),
+        ("deterministic", 1),
+        ("random", -1),
+        ("random", True),
+        ("random", 1.5),
+        ("random", "7"),
+        ("random", [1]),
+    ],
 )
 def test_tie_policy_validation(mode, seed):
     with pytest.raises(InputError):
