@@ -21,7 +21,6 @@ from . import serialize
 from .methods import (
     DHONDT,
     HARE,
-    MAX_TRACE_ROWS,
     SAINTE_LAGUE,
     compute_quotas,
     hare_niemeyer,
@@ -182,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--master-seed", type=int,
                         help="suite master seed (default 0)")
     parser.add_argument("--jobs", type=int,
-                        help="worker processes for suites (default 1)")
+                        help="suite worker processes (default 1, at most one per CPU)")
     return parser
 
 
@@ -337,7 +336,6 @@ def _single_run(config, tally, tie):
         if config.form == "sequential":
             if not config.trace:
                 return jump_allocation(tally, n, HARE, tie), None
-            _check_trace_rows(n, "award log")
             allocation, awards = sequential_hare(tally, n, tie)
             return allocation, {"form": "sequential", "method": HARE, "awards": awards}
         raise InputError("hare supports --form sequential only")
@@ -352,16 +350,7 @@ def _single_run(config, tally, tie):
     # default form for the divisor methods is the divisor table itself
     if not config.trace:
         return jump_allocation(tally, n, config.method, tie), None
-    _check_trace_rows(n, "divisor table")
     return highest_averages(tally, n, config.method, tie)
-
-
-def _check_trace_rows(rows, trace):
-    if rows > MAX_TRACE_ROWS:
-        raise IterationGuardError(
-            f"the {trace} would have {rows} rows (limit {MAX_TRACE_ROWS}); "
-            "rerun without --trace"
-        )
 
 
 # ------------------------------------------------------------------ two-stage

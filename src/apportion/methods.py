@@ -58,16 +58,23 @@ SAINTE_LAGUE = "sainte-lague"
 
 METHODS = (HARE, DHONDT, SAINTE_LAGUE)
 
-#: Refuse to build a trace with more rows than this: the divisor table and
-#: the award log have one row per seat, a two-stage sweep one per top-up.
-#: A jump refuses to log more tie events than this.
+#: Refuse to build more rows than this: the divisor table and the award log
+#: have one row per seat, a two-stage sweep one per top-up, and a jump's tie
+#: events count as rows too.  :func:`_check_rows` reads it at each call.
 MAX_TRACE_ROWS = 50_000
 
-# Divisor for a party's next seat, given its current seat count.
-_DIVISORS = {
-    DHONDT: lambda n: n + 1,
-    SAINTE_LAGUE: lambda n: 2 * n + 1,
-}
+#: Signpost t = p/q of each divisor method.  Holding n seats, party i bids
+#: v_i / (q n + p) in the table and gains its next seat when the multiplier
+#: reaches (n + t) V / v_i: the same number, so one rule in both forms.
+_SIGNPOSTS = {DHONDT: Fraction(1), SAINTE_LAGUE: Fraction(1, 2)}
+
+
+def _check_rows(count, what):
+    """Refuse ``count`` (or more) ``what`` beyond ``MAX_TRACE_ROWS``."""
+    if count > MAX_TRACE_ROWS:
+        raise IterationGuardError(
+            f"the run would build at least {count} {what} (limit {MAX_TRACE_ROWS})"
+        )
 
 
 def _check_house(house_size):
@@ -162,6 +169,8 @@ def sequential_hare(
     log, and ``()`` comes back in its place; tie events are kept.
     """
     _check_house(house_size)
+    if with_trace:
+        _check_rows(house_size, "award log rows")
     seats = [0] * tally.party_count
     deficits = [house_size * v for v in tally.votes]
     awards = [] if with_trace else None
@@ -229,30 +238,33 @@ def highest_averages(
 ) -> tuple[Allocation, TraceTable]:
     """Greedy divisor table: each seat goes to the highest standing bid.
 
-    A party holding ``n`` seats bids ``v_i / (n + 1)`` under
-    d'Hondt-Jefferson and ``v_i / (2n + 1)`` under Sainte-Laguë.  Bids are
-    compared by integer cross-multiplication; equal top bids go to the
-    lowest tie rank and are logged as a ``seat j`` tie event listing every
-    tied party.  The trace records, per seat, the full bidding table
-    (present and next votes-per-seat prices).
+    A party holding ``n`` seats bids ``v_i / (q n + p)``, t = p/q being the
+    method's signpost: ``v_i / (n + 1)`` under d'Hondt-Jefferson, ``v_i /
+    (2n + 1)`` under Sainte-Laguë.  Bids are compared by integer
+    cross-multiplication; equal top bids go to the lowest tie rank and are
+    logged as a ``seat j`` tie event listing every tied party.  The trace
+    records, per seat, the full bidding table (present and next prices).
     """
     _check_house(house_size)
-    if method not in _DIVISORS:
+    if method not in _SIGNPOSTS:
         raise InputError(f"unknown divisor method {method!r}")
-    divisor_of = _DIVISORS[method]
+    if with_trace:
+        _check_rows(house_size, "divisor table rows")
+    p, q = _SIGNPOSTS[method].as_integer_ratio()
     votes = tally.votes
     ids = tally.party_ids
     ranks = tie.ranks(tally)
     k = tally.party_count
     seats = [0] * k
+    dens = [p] * k  # q * seats[i] + p
     steps = []
     events = []
     for step in range(1, house_size + 1):
         best = 0
-        best_num, best_den = votes[0], divisor_of(seats[0])
+        best_num, best_den = votes[0], dens[0]
         tied = [0]
         for i in range(1, k):
-            num, den = votes[i], divisor_of(seats[i])
+            num, den = votes[i], dens[i]
             lhs = num * best_den
             rhs = best_num * den
             if lhs > rhs:
@@ -276,16 +288,15 @@ def highest_averages(
                     step=step,
                     seats_before=tuple(seats),
                     present_quota=tuple(
-                        Fraction(votes[i], divisor_of(seats[i] - 1)) if seats[i] else None
+                        Fraction(votes[i], dens[i] - q) if seats[i] else None
                         for i in range(k)
                     ),
-                    next_quota=tuple(
-                        Fraction(votes[i], divisor_of(seats[i])) for i in range(k)
-                    ),
+                    next_quota=tuple(Fraction(v, d) for v, d in zip(votes, dens)),
                     winner=ids[best],
                 )
             )
         seats[best] += 1
+        dens[best] += q
     allocation = Allocation(
         party_ids=ids,
         seats=tuple(seats),
@@ -409,21 +420,27 @@ def _round_threshold(rounding, round_threshold):
     if rounding == "floor":
         if round_threshold is not None:
             raise InputError("round_threshold applies to nearest rounding only")
-        return Fraction(1)
+        return _SIGNPOSTS[DHONDT]
     if rounding == "nearest":
-        t = Fraction(1, 2) if round_threshold is None else Fraction(round_threshold)
+        if round_threshold is None:
+            return _SIGNPOSTS[SAINTE_LAGUE]
+        t = _exact(round_threshold, "round_threshold")
         if not 0 < t <= 1:
             raise InputError("round_threshold must lie in (0, 1]")
         return t
     raise InputError(f"unknown rounding rule {rounding!r}")
 
 
+def _exact(x, name):
+    """``x`` as a Fraction: only an int or a Fraction (not a bool) is exact."""
+    if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+        raise InputError(f"{name} must be an int or a Fraction, not {type(x).__name__}")
+    return Fraction(x)
+
+
 def _method_label(t):
-    if t == 1:
-        return DHONDT
-    if t == Fraction(1, 2):
-        return SAINTE_LAGUE
-    return f"nearest-{t.numerator}/{t.denominator}"
+    named = {signpost: method for method, signpost in _SIGNPOSTS.items()}
+    return named.get(t, f"nearest-{t.numerator}/{t.denominator}")
 
 
 def multiplicative(
@@ -486,7 +503,7 @@ def seats_at_multiplier(
     witness's accepting interval passes, not just the one reported.
     """
     t = _round_threshold(rounding, round_threshold)
-    multiplier = Fraction(multiplier)
+    multiplier = _exact(multiplier, "multiplier")
     if multiplier < 0:
         raise InputError("multiplier must be non-negative")
     return tuple(_rounded(tally, multiplier, t))
@@ -505,17 +522,13 @@ def _rounded(tally, multiplier, t):
 def _implied_quota(total, witness, t):
     """Votes-per-seat scale of the witness, where the rule has one.
 
-    Floor rounding assigns ``floor(M * v_i / V)`` seats, i.e. prices a seat
-    at ``q = V / M`` votes; nearest rounding prices it at ``q = V / (2M)``.
-    Other thresholds have no standard quota reading, so None is returned.
+    A divisor method's signpost t = p/q prices a seat at ``V / (q M)``
+    votes: ``V / M`` for d'Hondt, ``V / (2M)`` for Sainte-Laguë.  Other
+    thresholds have no standard quota reading, so None is returned.
     """
-    if witness is None or witness == 0:
+    if witness is None or witness == 0 or t not in _SIGNPOSTS.values():
         return None
-    if t == 1:
-        return Fraction(total) / witness
-    if t == Fraction(1, 2):
-        return Fraction(total) / (2 * witness)
-    return None
+    return Fraction(total) / (t.denominator * witness)
 
 
 def _multiplicative_sweep(tally, house_size, t, ranks, with_trace):
@@ -585,8 +598,8 @@ def jump_allocation(
     if method == HARE:
         seats, events = _jump_hare(tally, house_size, ranks)
         form = "sequential"
-    elif method in _DIVISORS:
-        seats, events = _jump_divisor(tally, house_size, method, ranks)
+    elif method in _SIGNPOSTS:
+        seats, events = _jump_divisor(tally, house_size, _SIGNPOSTS[method], ranks)
         form = "divisor"
     else:
         raise InputError(f"unknown method {method!r}")
@@ -600,7 +613,7 @@ def jump_allocation(
     )
 
 
-def _jump_divisor(tally, house_size, method, ranks):
+def _jump_divisor(tally, house_size, t, ranks):
     """Round at M₀ = max(0, N - k(1 - t)), then take the last seats' thresholds.
 
     ``round_t(M * v_i / V)`` lies in ``(M * v_i / V - t, M * v_i / V + 1 - t]``
@@ -609,7 +622,6 @@ def _jump_divisor(tally, house_size, method, ranks):
     ``sum(seats)`` seats.  The rest come from the threshold stream, where
     the table's bid order is (value, tie rank).
     """
-    t = _round_threshold("floor" if method == DHONDT else "nearest", None)
     pilot = max(Fraction(0), house_size - tally.party_count * (1 - t))
     seats = _rounded(tally, pilot, t)
     ties = _divisor_groups(tally, seats, t)
@@ -653,11 +665,11 @@ def _divisor_groups(tally, seats, t):
         # Lower bounds on the events: each m is a value of its own, and a
         # value s parties share is found by s(s - 1)/2 <= (s - 1)k/2 pairs.
         found += len(ms)
-        _check_tie_events(max(len(ms), 2 * found // k))
+        _check_rows(max(len(ms), 2 * found // k), "tie events")
         for m in ms:
             d = math.gcd(m, g)
             groups.setdefault((m // d, g // d), set()).update((i, j))
-    _check_tie_events(sum(len(members) - 1 for members in groups.values()))
+    _check_rows(sum(len(members) - 1 for members in groups.values()), "tie events")
     # party l's thresholds below m V / (q g): those with (q(n - 1) + p) g < m v_l
     return [
         (sum(max(0, -((p * g - m * v) // (q * g))) for v in votes if v), members)
@@ -690,10 +702,10 @@ def _jump_hare(tally, house_size, ranks):
         classes.setdefault(rems[i], (base + position, []))[1].append(i)
     # Level c >= 1 of a class logs (members holding c) - 1 events: summed
     # over the levels, every member's seats but the largest count.
-    _check_tie_events(sum(
+    _check_rows(sum(
         sum(held) - max(held)
         for held in ([seats[i] for i in members] for _, members in classes.values())
-    ))
+    ), "tie events")
     groups = []
     for remainder, (first, members) in classes.items():
         if len(members) < 2:
@@ -709,13 +721,6 @@ def _jump_hare(tally, house_size, ranks):
     return seats, _group_events(tally, ranks, "award", groups, house_size)
 
 
-def _check_tie_events(count):
-    if count > MAX_TRACE_ROWS:
-        raise IterationGuardError(
-            f"the allocation would log more than {MAX_TRACE_ROWS} tie events"
-        )
-
-
 def _group_events(tally, ranks, context, groups, last):
     """The tie events a per-seat loop logs for groups of coincident values.
 
@@ -726,7 +731,7 @@ def _group_events(tally, ranks, context, groups, last):
     up to ``last`` only.  Their total is checked before any event is built.
     """
     ids = tally.party_ids
-    _check_tie_events(sum(max(0, min(len(m) - 1, last - e)) for e, m in groups))
+    _check_rows(sum(max(0, min(len(m) - 1, last - e)) for e, m in groups), "tie events")
     events = []
     for earlier, members in sorted(groups, key=lambda group: group[0]):
         left = sorted(members)

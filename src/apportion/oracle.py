@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -44,6 +45,7 @@ from .types import (
     SEEDED_RANDOM,
     TiePolicy,
     VoteTally,
+    _is_count,
 )
 
 #: Hard ceiling on the number of seat vectors exhaustive enumeration may emit.
@@ -70,18 +72,17 @@ class InstanceSpace:
             ("votes", self.votes),
             ("house", self.house),
         ):
+            if not (_is_count(lo) and _is_count(hi)):
+                raise InputError(f"{name} range bounds must be non-negative integers")
             if lo > hi:
                 raise InputError(f"empty {name} range ({lo}, {hi})")
         if self.parties[0] < 1:
             raise InputError("party range must start at 1 or above")
-        if self.votes[0] < 0 or self.house[0] < 0:
-            raise InputError("vote and house ranges must be non-negative")
         if self.votes[1] < 1:
             raise InputError("vote range must allow a positive draw")
-        if self.trials < 0:
-            raise InputError("trials must be non-negative")
-        if self.master_seed < 0:
-            raise InputError("master_seed must be non-negative")
+        for name in ("trials", "master_seed"):
+            if not _is_count(getattr(self, name)):
+                raise InputError(f"{name} must be a non-negative integer")
 
     @classmethod
     def default(cls, trials: int = 10_000, master_seed: int = 0) -> "InstanceSpace":
@@ -266,10 +267,10 @@ def _run_chunks(chunk, space: InstanceSpace, jobs: int) -> list:
     """``chunk((space, start, stop))`` over ``jobs`` slices of the trial range.
 
     Results come back in trial order; ``jobs`` > 1 runs the slices in
-    worker processes.
+    worker processes, at most one per CPU, since the pool starts every worker at once.
     """
     trials = space.trials
-    jobs = max(1, min(jobs, trials)) if trials else 1
+    jobs = max(1, min(jobs, trials, os.cpu_count() or 1)) if trials else 1
     bounds = [i * trials // jobs for i in range(jobs + 1)]
     slices = [(space, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     if jobs == 1:

@@ -24,8 +24,8 @@ import math
 from fractions import Fraction
 
 from .methods import (
-    MAX_TRACE_ROWS,
     _award_deficits,
+    _check_rows,
     _fill,
     _round_threshold,
     _rounded,
@@ -217,7 +217,7 @@ def _divisor_residual_stop(tally, seed, t, with_trace):
         first = _topups_at(tally, seed, t, start)
         # one seat threshold per top-up seat gained in (start, witness]
         count = sum(extras) - sum(first)
-        _check_sweep_rows(count)
+        _check_rows(count, "sweep rows")
         groups, *_ = _fill(tally, [d + x for d, x in zip(ds, first)], t, ranks, count)
         sweep = [SweepStep(start, tuple(first), sum(first))]
         for group in groups:
@@ -227,14 +227,6 @@ def _divisor_residual_stop(tally, seed, t, with_trace):
         if witness != start:  # strictly between two thresholds: its own row
             sweep.append(SweepStep(witness, tuple(extras), sum(extras)))
     return _report(tally, seed, extras, STOP_RESIDUAL, sweep, witness, (lo, hi))
-
-
-def _check_sweep_rows(count):
-    if count > MAX_TRACE_ROWS:
-        raise IterationGuardError(
-            f"sweep trace would contain {count} rows (limit {MAX_TRACE_ROWS}); "
-            "rerun with with_trace=False"
-        )
 
 
 def _pilot(tally, seed, t):
@@ -258,7 +250,7 @@ def _pilot(tally, seed, t):
 
 def _divisor_fixed_stop(tally, seed, t, tie, with_trace):
     if with_trace:  # one row per seat: walk up from M = 0
-        _check_sweep_rows(seed.fixed_extra)
+        _check_rows(seed.fixed_extra, "sweep rows")
     extras = _topups_at(tally, seed, t, 0 if with_trace else _pilot(tally, seed, t))
     groups, overhang, following = _fill(
         tally, [d + x for d, x in zip(seed.district_seats, extras)], t,

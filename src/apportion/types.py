@@ -266,10 +266,10 @@ class SeedDistribution:
                 raise InputError(
                     f"party {pid!r}: district seats must be a non-negative integer"
                 )
-        if self.cap is not None and self.cap < 0:
-            raise InputError("cap must be non-negative")
-        if self.fixed_extra is not None and self.fixed_extra < 0:
-            raise InputError("fixed_extra must be non-negative")
+        for name in ("cap", "fixed_extra"):
+            value = getattr(self, name)
+            if value is not None and not _is_count(value):
+                raise InputError(f"{name} must be None or a non-negative integer")
         if self.cap is not None and self.fixed_extra is not None:
             raise InputError("cap and fixed_extra are mutually exclusive")
 

@@ -1,6 +1,6 @@
 import pytest
 
-from apportion import VoteTally
+from apportion import VoteTally, oracle
 
 
 @pytest.fixture
@@ -19,3 +19,30 @@ def three_way():
 def close_race():
     """Two small and two large parties; remainder and divisor logic split."""
     return VoteTally(("A", "B", "C", "D"), (78, 78, 422, 422))
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Suites run their chunks in-process on a pretend 3-CPU machine.
+
+    Replaces ``oracle.ProcessPoolExecutor``, so no worker is ever started,
+    and returns the list of pool sizes the suites asked for.
+    """
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return list(map(fn, items))
+
+    monkeypatch.setattr(oracle, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 3)
+    return sizes

@@ -28,7 +28,7 @@ from apportion import (
     seeded_sequential_hare,
     trace_from_json,
 )
-from apportion import cli as cli_module
+from apportion import methods, oracle
 from apportion.cli import main, parse_votes
 from apportion.types import InputError
 
@@ -283,20 +283,20 @@ class TestTraceRowGuard:
     )
     @pytest.mark.parametrize("fmt", ["table", "json"])
     def test_per_seat_traces_are_capped(self, cli, csv_file, monkeypatch, flags, fmt):
-        monkeypatch.setattr(cli_module, "MAX_TRACE_ROWS", 5)
+        monkeypatch.setattr(methods, "MAX_TRACE_ROWS", 5)
         path = csv_file(WORKED)
         argv = (path, "--trace", "--format", fmt) + flags
         code, out, err = cli(*argv, "--seats", "6")
         assert (code, out) == (2, "")
-        assert err.startswith("execution error:")
-        assert "6 rows (limit 5); rerun without --trace" in err
+        assert err.startswith("execution error: the run would build at least 6 ")
+        assert err.endswith(" rows (limit 5)\n")
         code, _, err = cli(*argv, "--seats", "5")
         assert (code, err) == (0, "")
         code, _, err = cli(*flags, path, "--seats", "6", "--format", fmt)
         assert (code, err) == (0, "")
 
     def test_the_multiplier_trace_is_not_capped(self, cli, csv_file, monkeypatch):
-        monkeypatch.setattr(cli_module, "MAX_TRACE_ROWS", 5)
+        monkeypatch.setattr(methods, "MAX_TRACE_ROWS", 5)
         code, _, err = cli(
             csv_file(WORKED), "--seats", "6", "--method", "dhondt",
             "--form", "multiplicative", "--trace",
@@ -309,9 +309,38 @@ class TestTraceRowGuard:
         )
         assert (code, out) == (2, "")
         assert err == (
-            "execution error: the divisor table would have 100000000 rows "
-            "(limit 50000); rerun without --trace\n"
+            "execution error: the run would build at least 100000000 "
+            "divisor table rows (limit 50000)\n"
         )
+
+
+class TestOneRowLimit:
+    """``methods.MAX_TRACE_ROWS`` alone bounds every row the CLI can ask for."""
+
+    @pytest.mark.parametrize(
+        "text,flags,at_limit,over",
+        [
+            (WORKED, ("--method", "dhondt", "--trace"), "--seats=5", "--seats=6"),
+            (WORKED, ("--method", "hare", "--form", "sequential", "--trace"),
+             "--seats=5", "--seats=6"),
+            (SEEDED, ("--form", "divisor", "--method", "dhondt", "--trace"),
+             "--fixed-extra=5", "--fixed-extra=6"),
+            # equal votes tie at 6 of the first 8 seats, 5 of the first 7
+            ("party,votes\nA,10\nB,10\nC,10\n", ("--method", "dhondt"),
+             "--seats=7", "--seats=8"),
+        ],
+        ids=["divisor-table", "award-log", "sweep", "jump-ties"],
+    )
+    def test_each_guarded_path(self, cli, csv_file, monkeypatch, text, flags,
+                               at_limit, over):
+        monkeypatch.setattr(methods, "MAX_TRACE_ROWS", 5)
+        path = csv_file(text)
+        assert cli(path, *flags, at_limit)[0] == 0
+        code, out, err = cli(path, *flags, over)
+        assert (code, out) == (2, "")
+        assert err.startswith("execution error: the run would build at least 6 ")
+        assert err.endswith(" (limit 5)\n") and err.count("\n") == 1
+        assert "--trace" not in err and "with_trace" not in err
 
 
 class TestTieEventGuard:
@@ -327,8 +356,11 @@ class TestTieEventGuard:
     def test_a_tie_dense_trillion_seats_fails_fast(self, cli, csv_file, flags):
         code, out, err = cli(csv_file(WORKED), "--seats", str(10**12), *flags)
         assert (code, out) == (2, "")
-        assert err == (
-            "execution error: the allocation would log more than 50000 tie events\n"
+        # the count is a lower bound, found from the first pair or level
+        assert re.fullmatch(
+            r"execution error: the run would build at least \d+ tie events "
+            r"\(limit 50000\)\n",
+            err,
         )
 
 
@@ -433,8 +465,8 @@ class TestSeededRuns:
         )
         assert (code, out) == (2, "")
         assert err == (
-            "execution error: sweep trace would contain 50001 rows (limit 50000); "
-            "rerun with with_trace=False\n"
+            "execution error: the run would build at least 50001 sweep rows "
+            "(limit 50000)\n"
         )
 
     @pytest.mark.parametrize("fmt", ["table", "json"])
@@ -474,7 +506,8 @@ class TestSeededRuns:
         )
         assert code == 2
         assert err.startswith("execution error:")
-        assert "with_trace=False" in err
+        # one message serves library and CLI callers, so it names neither
+        assert "with_trace" not in err and "--trace" not in err
 
     def test_same_run_without_trace_succeeds(self, cli, csv_file):
         code, out, _ = cli(
@@ -506,6 +539,13 @@ class TestSuites:
         assert "hare: trial" in out
         assert "dhondt: no witness found" in out
         assert "sainte-lague: no witness found" in out
+
+    def test_jobs_are_clamped_to_the_cpu_count(self, cli, inline_pool):
+        argv = ("--suite", "equivalence", "--trials", "20", "--format", "json")
+        serial = cli(*argv, "--jobs", "1")
+        assert cli(*argv, "--jobs", "1000000") == serial
+        assert serial[0] == 0
+        assert inline_pool == [3]
 
     def test_parallel_json_is_byte_identical(self, cli):
         for suite in ("equivalence", "bias"):

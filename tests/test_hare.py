@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apportion import TiePolicy, VoteTally, hare_niemeyer, sequential_hare
+from apportion import (
+    IterationGuardError,
+    TiePolicy,
+    VoteTally,
+    hare_niemeyer,
+    sequential_hare,
+)
+from apportion import methods
 
 
 def test_integer_quotas_need_no_remainder_seats(worked_example):
@@ -110,3 +117,21 @@ def test_untraced_sequential_form_skips_only_the_award_log(votes, house_size, ti
     allocation, awards = sequential_hare(tally, house_size, tie, with_trace=False)
     assert awards == ()
     assert allocation == sequential_hare(tally, house_size, tie)[0]
+
+
+def test_award_log_is_capped_before_any_row(worked_example, monkeypatch):
+    monkeypatch.setattr(methods, "MAX_TRACE_ROWS", 5)
+    assert len(sequential_hare(worked_example, 5)[1]) == 5
+
+    def no_row(**fields):
+        raise AssertionError("an award row was built")
+
+    monkeypatch.setattr(methods, "SeatAward", no_row)
+    for house_size in (6, 10**12):  # the house is checked before the first seat
+        with pytest.raises(IterationGuardError) as caught:
+            sequential_hare(worked_example, house_size)
+        assert str(caught.value) == (
+            f"the run would build at least {house_size} award log rows (limit 5)"
+        )
+    untraced, awards = sequential_hare(worked_example, 6, with_trace=False)
+    assert (untraced.seats, awards) == ((4, 2, 0), ())

@@ -8,11 +8,13 @@ from apportion import (
     DHONDT,
     SAINTE_LAGUE,
     InputError,
+    IterationGuardError,
     TiePolicy,
     VoteTally,
     check_quota_property,
     highest_averages,
 )
+from apportion import methods
 
 
 @pytest.mark.parametrize("method", [DHONDT, SAINTE_LAGUE])
@@ -108,3 +110,22 @@ def test_zero_vote_party_never_wins():
 def test_unknown_method_rejected(worked_example):
     with pytest.raises(InputError):
         highest_averages(worked_example, 3, "imperiali")
+
+
+@pytest.mark.parametrize("method", [DHONDT, SAINTE_LAGUE])
+def test_trace_is_capped_before_any_row(worked_example, method, monkeypatch):
+    monkeypatch.setattr(methods, "MAX_TRACE_ROWS", 5)
+    assert len(highest_averages(worked_example, 5, method)[1].steps) == 5
+
+    def no_row(**fields):
+        raise AssertionError("a table row was built")
+
+    monkeypatch.setattr(methods, "DivisorStep", no_row)
+    for house_size in (6, 10**12):  # the house is checked before the first seat
+        with pytest.raises(IterationGuardError) as caught:
+            highest_averages(worked_example, house_size, method)
+        assert str(caught.value) == (
+            f"the run would build at least {house_size} divisor table rows (limit 5)"
+        )
+    untraced, trace = highest_averages(worked_example, 6, method, with_trace=False)
+    assert (sum(untraced.seats), trace.steps) == (6, ())

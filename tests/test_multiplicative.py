@@ -192,6 +192,11 @@ def test_custom_rounding_threshold(three_way):
         {"rounding": "nearest", "round_threshold": 0},
         {"rounding": "nearest", "round_threshold": 2},
         {"rounding": "banker"},
+        # a float is not exact: 0.3 would run at t = 5404319552844595/2**54
+        {"rounding": "nearest", "round_threshold": 0.3},
+        {"rounding": "nearest", "round_threshold": 0.5},
+        {"rounding": "nearest", "round_threshold": True},
+        {"rounding": "nearest", "round_threshold": "1/2"},
     ],
 )
 def test_rounding_validation(three_way, kwargs):
@@ -209,3 +214,17 @@ def test_zero_house(worked_example):
 def test_seats_at_multiplier_rejects_negative(worked_example):
     with pytest.raises(InputError):
         seats_at_multiplier(worked_example, Fraction(-1))
+
+
+@pytest.mark.parametrize("multiplier", [0.1 + 0.2, 10.0, True, "3"])
+def test_seats_at_multiplier_rejects_inexact_multipliers(worked_example, multiplier):
+    with pytest.raises(InputError, match="multiplier must be an int or a Fraction"):
+        seats_at_multiplier(worked_example, multiplier)
+
+
+def test_seats_at_multiplier_rejects_an_inexact_threshold(worked_example):
+    assert seats_at_multiplier(worked_example, 10, "nearest", round_threshold=1) == (
+        6, 3, 1,
+    )
+    with pytest.raises(InputError, match="round_threshold must be an int or a Fraction"):
+        seats_at_multiplier(worked_example, 10, "nearest", round_threshold=1.0)

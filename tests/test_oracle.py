@@ -23,7 +23,7 @@ from apportion import (
     hare_niemeyer,
     highest_averages,
 )
-from apportion import methods
+from apportion import methods, oracle
 
 
 class TestInstanceSpace:
@@ -72,6 +72,13 @@ class TestInstanceSpace:
             {"house": (-2, 5)},
             {"trials": -1},
             {"master_seed": -1},
+            {"trials": 2.5},
+            {"trials": True},
+            {"master_seed": "7"},
+            {"parties": (2, 4.5)},
+            {"votes": (0.5, 100)},
+            {"house": (1, True)},
+            {"parties": ("2", 4)},
         ],
     )
     def test_validation(self, kwargs):
@@ -158,6 +165,16 @@ class TestEquivalenceSuite:
     def test_parallel_run_is_identical_to_serial(self):
         space = InstanceSpace.default(trials=120, master_seed=4)
         assert equivalence_suite(space, jobs=3) == equivalence_suite(space, jobs=1)
+
+    def test_jobs_are_clamped_to_the_cpu_count(self, inline_pool, monkeypatch):
+        space = InstanceSpace.default(trials=30, master_seed=5)
+        serial = equivalence_suite(space)
+        assert equivalence_suite(space, jobs=10_000) == serial
+        assert bias_montecarlo(space, jobs=10_000) == bias_montecarlo(space)
+        assert inline_pool == [3, 3]
+        monkeypatch.setattr(oracle.os, "cpu_count", lambda: None)  # unknown: one
+        assert equivalence_suite(space, jobs=10_000) == serial
+        assert inline_pool == [3, 3]
 
     def test_hare_side_is_the_per_seat_loop(self, monkeypatch):
         # the suite compares largest remainder against an independent

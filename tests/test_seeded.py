@@ -24,7 +24,7 @@ from apportion import (
     seeded_sequential_hare,
     sequential_hare,
 )
-from apportion import seeded
+from apportion import methods, seeded
 from apportion.methods import _round_threshold
 from apportion.seeded import _topups_at
 
@@ -223,10 +223,7 @@ class TestDivisorResidualStop:
         # top-up seats from M = D + 1 = 4 (3 for B) to the witness (2,000,000)
         tally = VoteTally(("A", "B"), (1, 1_000_000))
         seed = SeedDistribution(("A", "B"), (3, 0))
-        message = (
-            "sweep trace would contain 1999997 rows (limit 50000); "
-            "rerun with with_trace=False"
-        )
+        message = "the run would build at least 1999997 sweep rows (limit 50000)"
         with pytest.raises(IterationGuardError) as caught:
             seeded_divisor(tally, seed, "floor")
         assert str(caught.value) == message
@@ -281,7 +278,7 @@ class TestDivisorFixedStop:
 
     def test_trace_is_capped_before_any_row(self, lopsided, monkeypatch):
         tally, _ = lopsided
-        monkeypatch.setattr(seeded, "MAX_TRACE_ROWS", 5)
+        monkeypatch.setattr(methods, "MAX_TRACE_ROWS", 5)
         at_limit = SeedDistribution(("A", "B"), (3, 1), fixed_extra=5)
         assert len(seeded_divisor(tally, at_limit, stop="fixed").sweep) == 5
         over = SeedDistribution(("A", "B"), (3, 1), fixed_extra=6)
@@ -294,9 +291,7 @@ class TestDivisorFixedStop:
         monkeypatch.setattr(seeded, "_fill", no_fill)
         with pytest.raises(IterationGuardError) as caught:
             seeded_divisor(tally, over, stop="fixed")
-        assert str(caught.value) == (
-            "sweep trace would contain 6 rows (limit 5); rerun with with_trace=False"
-        )
+        assert str(caught.value) == "the run would build at least 6 sweep rows (limit 5)"
 
     @settings(max_examples=300)
     @given(fixed_stop_cases(), st.sampled_from(["floor", "nearest"]))
@@ -350,6 +345,8 @@ class TestValidation:
     def test_rounding_validation(self, lopsided):
         with pytest.raises(InputError):
             seeded_divisor(*lopsided, rounding="floor", round_threshold=Fraction(1, 2))
+        with pytest.raises(InputError, match="must be an int or a Fraction"):
+            seeded_divisor(*lopsided, rounding="nearest", round_threshold=0.5)
 
 
 @st.composite

@@ -128,6 +128,12 @@ def test_allocation_seat_lookup():
         {"party_ids": ("A",), "district_seats": (1,), "cap": -1},
         {"party_ids": ("A",), "district_seats": (1,), "fixed_extra": -2},
         {"party_ids": ("A",), "district_seats": (1,), "cap": 1, "fixed_extra": 1},
+        # counts are ints: 1.5 used to cap at 2 top-ups and True at 1
+        {"party_ids": ("A",), "district_seats": (1,), "cap": 1.5},
+        {"party_ids": ("A",), "district_seats": (1,), "cap": True},
+        {"party_ids": ("A",), "district_seats": (1,), "cap": "3"},
+        {"party_ids": ("A",), "district_seats": (1,), "fixed_extra": 2.5},
+        {"party_ids": ("A",), "district_seats": (1,), "fixed_extra": True},
     ],
 )
 def test_seed_distribution_validation(kwargs):
