@@ -21,6 +21,7 @@ from . import serialize
 from .methods import (
     DHONDT,
     HARE,
+    METHODS,
     SAINTE_LAGUE,
     compute_quotas,
     hare_niemeyer,
@@ -258,12 +259,6 @@ def _config_from_args(args) -> RunConfig:
     )
 
 
-def _tie_policy(config: RunConfig) -> TiePolicy:
-    if config.tie_mode == "random":
-        return TiePolicy("random", config.tie_seed)
-    return TiePolicy()
-
-
 def _read_input(path: str) -> str:
     try:
         if path == "-":
@@ -285,119 +280,113 @@ def run(config: RunConfig) -> str:
     if config.suite:
         return _run_suite(config)
     tally, seed = parse_votes(_read_input(config.input_path), config.districts_col)
+    _check_run(config, seed is not None)
+    tie = TiePolicy(config.tie_mode, config.tie_seed)
+    if config.compare:  # each method's canonical form, untraced
+        runs = [_fixed_run(config, tally, m, None, tie) for m in METHODS]
+    elif seed is not None:
+        runs = [_run_seeded(config, tally, seed, tie)]
+    else:
+        runs = [_fixed_run(config, tally, config.method, config.form, tie)]
+    allocations = [allocation for allocation, _ in runs]
+    detail = runs[0][1]  # the trace, the two-stage run, or None
+    report = compute_quotas(tally, allocations[0].house_size)
+    if config.format == "json":
+        key = "trace" if seed is None else "seeded_run"
+        return _json_report(config, tally, report, allocations, key, detail)
     if seed is not None:
-        return _run_seeded(config, tally, seed)
-    return _run_fixed_house(config, tally)
+        return _seeded_table(config, tally, report, allocations[0], detail)
+    return _fixed_house_table(config, tally, report, allocations, detail)
+
+
+def _check_run(config, two_stage):
+    """The flag rules that turn on whether the input has a districts column."""
+    hare, sequential = config.method == HARE, config.form in (None, "sequential")
+    if two_stage:
+        if config.seats is not None:
+            raise InputError(
+                "--seats does not apply to two-stage runs (the house size is derived)"
+            )
+        if config.compare:
+            raise InputError("--compare applies to fixed-house runs")
+        if sequential and not hare:
+            raise InputError(
+                "sequential two-stage runs use hare deficits; "
+                "pick --form divisor with --method dhondt or sainte-lague"
+            )
+        if hare and not sequential:
+            raise InputError("two-stage divisor runs need --method dhondt or sainte-lague")
+        return
+    if config.cap is not None or config.fixed_extra is not None or config.stop:
+        raise InputError("two-stage options require a districts column")
+    if config.seats is None:
+        raise InputError("--seats is required without a districts column")
+    if hare and config.form is None and config.trace:
+        raise InputError(
+            "the largest-remainder form has no step trace; use --form sequential"
+        )
+    if hare and not sequential:
+        raise InputError("hare supports --form sequential only")
+    if config.form == "sequential" and not hare:
+        raise InputError("--form sequential applies to hare only")
+
+
+#: The rounding rule of each divisor method's multiplier form.
+_ROUNDING = {DHONDT: "floor", SAINTE_LAGUE: "nearest"}
 
 
 # ---------------------------------------------------------------- fixed house
 
 
-def _run_fixed_house(config, tally):
-    if config.cap is not None or config.fixed_extra is not None or config.stop:
-        raise InputError("two-stage options require a districts column")
-    if config.seats is None:
-        raise InputError("--seats is required without a districts column")
-    tie = _tie_policy(config)
-    report = compute_quotas(tally, config.seats)
-    trace = None
-    if config.compare:
-        allocations = [
-            hare_niemeyer(tally, config.seats, tie),
-            jump_allocation(tally, config.seats, DHONDT, tie),
-            jump_allocation(tally, config.seats, SAINTE_LAGUE, tie),
-        ]
-    else:
-        allocation, trace = _single_run(config, tally, tie)
-        allocations = [allocation]
-    if config.format == "json":
-        return _json_report(config, tally, report, allocations,
-                            trace=trace, seeded_run=None)
-    return _fixed_house_table(config, tally, report, allocations, trace)
-
-
-def _single_run(config, tally, tie):
-    """One method/form dispatch; returns (allocation, trace-or-None).
+def _fixed_run(config, tally, method, form, tie):
+    """One fixed-house engine for ``method`` and ``form``; (allocation, trace-or-None).
 
     Untraced runs of the per-seat forms jump to their result, and the
     multiplicative form always uses the sweep, so their cost does not grow
     with the house size.  Traced runs of the per-seat forms build one row
-    per seat.
+    per seat.  Engines are called by their names here, which wrappers patch.
     """
     n = config.seats
-    if config.method == HARE:
-        if config.form is None:
-            if config.trace:
-                raise InputError(
-                    "the largest-remainder form has no step trace; "
-                    "use --form sequential"
-                )
-            return hare_niemeyer(tally, n, tie), None
-        if config.form == "sequential":
-            if not config.trace:
-                return jump_allocation(tally, n, HARE, tie), None
-            allocation, awards = sequential_hare(tally, n, tie)
-            return allocation, {"form": "sequential", "method": HARE, "awards": awards}
-        raise InputError("hare supports --form sequential only")
-    if config.form == "sequential":
-        raise InputError("--form sequential applies to hare only")
-    if config.form == "multiplicative":
-        rounding = "floor" if config.method == DHONDT else "nearest"
+    if method == HARE and form is None:
+        return hare_niemeyer(tally, n, tie), None
+    if form == "multiplicative":
         allocation, trace = multiplicative(
-            tally, n, rounding, tie=tie, with_trace=config.trace
+            tally, n, _ROUNDING[method], tie=tie, with_trace=config.trace
         )
         return allocation, trace if config.trace else None
-    # default form for the divisor methods is the divisor table itself
+    # per-seat forms: sequential hare, or the divisor methods' default table
     if not config.trace:
-        return jump_allocation(tally, n, config.method, tie), None
-    return highest_averages(tally, n, config.method, tie)
+        return jump_allocation(tally, n, method, tie), None
+    if method == HARE:
+        allocation, awards = sequential_hare(tally, n, tie)
+        return allocation, {"form": "sequential", "method": HARE, "awards": awards}
+    return highest_averages(tally, n, method, tie)
 
 
 # ------------------------------------------------------------------ two-stage
 
 
-def _run_seeded(config, tally, seed):
-    if config.seats is not None:
-        raise InputError(
-            "--seats does not apply to two-stage runs (the house size is derived)"
-        )
-    if config.compare:
-        raise InputError("--compare applies to fixed-house runs")
-    tie = _tie_policy(config)
+def _run_seeded(config, tally, seed, tie):
+    """The two-stage engine for ``config``; returns (allocation, SeededRun)."""
     seed = dataclasses.replace(seed, cap=config.cap, fixed_extra=config.fixed_extra)
-    form = config.form or "sequential"
-    if form == "sequential":
-        if config.method != HARE:
-            raise InputError(
-                "sequential two-stage runs use hare deficits; "
-                "pick --form divisor with --method dhondt or sainte-lague"
-            )
+    if config.form in (None, "sequential"):
         run_result = seeded_sequential_hare(tally, seed, tie)
-        method, form_label = HARE, "seeded-sequential"
+        form = "seeded-sequential"
     else:
-        if config.method == HARE:
-            raise InputError(
-                "two-stage divisor runs need --method dhondt or sainte-lague"
-            )
-        rounding = "floor" if config.method == DHONDT else "nearest"
-        stop = config.stop or ("fixed" if config.fixed_extra is not None else "residual")
+        stop = "residual" if config.fixed_extra is None else "fixed"
         run_result = seeded_divisor(
-            tally, seed, rounding, stop, tie=tie, with_trace=config.trace
+            tally, seed, _ROUNDING[config.method], stop, tie=tie, with_trace=config.trace
         )
-        method, form_label = config.method, "seeded-divisor"
+        form = "seeded-divisor"
     allocation = Allocation(
         party_ids=tally.party_ids,
         seats=run_result.totals,
         house_size=run_result.house_size,
-        method=method,
-        form=form_label,
+        method=config.method,
+        form=form,
         tie_events=run_result.tie_events,
     )
-    report = compute_quotas(tally, run_result.house_size)
-    if config.format == "json":
-        return _json_report(config, tally, report, [allocation],
-                            trace=None, seeded_run=run_result)
-    return _seeded_table(config, tally, report, allocation, run_result)
+    return allocation, run_result
 
 
 # --------------------------------------------------------------------- suites
@@ -418,7 +407,7 @@ def _run_suite(config):
             )
         return table(report)
     searches = []
-    for method in (HARE, DHONDT, SAINTE_LAGUE):
+    for method in METHODS:
         witness = find_house_monotonicity_violation(space, method)
         searches.append({"method": method, "witness": witness})
     if config.format == "json":
@@ -656,7 +645,8 @@ def _config_payload(config) -> dict:
     return payload
 
 
-def _json_report(config, tally, report, allocations, trace, seeded_run) -> str:
+def _json_report(config, tally, report, allocations, detail_key, detail) -> str:
+    """The canonical JSON report, with ``detail`` under ``detail_key`` if any."""
     tie_events = [
         {"source": f"{allocation.method}/{allocation.form}", **dataclasses.asdict(event)}
         for allocation in allocations
@@ -669,10 +659,8 @@ def _json_report(config, tally, report, allocations, trace, seeded_run) -> str:
         "quota_report": report,
         "tie_events": tie_events,
     }
-    if trace is not None:
-        payload["trace"] = trace
-    if seeded_run is not None:
-        payload["seeded_run"] = seeded_run
+    if detail is not None:
+        payload[detail_key] = detail
     return serialize.dumps(payload)
 
 

@@ -246,7 +246,7 @@ def highest_averages(
     records, per seat, the full bidding table (present and next prices).
     """
     _check_house(house_size)
-    if method not in _SIGNPOSTS:
+    if method not in tuple(_SIGNPOSTS):  # by ==: an unhashable method is refused too
         raise InputError(f"unknown divisor method {method!r}")
     if with_trace:
         _check_rows(house_size, "divisor table rows")
@@ -594,15 +594,15 @@ def jump_allocation(
     whatever N is.
     """
     _check_house(house_size)
+    if method not in METHODS:  # by ==: an unhashable method is refused too
+        raise InputError(f"unknown method {method!r}")
     ranks = tie.ranks(tally)
     if method == HARE:
         seats, events = _jump_hare(tally, house_size, ranks)
         form = "sequential"
-    elif method in _SIGNPOSTS:
+    else:
         seats, events = _jump_divisor(tally, house_size, _SIGNPOSTS[method], ranks)
         form = "divisor"
-    else:
-        raise InputError(f"unknown method {method!r}")
     return Allocation(
         party_ids=tally.party_ids,
         seats=tuple(seats),

@@ -67,11 +67,11 @@ class InstanceSpace:
     master_seed: int
 
     def __post_init__(self):
-        for name, (lo, hi) in (
-            ("parties", self.parties),
-            ("votes", self.votes),
-            ("house", self.house),
-        ):
+        for name in ("parties", "votes", "house"):
+            pair = getattr(self, name)
+            if not (isinstance(pair, (tuple, list)) and len(pair) == 2):
+                raise InputError(f"{name} range must be a (lo, hi) pair, got {pair!r}")
+            lo, hi = pair
             if not (_is_count(lo) and _is_count(hi)):
                 raise InputError(f"{name} range bounds must be non-negative integers")
             if lo > hi:

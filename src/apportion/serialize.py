@@ -18,7 +18,7 @@ import typing
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote  # json.dumps's C function
 
-from .types import Allocation, QuotaReport, SeededRun, TraceTable, VoteTally
+from .types import Allocation, InputError, QuotaReport, SeededRun, TraceTable, VoteTally
 
 
 def dumps(payload) -> str:
@@ -82,9 +82,17 @@ def from_json(hint, obj):
     ``int``, ``str``, ``bool``, ``Fraction`` (a num/den pair), ``X | None``,
     ``tuple[X, ...]``, fixed-length tuples, nested dataclasses, and unions
     of dataclasses, whose member is the one with the object's keys as its
-    field names.
+    field names.  Data that does not fit ``hint`` raises :class:`InputError`;
+    a ``hint`` outside that list raises ``TypeError``.
     """
-    return _decoder(hint)(obj)
+    decode = _decoder(hint)
+    try:
+        return decode(obj)
+    except InputError:  # a dataclass's own check: already the right error
+        raise
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        name = getattr(hint, "__name__", hint)
+        raise InputError(f"malformed {name} JSON ({type(exc).__name__}: {exc})") from None
 
 
 def _same(obj):

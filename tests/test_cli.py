@@ -28,6 +28,7 @@ from apportion import (
     seeded_sequential_hare,
     trace_from_json,
 )
+from apportion import cli as cli_module
 from apportion import methods, oracle
 from apportion.cli import main, parse_votes
 from apportion.types import InputError
@@ -270,6 +271,91 @@ class TestUntracedCostDoesNotGrowWithSeats:
                 (m, [int(row[5 + j]) for row in rows]) for j, m in enumerate(methods)
             ]
         assert reported == [(m, self.expected(m)) for m in methods]
+
+
+def _divisor_runs(method, rounding):
+    """The accepted fixed-house runs of a divisor method, as in TestEngineChoice."""
+    divisor = [("jump_allocation", (method,))], ["divisor"]
+    traced = [("highest_averages", (method,))], ["divisor"]
+    sweep = [("multiplicative", (rounding,))], ["multiplicative"]
+    m = ("--method", method)
+    return [
+        (m, *divisor),
+        ((*m, "--form", "divisor"), *divisor),
+        ((*m, "--trace"), *traced),
+        ((*m, "--form", "divisor", "--trace"), *traced),
+        ((*m, "--form", "multiplicative"), *sweep),
+        ((*m, "--form", "multiplicative", "--trace"), *sweep),
+    ]
+
+
+class TestEngineChoice:
+    """The CLI calls each engine through its own module-level name.
+
+    A wrapper patched over one of those names (as the benchmark's tracer
+    patches them) must see every call of that engine, so each run below
+    records exactly which names it called, with their string arguments.
+    """
+
+    ENGINES = [
+        "hare_niemeyer", "jump_allocation", "sequential_hare", "highest_averages",
+        "multiplicative", "seeded_sequential_hare", "seeded_divisor",
+    ]
+    # (flags, engine calls, result form labels); WORKED has no districts column
+    FIXED = [
+        ((), [("hare_niemeyer", ())], ["largest-remainder"]),
+        (("--form", "sequential"), [("jump_allocation", ("hare",))], ["sequential"]),
+        (("--form", "sequential", "--trace"), [("sequential_hare", ())],
+         ["sequential"]),
+        *_divisor_runs("dhondt", "floor"),
+        *_divisor_runs("sainte-lague", "nearest"),
+        (("--compare",),
+         [("hare_niemeyer", ()), ("jump_allocation", ("dhondt",)),
+          ("jump_allocation", ("sainte-lague",))],
+         ["largest-remainder", "divisor", "divisor"]),
+    ]
+    # SEEDED has a districts column
+    TWO_STAGE = [
+        ((), [("seeded_sequential_hare", ())], ["seeded-sequential"]),
+        (("--form", "sequential", "--trace"), [("seeded_sequential_hare", ())],
+         ["seeded-sequential"]),
+        (("--method", "dhondt", "--form", "divisor"),
+         [("seeded_divisor", ("floor", "residual"))], ["seeded-divisor"]),
+        (("--method", "sainte-lague", "--form", "multiplicative", "--trace"),
+         [("seeded_divisor", ("nearest", "residual"))], ["seeded-divisor"]),
+        (("--method", "dhondt", "--form", "divisor", "--fixed-extra", "3"),
+         [("seeded_divisor", ("floor", "fixed"))], ["seeded-divisor"]),
+    ]
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        recorded = []
+        for name in self.ENGINES:
+            engine = getattr(cli_module, name)
+
+            def recorder(*args, _name=name, _engine=engine, **kwargs):
+                recorded.append((_name, tuple(a for a in args if isinstance(a, str))))
+                return _engine(*args, **kwargs)
+
+            monkeypatch.setattr(cli_module, name, recorder)
+        return recorded
+
+    @pytest.mark.parametrize(
+        "text,flags,engines,forms",
+        [
+            pytest.param(text, flags, engines, forms, id=f"{kind}:{' '.join(flags)}")
+            for kind, text, runs in (("fixed", WORKED, FIXED),
+                                     ("two-stage", SEEDED, TWO_STAGE))
+            for flags, engines, forms in runs
+        ],
+    )
+    def test_each_run_calls_one_named_engine(self, cli, csv_file, calls, text, flags,
+                                              engines, forms):
+        seats = ("--seats", "5") if text == WORKED else ()
+        code, out, err = cli(csv_file(text), "--format", "json", *seats, *flags)
+        assert (code, err) == (0, "")
+        assert calls == engines
+        assert [a["form"] for a in json.loads(out)["allocations"]] == forms
 
 
 class TestTraceRowGuard:

@@ -107,9 +107,10 @@ def test_zero_vote_party_never_wins():
     assert sum(allocation.seats) == 6
 
 
-def test_unknown_method_rejected(worked_example):
+@pytest.mark.parametrize("method", ["imperiali", []], ids=["imperiali", "unhashable"])
+def test_unknown_method_rejected(worked_example, method):
     with pytest.raises(InputError):
-        highest_averages(worked_example, 3, "imperiali")
+        highest_averages(worked_example, 3, method)
 
 
 @pytest.mark.parametrize("method", [DHONDT, SAINTE_LAGUE])

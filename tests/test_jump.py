@@ -147,7 +147,9 @@ def test_explicit_cases(method, votes, house_size):
         )
 
 
-@pytest.mark.parametrize("method,house_size", [("imperiali", 3), (DHONDT, -1)])
+@pytest.mark.parametrize(
+    "method,house_size", [("imperiali", 3), (DHONDT, -1), ([], 3)]
+)
 def test_rejects_bad_arguments(worked_example, method, house_size):
     with pytest.raises(InputError):
         jump_allocation(worked_example, house_size, method)

@@ -79,6 +79,8 @@ class TestInstanceSpace:
             {"votes": (0.5, 100)},
             {"house": (1, True)},
             {"parties": ("2", 4)},
+            {"parties": (1, 2, 3)},
+            {"parties": 5},
         ],
     )
     def test_validation(self, kwargs):
@@ -240,6 +242,14 @@ class TestPathologySearches:
             parties=(2, 4), votes=(1, 30), house=(2, 30), trials=2000, master_seed=11
         )
         assert find_house_monotonicity_violation(space, method) is None
+
+    @pytest.mark.parametrize("method", ["imperiali", []])
+    def test_unknown_method_is_an_input_error(self, method):
+        space = InstanceSpace.default(trials=3)
+        with pytest.raises(InputError):
+            find_quota_violation(space, method)
+        with pytest.raises(InputError):
+            find_house_monotonicity_violation(space, method)
 
 
 class TestBias:

@@ -32,7 +32,7 @@ from apportion import (
     trace_from_json,
 )
 from apportion.serialize import fraction_from_json, from_json
-from apportion.types import MultiplierStep, SeatAward, TraceTable
+from apportion.types import InputError, MultiplierStep, SeatAward, TraceTable
 
 
 def _reference_jsonify(value):
@@ -196,6 +196,24 @@ def test_from_json_refuses_what_it_cannot_decode():
         from_json(dict, {})
     with pytest.raises(TypeError, match="share their field names"):
         from_json(Count | Name, {"value": 1})
+
+
+_TWO_SEATS = json.loads(dumps(hare_niemeyer(VoteTally(("A", "B"), (3, 1)), 2)))
+
+
+@pytest.mark.parametrize(
+    "decode,obj",
+    [
+        (allocation_from_json, {"x": 1}),
+        (allocation_from_json, [1, 2]),
+        (allocation_from_json, {**_TWO_SEATS, "extra": 1}),
+        (fraction_from_json, {"num": 1, "den": 0}),
+    ],
+    ids=["missing-field", "list", "extra-key", "zero-denominator"],
+)
+def test_from_json_refuses_malformed_data_as_input_errors(decode, obj):
+    with pytest.raises(InputError, match="malformed"):
+        decode(obj)
 
 
 def _reload(obj):
