@@ -15,7 +15,6 @@ import dataclasses
 import io
 import sys
 import traceback
-from dataclasses import dataclass
 
 from . import serialize
 from .methods import (
@@ -45,29 +44,6 @@ from .types import (
     TiePolicy,
     VoteTally,
 )
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved invocation: every flag, with defaults applied."""
-
-    input_path: str | None
-    method: str
-    form: str | None
-    seats: int | None
-    tie_mode: str
-    tie_seed: int | None
-    districts_col: str
-    cap: int | None
-    fixed_extra: int | None
-    stop: str | None
-    compare: bool
-    trace: bool
-    format: str
-    suite: str | None
-    trials: int
-    master_seed: int
-    jobs: int
 
 
 def parse_votes(source, districts_col: str = "districts"):
@@ -152,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(largest-remainder, d'Hondt-Jefferson, Sainte-Laguë).",
     )
     parser.add_argument(
-        "input", nargs="?",
+        "input_path", nargs="?", metavar="input",
         help="votes CSV with header party,votes[,districts]; '-' reads stdin",
     )
     parser.add_argument("--method", choices=[HARE, DHONDT, SAINTE_LAGUE])
@@ -162,10 +138,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seats", type=int, help="house size for fixed-house runs")
     parser.add_argument("--tie", choices=["deterministic", "random"],
-                        default="deterministic")
-    parser.add_argument("--seed", type=int, help="rng seed for --tie random")
-    parser.add_argument("--districts-col", default="districts",
-                        help="name of the district-seats column")
+                        default="deterministic", dest="tie_mode")
+    parser.add_argument("--seed", type=int, dest="tie_seed", metavar="SEED",
+                        help="rng seed for --tie random")
+    parser.add_argument("--districts-col", help="name of the district-seats column")
     parser.add_argument("--cap", type=int, help="cap on two-stage top-up seats")
     parser.add_argument("--fixed-extra", type=int,
                         help="exact number of two-stage top-up seats")
@@ -186,13 +162,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
+def _config_from_args(args) -> argparse.Namespace:
+    """Check the flags, then fill in the defaults that would hide whether a flag
+    was given; the namespace is then the run configuration, one field per dest."""
     if args.suite:
         blocked = [
             ("--method", args.method),
             ("--form", args.form),
             ("--seats", args.seats),
-            ("--seed", args.seed),
+            ("--seed", args.tie_seed),
+            ("--districts-col", args.districts_col),
             ("--cap", args.cap),
             ("--fixed-extra", args.fixed_extra),
             ("--stop", args.stop),
@@ -202,14 +181,14 @@ def _config_from_args(args) -> RunConfig:
                 raise InputError(f"{flag} does not apply to --suite runs")
         if args.compare or args.trace:
             raise InputError("--compare and --trace do not apply to --suite runs")
-        if args.tie != "deterministic":
+        if args.tie_mode != "deterministic":
             raise InputError(
                 "--tie does not apply to --suite runs (each trial draws its own)"
             )
-        if args.input is not None:
+        if args.input_path is not None:
             raise InputError("--suite runs take no input file")
     else:
-        if args.input is None:
+        if args.input_path is None:
             raise InputError("an input file (or '-') is required unless --suite is given")
         for flag, value in (
             ("--trials", args.trials),
@@ -225,12 +204,12 @@ def _config_from_args(args) -> RunConfig:
             raise InputError("--compare uses each method's canonical form; drop --form")
         if args.trace:
             raise InputError("--trace applies to single-method runs")
-    if args.tie == "random":
-        if args.seed is None:
+    if args.tie_mode == "random":
+        if args.tie_seed is None:
             raise InputError("--tie random requires --seed")
-        if not 0 <= args.seed < 2**64:
+        if not 0 <= args.tie_seed < 2**64:
             raise InputError("--seed must fit in 64 bits")
-    elif args.seed is not None:
+    elif args.tie_seed is not None:
         raise InputError("--seed applies to --tie random only")
     if args.stop == "fixed" and args.fixed_extra is None:
         raise InputError("--stop fixed requires --fixed-extra")
@@ -238,25 +217,12 @@ def _config_from_args(args) -> RunConfig:
         raise InputError("--fixed-extra implies --stop fixed")
     if args.jobs is not None and args.jobs < 1:
         raise InputError("--jobs must be at least 1")
-    return RunConfig(
-        input_path=args.input,
-        method=args.method or HARE,
-        form=args.form,
-        seats=args.seats,
-        tie_mode=args.tie,
-        tie_seed=args.seed,
-        districts_col=args.districts_col,
-        cap=args.cap,
-        fixed_extra=args.fixed_extra,
-        stop=args.stop,
-        compare=args.compare,
-        trace=args.trace,
-        format=args.format,
-        suite=args.suite,
-        trials=args.trials if args.trials is not None else 10_000,
-        master_seed=args.master_seed if args.master_seed is not None else 0,
-        jobs=args.jobs if args.jobs is not None else 1,
-    )
+    defaults = {"method": HARE, "districts_col": "districts", "trials": 10_000,
+                "master_seed": 0, "jobs": 1}
+    for name, default in defaults.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+    return args
 
 
 def _read_input(path: str) -> str:
@@ -275,7 +241,7 @@ def _read_input(path: str) -> str:
         raise InputError(f"{source}, line {line}: not valid UTF-8 text") from None
 
 
-def run(config: RunConfig) -> str:
+def run(config: argparse.Namespace) -> str:
     """Execute one resolved invocation and return the rendered report."""
     if config.suite:
         return _run_suite(config)
@@ -640,9 +606,7 @@ def _config_payload(config) -> dict:
     ``jobs`` is dropped: it only sets how many worker processes a suite
     uses, and the same invocation must emit identical bytes at any value.
     """
-    payload = dataclasses.asdict(config)
-    payload.pop("jobs")
-    return payload
+    return {name: value for name, value in vars(config).items() if name != "jobs"}
 
 
 def _json_report(config, tally, report, allocations, detail_key, detail) -> str:

@@ -32,6 +32,7 @@ from .methods import (
     DHONDT,
     HARE,
     SAINTE_LAGUE,
+    _check_house,
     hare_niemeyer,
     highest_averages,
     jump_allocation,
@@ -183,10 +184,9 @@ def enumerate_allocations(party_count: int, house_size: int):
     The count is ``C(house_size + party_count - 1, party_count - 1)``;
     anything above :data:`ENUMERATION_GUARD` is refused up front.
     """
-    if party_count < 1:
-        raise InputError("need at least one party")
-    if house_size < 0:
-        raise InputError("house size must be non-negative")
+    if not _is_count(party_count) or party_count < 1:
+        raise InputError("party count must be a positive integer")
+    _check_house(house_size)
     size = math.comb(house_size + party_count - 1, party_count - 1)
     if size > ENUMERATION_GUARD:
         raise EnumerationGuardError(
@@ -214,6 +214,7 @@ def check_quota_property(
     """
     if allocation.party_ids != tally.party_ids:
         raise InputError("allocation refers to a different party set")
+    _check_house(house_size)
     if allocation.house_size != house_size:
         raise InputError("allocation was computed for a different house size")
     total = tally.total_votes
@@ -269,6 +270,8 @@ def _run_chunks(chunk, space: InstanceSpace, jobs: int) -> list:
     Results come back in trial order; ``jobs`` > 1 runs the slices in
     worker processes, at most one per CPU, since the pool starts every worker at once.
     """
+    if not _is_count(jobs) or jobs < 1:
+        raise InputError("jobs must be a positive integer")
     trials = space.trials
     jobs = max(1, min(jobs, trials, os.cpu_count() or 1)) if trials else 1
     bounds = [i * trials // jobs for i in range(jobs + 1)]

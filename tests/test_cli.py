@@ -29,7 +29,7 @@ from apportion import (
     trace_from_json,
 )
 from apportion import cli as cli_module
-from apportion import methods, oracle
+from apportion import methods, oracle, serialize
 from apportion.cli import main, parse_votes
 from apportion.types import InputError
 
@@ -511,6 +511,35 @@ class TestJsonReports:
         argv = (path, "--seats", "7", "--method", "dhondt", "--format", "json")
         assert cli(*argv)[1] == cli(*argv)[1]
 
+    def test_config_echo(self, cli, csv_file, inline_pool):
+        # every flag under its destination name, defaults filled in, no jobs
+        defaults = {
+            "input_path": None, "method": "hare", "form": None, "seats": None,
+            "tie_mode": "deterministic", "tie_seed": None, "districts_col": "districts",
+            "cap": None, "fixed_extra": None, "stop": None, "compare": False,
+            "trace": False, "format": "json", "suite": None, "trials": 10_000,
+            "master_seed": 0,
+        }
+        fixed = csv_file(CLOSE)
+        two_stage = csv_file(SEEDED.replace("districts", "won"), name="won.csv")
+        runs = [
+            ((fixed, "--seats", "10", "--method", "dhondt", "--form", "multiplicative",
+              "--tie", "random", "--seed", "7", "--trace"),
+             {"input_path": fixed, "method": "dhondt", "form": "multiplicative",
+              "seats": 10, "tie_mode": "random", "tie_seed": 7, "trace": True}),
+            ((two_stage, "--districts-col", "won", "--method", "sainte-lague",
+              "--form", "divisor", "--fixed-extra", "2"),
+             {"input_path": two_stage, "method": "sainte-lague", "form": "divisor",
+              "districts_col": "won", "fixed_extra": 2}),
+            (("--suite", "bias", "--trials", "6", "--master-seed", "3", "--jobs", "2"),
+             {"suite": "bias", "trials": 6, "master_seed": 3}),
+        ]
+        for argv, changed in runs:
+            code, out, _ = cli(*argv, "--format", "json")
+            assert code == 0
+            assert json.loads(out)["config"] == {**defaults, **changed}
+        assert inline_pool == [2]
+
 
 class TestSeededRuns:
     def test_sequential_table(self, cli, csv_file):
@@ -626,6 +655,27 @@ class TestSuites:
         assert "dhondt: no witness found" in out
         assert "sainte-lague: no witness found" in out
 
+    def test_paradox_json(self, cli):
+        code, out, _ = cli(
+            "--suite", "paradox", "--trials", "40", "--master-seed", "11",
+            "--format", "json",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert set(payload) == {"config", "suite", "space", "searches"}
+        assert payload["config"]["suite"] == "paradox"
+        assert payload["config"]["trials"] == 40
+        assert payload["config"]["master_seed"] == 11
+        assert payload["suite"] == "paradox"
+        space = oracle.InstanceSpace.default(trials=40, master_seed=11)
+        assert payload["space"] == serialize.jsonify(space)
+        hare, dhondt, sainte_lague = payload["searches"]
+        assert [s["method"] for s in payload["searches"]] == list(methods.METHODS)
+        witness = hare["witness"]
+        assert witness["trial"]["index"] == 0
+        assert (witness["smaller_house"], witness["losers"]) == (183, ["P4"])
+        assert dhondt["witness"] is None and sainte_lague["witness"] is None
+
     def test_jobs_are_clamped_to_the_cpu_count(self, cli, inline_pool):
         argv = ("--suite", "equivalence", "--trials", "20", "--format", "json")
         serial = cli(*argv, "--jobs", "1")
@@ -667,6 +717,19 @@ class TestBadInvocations:
              "does not apply"),
             (("--suite", "equivalence", "--jobs", "0"), "at least 1"),
             (("votes.csv", "--stop", "fixed"), "requires --fixed-extra"),
+            (("--suite", "equivalence", "--trace"), "--compare and --trace do not"),
+            (("--suite", "equivalence", "--tie", "random"), "draws its own"),
+            (("votes.csv", "--suite", "equivalence"), "take no input file"),
+            (("votes.csv", "--seats", "10", "--compare", "--form", "divisor"),
+             "drop --form"),
+            (("votes.csv", "--stop", "residual", "--fixed-extra", "2"),
+             "implies --stop fixed"),
+            (("votes.csv", "--seats", "10", "--method", "hare", "--form", "divisor"),
+             "hare supports --form sequential only"),
+            (("votes.csv", "--seats", "10", "--tie", "coin"), "argument --tie:"),
+            (("votes.csv", "--seats", "10", "--seed", "x"), "argument --seed:"),
+            (("--suite", "equivalence", "--trials", "2", "--districts-col", "won"),
+             "--districts-col does not apply to --suite runs"),
         ],
     )
     def test_flag_validation(self, cli, csv_file, argv, fragment):
@@ -687,6 +750,18 @@ class TestBadInvocations:
         code, _, err = cli(path, "--form", "divisor", "--method", "dhondt",
                            "--cap", "2")
         assert code == 1 and "sequential" in err
+        code, _, err = cli(path, "--method", "dhondt")
+        assert code == 1 and "sequential two-stage runs use hare deficits" in err
+
+    def test_help_names_each_argument_by_its_metavar(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--help"])
+        assert exit_info.value.code == 0
+        out = capsys.readouterr().out
+        assert "[--seed SEED]" in out and "[input]" in out
+        for name in ("TIE_SEED", "TIE_MODE", "INPUT_PATH"):
+            assert name not in out
 
     def test_missing_file(self, cli):
         code, _, err = cli("no-such-file.csv", "--seats", "5")

@@ -112,6 +112,10 @@ class TestEnumeration:
             enumerate_allocations(0, 5)
         with pytest.raises(InputError):
             enumerate_allocations(3, -1)
+        for party_count, house_size in ((2.5, 3), (2, None), (True, 2), (2, 3.0),
+                                        ("2", 3), (2, False)):
+            with pytest.raises(InputError):
+                enumerate_allocations(party_count, house_size)
 
 
 class TestQuotaProperty:
@@ -134,6 +138,12 @@ class TestQuotaProperty:
             check_quota_property(three_way, 10, hare_niemeyer(close_race, 10))
         with pytest.raises(InputError):
             check_quota_property(three_way, 10, hare_niemeyer(three_way, 7))
+
+    def test_rejects_a_non_integer_house_size(self, worked_example):
+        allocation = hare_niemeyer(worked_example, 2)
+        for house_size in (2.0, True, None):
+            with pytest.raises(InputError, match="non-negative integer"):
+                check_quota_property(worked_example, house_size, allocation)
 
 
 def test_hare_minimizes_total_deviation_from_ideal():
@@ -177,6 +187,14 @@ class TestEquivalenceSuite:
         monkeypatch.setattr(oracle.os, "cpu_count", lambda: None)  # unknown: one
         assert equivalence_suite(space, jobs=10_000) == serial
         assert inline_pool == [3, 3]
+
+    def test_jobs_must_be_a_positive_integer(self, inline_pool):
+        space = InstanceSpace.default(trials=30, master_seed=5)
+        for suite in (equivalence_suite, bias_montecarlo):
+            for jobs in (2.5, 0, -3, True, None, "2"):
+                with pytest.raises(InputError, match="jobs must be a positive integer"):
+                    suite(space, jobs=jobs)
+        assert inline_pool == []
 
     def test_hare_side_is_the_per_seat_loop(self, monkeypatch):
         # the suite compares largest remainder against an independent
