@@ -14,7 +14,6 @@ import csv
 import dataclasses
 import io
 import sys
-import traceback
 
 from . import serialize
 from .methods import (
@@ -643,6 +642,7 @@ def main(argv=None) -> int:
         return 2
     except ValueError as exc:
         if "integer string conversion" not in str(exc):  # not the digit limit
+            import traceback  # loaded only on a crash
             traceback.print_exc()
             return 2
         limit = sys.get_int_max_str_digits()
@@ -650,6 +650,7 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 1
     except Exception:  # pragma: no cover - unexpected execution errors
+        import traceback
         traceback.print_exc()
         return 2
 

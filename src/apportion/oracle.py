@@ -20,11 +20,9 @@ give identical suites, serial or parallel.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -93,6 +91,7 @@ class InstanceSpace:
     def trial_instance(self, index: int) -> "TrialInstance":
         if not 0 <= index < self.trials:
             raise InputError(f"trial index {index} outside 0..{self.trials - 1}")
+        import hashlib  # loaded here, not at start-up: only suites use it
         digest = hashlib.sha256(f"{self.master_seed}:{index}".encode("ascii")).digest()
         rng = random.Random(int.from_bytes(digest[:8], "big"))
         k = rng.randint(*self.parties)
@@ -278,6 +277,8 @@ def _run_chunks(chunk, space: InstanceSpace, jobs: int) -> list:
     slices = [(space, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     if jobs == 1:
         return [chunk(s) for s in slices]
+    # loaded here, not at start-up: only jobs > 1 needs the pool
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(chunk, slices))
 

@@ -115,16 +115,19 @@ def seeded_sequential_hare(
             "top-up", awards, events,
         )
     else:
-        # The residual stop needs D + j > bound; when it lies beyond the
-        # guard and no cap ends the run first, refuse before any award.
+        # The residual stop needs D + j > bound (or D = 0), so it is tested
+        # from j = ceil(bound) - D on; when it lies beyond the guard and no
+        # cap ends the run first, refuse before any award.
+        districts = seed.total
         bound = _dilution_bound(tally, seed)
+        earliest = math.ceil(bound) - districts
         capped = seed.cap is not None and seed.cap <= MAX_TOPUP_ITERATIONS
-        doomed = math.floor(bound) - seed.total + 1 > MAX_TOPUP_ITERATIONS and not capped
+        doomed = math.floor(bound) - districts + 1 > MAX_TOPUP_ITERATIONS and not capped
         # nums[i] is the residual (D + j) * v_i / V - m_i over the denominator V
-        nums = [seed.total * v - mi * total for v, mi in zip(tally.votes, m)]
+        nums = [districts * v - mi * total for v, mi in zip(tally.votes, m)]
         j = 0
         while True:
-            if all(-total < x < total for x in nums):  # |residual| < 1, exactly
+            if j >= earliest and all(-total < x < total for x in nums):  # |residual| < 1
                 reason = STOP_RESIDUAL
                 break
             if seed.cap is not None and j >= seed.cap:
@@ -138,7 +141,7 @@ def seeded_sequential_hare(
             j += 1
             nums = [x + v for x, v in zip(nums, tally.votes)]
             _award_deficits(
-                tally.party_ids, total, ranks, m, nums, seed.total + j, (j,),
+                tally.party_ids, total, ranks, m, nums, districts + j, (j,),
                 "top-up", awards, events,
             )
         stop_j = j

@@ -14,7 +14,6 @@ import dataclasses
 import functools
 import json
 import types
-import typing
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote  # json.dumps's C function
 
@@ -102,6 +101,7 @@ def _same(obj):
 @functools.cache
 def _decoder(hint):
     """The decoding function for ``hint``, built once per hint."""
+    import typing  # loaded here, not at start-up: only from_json uses it
     if hint in (int, str, bool):
         return _same
     if hint is Fraction:

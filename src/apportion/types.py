@@ -49,19 +49,23 @@ def _is_count(n) -> bool:
 class VoteTally:
     """Party identifiers with their raw vote counts.
 
-    Identifiers are opaque strings preserved verbatim; votes are
-    non-negative integers with at least one party polling a positive
-    count.  Vote shares are exposed as exact rationals via :meth:`share`.
+    A tuple of opaque string identifiers, kept verbatim, and a tuple of
+    non-negative integer votes, at least one positive.  Vote shares are
+    exposed as exact rationals via :meth:`share`.
     """
 
     party_ids: tuple[str, ...]
     votes: tuple[int, ...]
 
     def __post_init__(self):
+        if not (isinstance(self.party_ids, tuple) and isinstance(self.votes, tuple)):
+            raise InputError("party_ids and votes must be tuples")
         if not self.party_ids:
             raise InputError("tally must contain at least one party")
         if len(self.party_ids) != len(self.votes):
             raise InputError("party_ids and votes must have equal length")
+        if bad := [pid for pid in self.party_ids if not isinstance(pid, str)]:
+            raise InputError(f"party id {bad[0]!r} is not a string")
         if len(set(self.party_ids)) != len(self.party_ids):
             raise InputError("duplicate party id in tally")
         for pid, v in zip(self.party_ids, self.votes):

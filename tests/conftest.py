@@ -1,3 +1,5 @@
+import concurrent.futures
+
 import pytest
 
 from apportion import VoteTally, oracle
@@ -25,8 +27,9 @@ def close_race():
 def inline_pool(monkeypatch):
     """Suites run their chunks in-process on a pretend 3-CPU machine.
 
-    Replaces ``oracle.ProcessPoolExecutor``, so no worker is ever started,
-    and returns the list of pool sizes the suites asked for.
+    Replaces ``concurrent.futures.ProcessPoolExecutor``, which
+    ``oracle._run_chunks`` looks up when it runs, so no worker is ever
+    started, and returns the list of pool sizes the suites asked for.
     """
     sizes = []
 
@@ -43,6 +46,6 @@ def inline_pool(monkeypatch):
         def map(self, fn, items):
             return list(map(fn, items))
 
-    monkeypatch.setattr(oracle, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(oracle.os, "cpu_count", lambda: 3)
     return sizes

@@ -692,6 +692,84 @@ class TestSuites:
             assert serial[1] == parallel[1]
 
 
+# Modules a plain run must not load: the process pool and what it pulls in
+# (multiprocessing, logging), the sha256 that seeds suite trials, the crash
+# report and the annotation reader of from_json.
+_LAZY_MODULES = (
+    "concurrent.futures", "multiprocessing", "hashlib", "logging", "traceback", "typing",
+)
+
+
+def _is_lazy(module):
+    return any(module == name or module.startswith(name + ".") for name in _LAZY_MODULES)
+
+
+_FRESH_RUN = """
+import contextlib, io, json, sys
+before = set(sys.modules)
+from apportion import cli
+results = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    results.append((code, out.getvalue(), sorted(set(sys.modules) - before),
+                    sorted(sys.modules)))
+print(json.dumps(results))
+"""
+
+
+def _fresh_runs(*argvs):
+    """``cli.main`` on each argv in turn, in one fresh interpreter.
+
+    Per call: exit code, stdout, the modules loaded since just before
+    ``import apportion.cli`` (so a module that a site hook preloads never
+    counts) and every module loaded so far.
+    """
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-c", _FRESH_RUN, json.dumps(argvs)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+class TestStartUp:
+    def test_a_plain_run_loads_no_suite_pool_or_crash_module(self, csv_file):
+        fixed, two_stage = _fresh_runs(
+            [csv_file(WORKED), "--seats", "10"],
+            [csv_file(SEEDED, "seeded.csv"), "--format", "json"],
+        )
+        assert fixed[0] == two_stage[0] == 0
+        assert "house size 10, total votes 1000" in fixed[1]
+        run = json.loads(two_stage[1])["seeded_run"]
+        assert run["stop_reason"] == "all-residuals-below-one"
+        assert [m for m in two_stage[2] if _is_lazy(m)] == []
+
+    def test_suites_load_sha256_and_only_jobs_load_the_pool(self):
+        argv = ["--suite", "equivalence", "--trials", "3", "--format", "json"]
+        serial, parallel = _fresh_runs(argv, argv + ["--jobs", "2"])
+        code, out, added, loaded = serial
+        assert code == 0 and json.loads(out)["suite_report"]["agreements"] == 3
+        assert "hashlib" in loaded
+        assert [m for m in added if _is_lazy(m) and m != "hashlib"] == []
+        assert parallel[:2] == [0, out]
+        if (os.cpu_count() or 1) >= 2:  # --jobs is clamped to the CPU count
+            assert "concurrent.futures.process" in parallel[3]
+
+    @pytest.mark.parametrize("error", [ValueError("boom"), RuntimeError("boom")])
+    def test_a_crash_still_prints_its_traceback(self, cli, csv_file, monkeypatch, error):
+        def crash(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli_module, "hare_niemeyer", crash)
+        code, out, err = cli(csv_file(WORKED), "--seats", "10")
+        assert (code, out) == (2, "")
+        assert err.startswith("Traceback (most recent call last):")
+        assert err.endswith(f"{type(error).__name__}: boom\n")
+
+
 class TestBadInvocations:
     @pytest.mark.parametrize(
         "argv,fragment",

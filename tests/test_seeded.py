@@ -433,3 +433,45 @@ class TestResidualSweepRows:
         for row in run.sweep:
             assert row.extra_seats == tuple(_topups_at(tally, seed, t, row.multiplier))
             assert row.total_extra == sum(row.extra_seats)
+
+
+def _assert_stops_at_the_first_balanced_house(tally, seed, run):
+    """No award's house before the stop has every residual inside (-1, 1);
+    the stop's house does."""
+    held = list(seed.district_seats)
+
+    def balanced(j):
+        share = Fraction(seed.total + j, tally.total_votes)
+        return all(abs(share * v - m) < 1 for v, m in zip(tally.votes, held))
+
+    for award in run.awards:
+        assert not balanced(award.iteration - 1)
+        held[tally.party_ids.index(award.party)] += 1
+    assert run.stop_iteration == len(run.awards)
+    assert balanced(run.stop_iteration)
+    assert run.totals == tuple(held)
+
+
+class TestSequentialResidualStop:
+    @pytest.mark.parametrize(
+        "votes,districts,stop,totals",
+        [
+            ((1, 100), (5, 0), 400, (5, 400)),  # D = 5, stop region above M = 404
+            # D = 14, above M = 3,360, with 38 tie events on the way
+            ((3, 7, 1000, 250), (9, 4, 0, 1), 3347, (9, 18, 2667, 667)),
+        ],
+    )
+    def test_a_stop_region_far_above_the_district_seats(self, votes, districts, stop, totals):
+        tally = VoteTally(tuple(f"P{i + 1}" for i in range(len(votes))), votes)
+        seed = SeedDistribution(tally.party_ids, districts)
+        run = seeded_sequential_hare(tally, seed)
+        assert seeded._dilution_bound(tally, seed) > 20 * seed.total
+        assert (run.stop_reason, run.stop_iteration, run.totals) == (STOP_RESIDUAL, stop, totals)
+        _assert_stops_at_the_first_balanced_house(tally, seed, run)
+
+    @settings(max_examples=200)
+    @given(seeded_cases())
+    def test_the_residual_stop_is_the_first_balanced_house(self, case):
+        run = seeded_sequential_hare(*case)
+        assert run.stop_reason == STOP_RESIDUAL
+        _assert_stops_at_the_first_balanced_house(*case, run)

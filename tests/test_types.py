@@ -41,6 +41,13 @@ def test_from_pairs_preserves_order():
         (("A", "B"), (0, 0)),
         (("A",), (1.5,)),
         (("A", "B"), (True, 3)),
+        (["x", "y"], [1, 2]),  # a list would leave the tally unhashable
+        (("x", "y"), [1, 2]),
+        (["x", "y"], (1, 2)),
+        ((1, "1"), (1, 2)),  # ids whose printed forms are equal
+        (("A", None), (1, 2)),
+        ((("A",), "B"), (1, 2)),
+        ((["A"], "B"), (1, 2)),  # unhashable: refused before the duplicate check
     ],
 )
 def test_tally_rejects_invalid_input(ids, votes):
