@@ -459,6 +459,12 @@ def _fixed_house_table(config, tally, report, allocations, trace):
     return "\n".join(lines) + "\n"
 
 
+def _cells(values, above):
+    """(value, text) per cell; a value that is the very object of the cell
+    above reuses its text, so ``_fmt`` runs only where a table row changed."""
+    return [(v, text if v is old else _fmt(v)) for v, (old, text) in zip(values, above)]
+
+
 def _trace_text(trace) -> str:
     if isinstance(trace, dict):  # sequential award log
         lines = ["award log (largest deficit first):"]
@@ -470,12 +476,15 @@ def _trace_text(trace) -> str:
         return "\n".join(lines)
     if trace.form == "divisor":
         blocks = [f"divisor table ({trace.method}):"]
+        present = following = [(None, "-")] * len(trace.party_ids)
         for step in trace.steps:
+            present = _cells(step.present_quota, present)
+            following = _cells(step.next_quota, following)
             rows = [
                 [""] + list(trace.party_ids),
                 ["seats"] + [str(s) for s in step.seats_before],
-                ["present"] + [_fmt(q) for q in step.present_quota],
-                ["next"] + [_fmt(q) for q in step.next_quota],
+                ["present"] + [text for _, text in present],
+                ["next"] + [text for _, text in following],
             ]
             blocks.append(f"seat {step.step} -> {step.winner}")
             blocks.append(_layout(rows))

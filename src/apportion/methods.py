@@ -244,14 +244,18 @@ def highest_averages(
     cross-multiplication; equal top bids go to the lowest tie rank and are
     logged as a ``seat j`` tie event listing every tied party.  The trace
     records, per seat, the full bidding table (present and next prices).
+    Only the winner's prices move, so consecutive rows share the other
+    ``Fraction`` objects (one new one per seat; values and equality are as
+    if each row were built afresh).
     """
     _check_house(house_size)
     if method not in tuple(_SIGNPOSTS):  # by ==: an unhashable method is refused too
         raise InputError(f"unknown divisor method {method!r}")
-    if with_trace:
-        _check_rows(house_size, "divisor table rows")
     p, q = _SIGNPOSTS[method].as_integer_ratio()
     votes = tally.votes
+    if with_trace:
+        _check_rows(house_size, "divisor table rows")
+        presents, nexts = [None] * len(votes), [Fraction(v, p) for v in votes]
     ids = tally.party_ids
     ranks = tie.ranks(tally)
     k = tally.party_count
@@ -287,14 +291,13 @@ def highest_averages(
                 DivisorStep(
                     step=step,
                     seats_before=tuple(seats),
-                    present_quota=tuple(
-                        Fraction(votes[i], dens[i] - q) if seats[i] else None
-                        for i in range(k)
-                    ),
-                    next_quota=tuple(Fraction(v, d) for v, d in zip(votes, dens)),
+                    present_quota=tuple(presents),
+                    next_quota=tuple(nexts),
                     winner=ids[best],
                 )
             )
+            presents[best] = nexts[best]
+            nexts[best] = Fraction(votes[best], dens[best] + q)
         seats[best] += 1
         dens[best] += q
     allocation = Allocation(

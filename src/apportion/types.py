@@ -205,7 +205,8 @@ class DivisorStep:
 
     ``present_quota[i]`` is the votes-per-seat price at which party ``i``
     won its most recent seat (``None`` while seatless); ``next_quota[i]``
-    is its standing bid for the next seat.
+    is its standing bid for the next seat.  Consecutive rows may share the
+    same immutable ``Fraction`` objects; values and equality are unchanged.
     """
 
     step: int

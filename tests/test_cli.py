@@ -31,7 +31,7 @@ from apportion import (
 from apportion import cli as cli_module
 from apportion import methods, oracle, serialize
 from apportion.cli import main, parse_votes
-from apportion.types import InputError
+from apportion.types import DivisorStep, InputError, TraceTable
 
 WORKED = "party,votes\nA,600\nB,300\nC,100\n"
 THREE_WAY = "party,votes\nA,53\nB,24\nC,23\n"
@@ -230,6 +230,59 @@ class TestFixedHouseRuns:
         assert Fraction(exact) == Fraction(4 * big + 3, 7)
         assert re.fullmatch(r"\d{311}\.\d{4}", approx)
         assert abs(Fraction(approx) - Fraction(exact)) <= Fraction(1, 20_000)
+
+
+class TestDivisorTraceText:
+    """The table text depends on the quotas' values, not on which rows
+    share a quota object (the engine's rows do, decoded rows do not)."""
+
+    @pytest.mark.parametrize(
+        "votes, house_size, method",
+        [
+            ((53, 24, 23), 10, "dhondt"),
+            ((53, 24, 23), 10, "sainte-lague"),
+            ((78, 78, 422, 422), 11, "dhondt"),  # C and D tie, then A and B
+        ],
+    )
+    def test_decoded_trace_renders_the_same(self, votes, house_size, method):
+        tally = VoteTally(tuple("ABCD"[: len(votes)]), votes)
+        _, trace = highest_averages(tally, house_size, method)
+        decoded = trace_from_json(serialize.jsonify(trace))
+        assert decoded == trace
+        cells = [
+            value
+            for step in decoded.steps
+            for value in step.present_quota + step.next_quota
+            if value is not None
+        ]
+        assert len({id(value) for value in cells}) == len(cells)  # nothing shared
+        text = cli_module._trace_text(trace)
+        assert cli_module._trace_text(decoded) == text
+        assert text.count("\nseat ") == house_size
+
+    def test_equal_but_distinct_quotas(self):
+        seat_one = DivisorStep(
+            1, (0, 0), (None, None), (Fraction(7, 2), Fraction(3)), "A"
+        )
+        seat_two = DivisorStep(
+            2, (1, 0), (Fraction(7, 2), None), (Fraction(7, 4), Fraction(3)), "Bee"
+        )
+        assert seat_two.present_quota[0] is not seat_one.next_quota[0]
+        assert seat_two.next_quota[1] is not seat_one.next_quota[1]
+        trace = TraceTable("divisor", "dhondt", ("A", "Bee"), (seat_one, seat_two), (1, 1))
+        assert cli_module._trace_text(trace) == (
+            "divisor table (dhondt):\n"
+            "seat 1 -> A\n"
+            "         A              Bee\n"
+            "seats    0              0\n"
+            "present  -              -\n"
+            "next     7/2 (~3.5000)  3\n"
+            "seat 2 -> Bee\n"
+            "         A              Bee\n"
+            "seats    1              0\n"
+            "present  7/2 (~3.5000)  -\n"
+            "next     7/4 (~1.7500)  3"
+        )
 
 
 class TestUntracedCostDoesNotGrowWithSeats:

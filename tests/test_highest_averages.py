@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apportion import (
     DHONDT,
@@ -130,3 +132,61 @@ def test_trace_is_capped_before_any_row(worked_example, method, monkeypatch):
         )
     untraced, trace = highest_averages(worked_example, 6, method, with_trace=False)
     assert (sum(untraced.seats), trace.steps) == (6, ())
+
+
+# A party holding n seats bids v / (n + 1) under d'Hondt and v / (2n + 1)
+# under Sainte-Laguë: the divisor q*n + p, stored here as (p, q).
+_DIVISORS = {DHONDT: (1, 1), SAINTE_LAGUE: (1, 2)}
+
+
+@settings(max_examples=400)
+@given(
+    st.one_of(
+        st.lists(st.integers(0, 6), min_size=1, max_size=8),  # ties are common
+        st.lists(st.integers(0, 500), min_size=1, max_size=8),
+    ).filter(any),
+    st.integers(0, 60),
+    st.sampled_from(sorted(_DIVISORS)),
+    st.one_of(
+        st.just(TiePolicy()),
+        st.integers(0, 2**64 - 1).map(lambda seed: TiePolicy("random", seed)),
+    ),
+)
+def test_every_traced_row_follows_from_the_winners(votes, house_size, method, tie):
+    tally = VoteTally(tuple(f"P{i}" for i in range(len(votes))), tuple(votes))
+    allocation, trace = highest_averages(tally, house_size, method, tie)
+    p, q = _DIVISORS[method]
+    won = [0] * len(votes)
+    assert len(trace.steps) == house_size
+    for number, step in enumerate(trace.steps, 1):
+        assert step.step == number
+        assert step.seats_before == tuple(won)
+        assert step.present_quota == tuple(
+            Fraction(v, q * (n - 1) + p) if n else None for v, n in zip(votes, won)
+        )
+        assert step.next_quota == tuple(
+            Fraction(v, q * n + p) for v, n in zip(votes, won)
+        )
+        won[tally.party_ids.index(step.winner)] += 1
+    assert trace.final_seats == allocation.seats == tuple(won)
+    untraced, _ = highest_averages(tally, house_size, method, tie, with_trace=False)
+    assert untraced == allocation  # tie events included
+
+
+@pytest.mark.parametrize("method", [DHONDT, SAINTE_LAGUE])
+def test_traced_rows_share_the_quotas_that_did_not_move(method):
+    k, house_size = 20, 2_000
+    tally = VoteTally(
+        tuple(f"P{i}" for i in range(k)), tuple(1_000 + 37 * i for i in range(k))
+    )
+    _, trace = highest_averages(tally, house_size, method)
+    quotas = {
+        id(value)
+        for step in trace.steps
+        for row in (step.present_quota, step.next_quota)
+        for value in row
+        if value is not None
+    }
+    # one quota per party to start, then one new one per seat; rows built
+    # afresh would hold about 2 * k * house_size
+    assert len(quotas) <= house_size + k
