@@ -260,7 +260,7 @@ def run(config: argparse.Namespace) -> str:
         key = "trace" if seed is None else "seeded_run"
         return _json_report(config, tally, report, allocations, key, detail)
     if seed is not None:
-        return _seeded_table(config, tally, report, allocations[0], detail)
+        return _seeded_table(config, tally, allocations[0], detail)
     return _fixed_house_table(config, tally, report, allocations, detail)
 
 
@@ -503,7 +503,7 @@ def _trace_text(trace) -> str:
     return "\n".join(lines)
 
 
-def _seeded_table(config, tally, report, allocation, run_result):
+def _seeded_table(config, tally, allocation, run_result):
     d_total = sum(run_result.district_seats)
     x_total = sum(run_result.extra_seats)
     lines = [

@@ -24,7 +24,9 @@ presentations:
 
 :func:`jump_allocation` returns what the per-seat forms (the divisor table
 and sequential Hare) return, with their tie events, without a loop over
-the seats: it rounds at a pilot multiplier and steps the last few seats.
+the seats: the divisor methods take the multiplier sweep's seats, Hare
+its lower quotas and largest remainders, and the tie events are rebuilt
+from groups of coincident values.
 
 Hot paths compare candidates by integer cross-multiplication; `Fraction`
 objects only materialise in reports and traces.
@@ -471,12 +473,14 @@ def multiplicative(
     """
     _check_house(house_size)
     t = _round_threshold(rounding, round_threshold)
-    seats, steps, events, witness, exact = _multiplicative_sweep(
+    seats, steps, taken, overhang, witness = _multiplicative_sweep(
         tally, house_size, t, tie.ranks(tally), with_trace
     )
+    ids = tally.party_ids
+    events = [_straddle_event(ids, witness, taken, overhang)] if overhang else []
     method = _method_label(t)
     allocation = Allocation(
-        party_ids=tally.party_ids,
+        party_ids=ids,
         seats=tuple(seats),
         house_size=house_size,
         method=method,
@@ -486,11 +490,11 @@ def multiplicative(
     trace = TraceTable(
         form="multiplicative",
         method=method,
-        party_ids=tally.party_ids,
+        party_ids=ids,
         steps=tuple(steps),
         final_seats=tuple(seats),
         witness=witness,
-        witness_is_exact=exact,
+        witness_is_exact=not overhang,
         implied_quota=_implied_quota(tally.total_votes, witness, t),
     )
     return allocation, trace
@@ -541,7 +545,10 @@ def _multiplicative_sweep(tally, house_size, t, ranks, with_trace):
     the counts over-fill it, whole groups of coincident thresholds are shed
     from the top (``lower`` rows); the seats still missing are then taken
     from the thresholds above (``raise`` rows), and a group straddling the
-    house size is cut by the tie policy (``deassign``).
+    house size is cut by the tie policy (``deassign``).  Returns ``(seats,
+    steps, taken, overhang, witness)``: ``taken`` and ``overhang`` are the
+    straddling group's bids that keep and lose their seats, both empty when
+    no group straddles.
     """
     seats = _rounded(tally, house_size, t)
     count = sum(seats)
@@ -562,7 +569,7 @@ def _multiplicative_sweep(tally, house_size, t, ranks, with_trace):
                 steps.append(MultiplierStep("lower", below, tuple(seats), count))
         if count == house_size:
             witness = Fraction(0) if top is None else -top.value()
-            return seats, steps, [], witness, True
+            return seats, steps, [], [], witness
     groups, overhang, _ = _fill(tally, seats, t, ranks, house_size - count)
     for group in groups:
         for bid in group:
@@ -572,12 +579,9 @@ def _multiplicative_sweep(tally, house_size, t, ranks, with_trace):
             steps.append(MultiplierStep("raise", group[0].value(), tuple(seats), count))
     taken = groups[-1]
     witness = taken[0].value()
-    if not overhang:
-        return seats, steps, [], witness, True
-    if with_trace:
+    if overhang and with_trace:
         steps[-1] = MultiplierStep("deassign", witness, steps[-1].seats, house_size)
-    event = _straddle_event(tally.party_ids, witness, taken, overhang)
-    return seats, steps, [event], witness, False
+    return seats, steps, taken, overhang, witness
 
 
 def jump_allocation(
@@ -588,13 +592,12 @@ def jump_allocation(
     Returns, field for field, what ``highest_averages(...,
     with_trace=False)[0]`` returns for d'Hondt and Sainte-Laguë and what
     ``sequential_hare(...)[0]`` returns for Hare: the same seats and every
-    per-seat tie event.  A pilot that cannot over-fill the house (the lower
-    quotas for Hare, ``round_t`` at M₀ = max(0, N - k(1 - t)) for the
-    divisor methods) leaves fewer than k seats: the next thresholds in
-    (value, tie rank) order, or the largest remainders.  Every tie event
-    is rebuilt from groups of coincident values.  Costs O(k²) for the
-    divisor methods and O(k log k) for Hare, plus O(k) per tie event,
-    whatever N is.
+    per-seat tie event.  The divisor methods take their seats from the
+    multiplier sweep (pilot M = N, then whole threshold groups in (value,
+    tie rank) order); Hare awards the lower quotas, then the fewer than k
+    seats left by largest remainder.  Every tie event is rebuilt from
+    groups of coincident values.  Costs O(k²) for the divisor methods and
+    O(k log k) for Hare, plus O(k) per tie event, whatever N is.
     """
     _check_house(house_size)
     if method not in METHODS:  # by ==: an unhashable method is refused too
@@ -617,26 +620,20 @@ def jump_allocation(
 
 
 def _jump_divisor(tally, house_size, t, ranks):
-    """Round at M₀ = max(0, N - k(1 - t)), then take the last seats' thresholds.
+    """The sweep's seats, with the table's tie events rebuilt from them.
 
-    ``round_t(M * v_i / V)`` lies in ``(M * v_i / V - t, M * v_i / V + 1 - t]``
-    for a party with votes, so the pilot counts sum to more than N - k and
-    to at most N.  They are every threshold up to M₀: the table's first
-    ``sum(seats)`` seats.  The rest come from the threshold stream, where
-    the table's bid order is (value, tie rank).
+    The sweep takes every threshold below its witness, then bids at it in
+    (value, tie rank) order: the table's order, so the table's seats.  A
+    group straddling seat N also holds the parties the sweep left out.
     """
-    pilot = max(Fraction(0), house_size - tally.party_count * (1 - t))
-    seats = _rounded(tally, pilot, t)
+    seats, _, taken, overhang, _ = _multiplicative_sweep(
+        tally, house_size, t, ranks, False
+    )
     ties = _divisor_groups(tally, seats, t)
-    earlier = sum(seats)
-    groups, overhang, _ = _fill(tally, seats, t, ranks, house_size - earlier)
-    for group in groups:
-        ties.append((earlier, [bid.party for bid in group]))
-        earlier += len(group)
-        for bid in group:
-            seats[bid.party] += 1
     if overhang:  # the parties left out still tied for seat N
-        ties[-1][1].extend(bid.party for bid in overhang)
+        earlier = house_size - len(taken)
+        ties = [group for group in ties if group[0] != earlier]
+        ties.append((earlier, [bid.party for bid in taken + overhang]))
     return seats, _group_events(tally, ranks, "seat", ties, house_size)
 
 

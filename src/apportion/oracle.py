@@ -232,55 +232,52 @@ def _allocate(method: str, tally, house_size, tie):
     return jump_allocation(tally, house_size, method, tie)
 
 
-def _equivalence_chunk(args):
-    space, start, stop = args
-    agreements = 0
-    disagreements = []
-    quota_ok = 0
-    for index in range(start, stop):
-        trial = space.trial_instance(index)
-        tally, n, tie = trial.tally, trial.house_size, trial.tie
-        lr = hare_niemeyer(tally, n, tie)
-        seq, _ = sequential_hare(tally, n, tie, with_trace=False)
-        dh_div, _ = highest_averages(tally, n, DHONDT, tie, with_trace=False)
-        dh_mul, _ = multiplicative(tally, n, "floor", tie=tie, with_trace=False)
-        sl_div, _ = highest_averages(tally, n, SAINTE_LAGUE, tie, with_trace=False)
-        sl_mul, _ = multiplicative(tally, n, "nearest", tie=tie, with_trace=False)
-        mismatches = []
+def _equivalence_trial(trial):
+    """``(Disagreement or None, Hare within quota)`` for one trial."""
+    tally, n, tie = trial.tally, trial.house_size, trial.tie
+    lr = hare_niemeyer(tally, n, tie)
+    seq, _ = sequential_hare(tally, n, tie, with_trace=False)
+    dh_div, _ = highest_averages(tally, n, DHONDT, tie, with_trace=False)
+    dh_mul, _ = multiplicative(tally, n, "floor", tie=tie, with_trace=False)
+    sl_div, _ = highest_averages(tally, n, SAINTE_LAGUE, tie, with_trace=False)
+    sl_mul, _ = multiplicative(tally, n, "nearest", tie=tie, with_trace=False)
+    mismatches = tuple(
+        Mismatch(label, left.seats, right.seats)
         for label, left, right in (
             ("hare-forms", lr, seq),
             ("dhondt-forms", dh_div, dh_mul),
             ("sainte-lague-forms", sl_div, sl_mul),
-        ):
-            if left.seats != right.seats:
-                mismatches.append(Mismatch(label, left.seats, right.seats))
-        if mismatches:
-            disagreements.append(Disagreement(trial, tuple(mismatches)))
-        else:
-            agreements += 1
-        if check_quota_property(tally, n, lr)[0]:
-            quota_ok += 1
-    return agreements, disagreements, quota_ok
+        )
+        if left.seats != right.seats
+    )
+    disagreement = Disagreement(trial, mismatches) if mismatches else None
+    return disagreement, check_quota_property(tally, n, lr)[0]
 
 
-def _run_chunks(chunk, space: InstanceSpace, jobs: int) -> list:
-    """``chunk((space, start, stop))`` over ``jobs`` slices of the trial range.
+def _trial_slice(args):
+    per_trial, space, start, stop = args
+    return [per_trial(space.trial_instance(index)) for index in range(start, stop)]
 
-    Results come back in trial order; ``jobs`` > 1 runs the slices in
-    worker processes, at most one per CPU, since the pool starts every worker at once.
+
+def _map_trials(per_trial, space: InstanceSpace, jobs: int) -> list:
+    """``per_trial(trial)`` for every trial of the space, in trial order.
+
+    ``jobs`` > 1 runs slices of the trial range in worker processes, at
+    most one per CPU, since the pool starts every worker at once; the
+    workers unpickle ``per_trial``, so it is a module-level function.
     """
     if not _is_count(jobs) or jobs < 1:
         raise InputError("jobs must be a positive integer")
     trials = space.trials
     jobs = max(1, min(jobs, trials, os.cpu_count() or 1)) if trials else 1
-    bounds = [i * trials // jobs for i in range(jobs + 1)]
-    slices = [(space, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     if jobs == 1:
-        return [chunk(s) for s in slices]
+        return _trial_slice((per_trial, space, 0, trials))
+    bounds = [i * trials // jobs for i in range(jobs + 1)]
+    slices = [(per_trial, space, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     # loaded here, not at start-up: only jobs > 1 needs the pool
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(chunk, slices))
+        return [result for part in pool.map(_trial_slice, slices) for result in part]
 
 
 def equivalence_suite(space: InstanceSpace, jobs: int = 1) -> SuiteReport:
@@ -295,20 +292,15 @@ def equivalence_suite(space: InstanceSpace, jobs: int = 1) -> SuiteReport:
     ``jobs`` > 1 splits the trial range over worker processes; the merged
     report is identical to a serial run.
     """
-    agreements = 0
-    disagreements = []
-    quota_ok = 0
-    for a, d, q in _run_chunks(_equivalence_chunk, space, jobs):
-        agreements += a
-        disagreements.extend(d)
-        quota_ok += q
+    results = _map_trials(_equivalence_trial, space, jobs)
+    disagreements = tuple(d for d, _ in results if d is not None)
     return SuiteReport(
         suite="equivalence",
         space=space,
         trials_run=space.trials,
-        agreements=agreements,
-        disagreements=tuple(disagreements),
-        stats={"trials": space.trials, "hare_quota_ok": quota_ok},
+        agreements=space.trials - len(disagreements),
+        disagreements=disagreements,
+        stats={"trials": space.trials, "hare_quota_ok": sum(ok for _, ok in results)},
     )
 
 
@@ -357,29 +349,15 @@ def find_house_monotonicity_violation(space: InstanceSpace, method: str = HARE):
     return None
 
 
-def _bias_chunk(args):
-    space, start, stop = args
-    by_rank = {}
-    largest = [Fraction(0), Fraction(0), Fraction(0)]
-    for index in range(start, stop):
-        trial = space.trial_instance(index)
-        tally, n, tie = trial.tally, trial.house_size, trial.tie
-        hare, dh, sl = (
-            _allocate(m, tally, n, tie).seats for m in (HARE, DHONDT, SAINTE_LAGUE)
-        )
-        order = sorted(range(tally.party_count), key=lambda i: (-tally.votes[i], i))
-        for rank, i in enumerate(order, start=1):
-            count, sum_dh, sum_dsl = by_rank.get(rank, (0, 0, 0))
-            by_rank[rank] = (
-                count + 1,
-                sum_dh + (dh[i] - hare[i]),
-                sum_dsl + (dh[i] - sl[i]),
-            )
-        top = order[0]
-        largest[0] += hare[top]
-        largest[1] += dh[top]
-        largest[2] += sl[top]
-    return by_rank, largest
+def _bias_trial(trial):
+    """``(hare, dhondt, sainte-lague)`` seats of each party, largest first."""
+    tally = trial.tally
+    by_method = [
+        _allocate(m, tally, trial.house_size, trial.tie).seats
+        for m in (HARE, DHONDT, SAINTE_LAGUE)
+    ]
+    order = sorted(range(tally.party_count), key=lambda i: (-tally.votes[i], i))
+    return [tuple(seats[i] for seats in by_method) for i in order]
 
 
 def bias_montecarlo(space: InstanceSpace, jobs: int = 1) -> SuiteReport:
@@ -392,29 +370,24 @@ def bias_montecarlo(space: InstanceSpace, jobs: int = 1) -> SuiteReport:
     classic large-party advantage.  These are descriptive statistics, not
     assertions — the suite always reports, never fails.
     """
-    by_rank = {}
-    largest = [Fraction(0), Fraction(0), Fraction(0)]
-    for rank_data, largest_part in _run_chunks(_bias_chunk, space, jobs):
-        for rank, (count, sum_dh, sum_dsl) in rank_data.items():
-            c0, d0, s0 = by_rank.get(rank, (0, 0, 0))
-            by_rank[rank] = (c0 + count, d0 + sum_dh, s0 + sum_dsl)
-        for i in range(3):
-            largest[i] += largest_part[i]
+    totals = {}  # rank -> (trials, hare, dhondt, sainte-lague seats summed)
+    for ranked in _map_trials(_bias_trial, space, jobs):
+        for rank, (h, d, s) in enumerate(ranked, start=1):
+            count, hare, dh, sl = totals.get(rank, (0, 0, 0, 0))
+            totals[rank] = (count + 1, hare + h, dh + d, sl + s)
     rank_stats = {
         str(rank): {
             "trials": count,
-            "mean_dhondt_minus_hare": Fraction(sum_dh, count),
-            "mean_dhondt_minus_sainte_lague": Fraction(sum_dsl, count),
+            "mean_dhondt_minus_hare": Fraction(dh - hare, count),
+            "mean_dhondt_minus_sainte_lague": Fraction(dh - sl, count),
         }
-        for rank, (count, sum_dh, sum_dsl) in sorted(by_rank.items())
+        for rank, (count, hare, dh, sl) in sorted(totals.items())
     }
     stats = {"trials": space.trials, "by_rank": rank_stats}
-    if space.trials:
-        stats["mean_seats_largest"] = {
-            HARE: largest[0] / space.trials,
-            DHONDT: largest[1] / space.trials,
-            SAINTE_LAGUE: largest[2] / space.trials,
-        }
+    if space.trials:  # rank 1 is each trial's largest party
+        count, *sums = totals[1]
+        methods = (HARE, DHONDT, SAINTE_LAGUE)
+        stats["mean_seats_largest"] = {m: Fraction(s, count) for m, s in zip(methods, sums)}
     return SuiteReport(
         suite="bias",
         space=space,

@@ -186,6 +186,9 @@ class Allocation:
     tie_events: tuple[TieEvent, ...] = ()
 
     def __post_init__(self):
+        if not (isinstance(self.party_ids, tuple) and isinstance(self.seats, tuple)
+                and isinstance(self.tie_events, tuple)):
+            raise InputError("party_ids, seats and tie_events must be tuples")
         if len(self.party_ids) != len(self.seats):
             raise InputError("party_ids and seats must have equal length")
         if not all(map(_is_count, self.seats)):
@@ -264,6 +267,8 @@ class SeedDistribution:
     fixed_extra: int | None = None
 
     def __post_init__(self):
+        if not all(isinstance(f, tuple) for f in (self.party_ids, self.district_seats)):
+            raise InputError("party_ids and district_seats must be tuples")
         if len(self.party_ids) != len(self.district_seats):
             raise InputError("party_ids and district_seats must have equal length")
         for pid, d in zip(self.party_ids, self.district_seats):

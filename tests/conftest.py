@@ -25,10 +25,10 @@ def close_race():
 
 @pytest.fixture
 def inline_pool(monkeypatch):
-    """Suites run their chunks in-process on a pretend 3-CPU machine.
+    """Suites run their trial slices in-process on a pretend 3-CPU machine.
 
     Replaces ``concurrent.futures.ProcessPoolExecutor``, which
-    ``oracle._run_chunks`` looks up when it runs, so no worker is ever
+    ``oracle._map_trials`` looks up when it runs, so no worker is ever
     started, and returns the list of pool sizes the suites asked for.
     """
     sizes = []

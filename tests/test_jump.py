@@ -8,12 +8,14 @@ from apportion import (
     DHONDT,
     HARE,
     METHODS,
+    SAINTE_LAGUE,
     InputError,
     IterationGuardError,
     TiePolicy,
     VoteTally,
     highest_averages,
     jump_allocation,
+    multiplicative,
     sequential_hare,
 )
 from apportion import methods
@@ -75,7 +77,7 @@ def test_tie_dense_house(method, tie):
 @pytest.mark.parametrize(
     "votes,house_size",
     [
-        ((10, 10, 10), 4),  # three coincident thresholds straddle N above the pilot
+        ((10, 10, 10), 4),  # three coincident thresholds straddle N
         ((10, 10, 10), 5),
         ((7, 7, 7), 3001),
         ((3, 3, 3, 1), 5),  # Hare: four equal remainders, two leftover seats
@@ -86,6 +88,28 @@ def test_a_tie_straddling_the_last_seat(method, tie, votes, house_size):
     jumped = jump_allocation(tally, house_size, method, tie)
     assert jumped == _per_seat(tally, house_size, method, tie)
     assert jumped.tie_events[-1].context.endswith(f" {house_size}")
+
+
+@pytest.mark.parametrize("tie", [TiePolicy(), TiePolicy("random", 7)])
+@pytest.mark.parametrize(
+    "votes,house_size,method",
+    [
+        # one bid taken: the straddle group is appended to the seats' groups
+        ((0, 1, 1), 1, DHONDT),
+        ((0, 1, 1), 1, SAINTE_LAGUE),
+        # two taken: the seats' group at that value gains the party left out
+        ((1, 1, 1), 2, DHONDT),
+        ((1, 1, 1), 2, SAINTE_LAGUE),  # the sweep lowers all three first
+        ((1, 1, 1), 1, SAINTE_LAGUE),  # the sweep raises
+    ],
+)
+def test_the_straddle_group_completes_the_seats_groups(votes, house_size, method, tie):
+    tally = _tally(votes)
+    jumped = jump_allocation(tally, house_size, method, tie)
+    assert jumped == highest_averages(tally, house_size, method, tie, with_trace=False)[0]
+    rounding = "floor" if method == DHONDT else "nearest"
+    assert jumped.seats == multiplicative(tally, house_size, rounding, tie=tie)[0].seats
+    assert len(jumped.tie_events) == house_size
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -109,7 +133,7 @@ def test_tie_events_up_to_the_limit(method, monkeypatch):
 @pytest.mark.parametrize(
     "votes,house_size",
     [
-        ((10, 10, 10), 2),  # no tie below the pilot: both events come from the step
+        ((10, 10, 10), 2),  # both events come from the group straddling N
         ((10, 10, 10), 4),
         ((7, 7, 7), 3001),
         ((3, 3, 3, 1), 5),
@@ -133,7 +157,7 @@ def test_stepped_ties_count_against_the_limit(method, votes, house_size, monkeyp
     [
         ((0, 5, 0, 5), 7),  # zero-vote parties never gain a seat
         ((3, 0, 4), 0),  # the empty house
-        ((1, 2, 3, 4, 5), 2),  # N < k/2: the Sainte-Laguë pilot clamps to 0
+        ((1, 2, 3, 4, 5), 2),  # fewer seats than parties
         ((0, 1, 0, 2, 0, 3), 1),
         ((1000, 1000, 2000, 3), 10_000),  # equal and proportional votes
         ((123_457, 98_765, 55_555, 31_416, 27_183, 1_000), 20_000),

@@ -289,3 +289,21 @@ class TestBias:
 
     def test_parallel_run_is_identical_to_serial(self):
         assert bias_montecarlo(self.SPACE, jobs=3) == bias_montecarlo(self.SPACE)
+
+    def test_empty_space(self):
+        report = bias_montecarlo(InstanceSpace.default(trials=0, master_seed=0))
+        assert report.stats == {"trials": 0, "by_rank": {}}
+        assert (report.trials_run, report.agreements) == (0, 0)
+
+    def test_every_party_is_counted_at_its_rank(self):
+        report = bias_montecarlo(self.SPACE)
+        parties = sum(
+            self.SPACE.trial_instance(i).tally.party_count
+            for i in range(self.SPACE.trials)
+        )
+        assert sum(r["trials"] for r in report.stats["by_rank"].values()) == parties
+        assert list(report.stats["by_rank"]) == [str(r) for r in range(1, 7)]
+
+    def test_slices_in_the_pool_match_the_serial_run(self, inline_pool):
+        assert bias_montecarlo(self.SPACE, jobs=3) == bias_montecarlo(self.SPACE)
+        assert inline_pool == [3]

@@ -122,6 +122,20 @@ def test_seat_counts_reject_bools():
     assert run.totals == (1,)
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        (("A",), [1], 1, "hare", "x"),
+        (["A"], (1,), 1, "hare", "x"),
+        (("A",), (1,), 1, "hare", "x", []),
+    ],
+)
+def test_allocation_rejects_fields_that_are_not_tuples(fields):
+    # a list field used to build, and hash() then raised TypeError
+    with pytest.raises(InputError, match="must be tuples"):
+        Allocation(*fields)
+
+
 def test_allocation_seat_lookup():
     allocation = Allocation(("A", "B"), (2, 1), 3, "hare", "largest-remainder")
     assert allocation.seat_of("B") == 1
@@ -141,6 +155,9 @@ def test_allocation_seat_lookup():
         {"party_ids": ("A",), "district_seats": (1,), "cap": "3"},
         {"party_ids": ("A",), "district_seats": (1,), "fixed_extra": 2.5},
         {"party_ids": ("A",), "district_seats": (1,), "fixed_extra": True},
+        # tuples only: a list used to reach SeededRun.district_seats unchanged
+        {"party_ids": ("A",), "district_seats": [1]},
+        {"party_ids": ["A"], "district_seats": (1,)},
     ],
 )
 def test_seed_distribution_validation(kwargs):
