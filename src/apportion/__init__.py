@@ -44,6 +44,7 @@ from .types import (
     STOP_FIXED,
     STOP_RESIDUAL,
     Allocation,
+    AwardLog,
     EnumerationGuardError,
     InputError,
     IterationGuardError,
@@ -60,6 +61,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Allocation",
+    "AwardLog",
     "DHONDT",
     "EnumerationGuardError",
     "HARE",

@@ -13,6 +13,8 @@ import argparse
 import csv
 import dataclasses
 import io
+import itertools
+import operator
 import sys
 
 from . import serialize
@@ -37,6 +39,7 @@ from .oracle import (
 from .seeded import seeded_divisor, seeded_sequential_hare
 from .types import (
     Allocation,
+    AwardLog,
     InputError,
     IterationGuardError,
     SeedDistribution,
@@ -255,12 +258,12 @@ def run(config: argparse.Namespace) -> str:
         runs = [_fixed_run(config, tally, config.method, config.form, tie)]
     allocations = [allocation for allocation, _ in runs]
     detail = runs[0][1]  # the trace, the two-stage run, or None
+    if seed is not None and config.format == "table":  # reads no quota report
+        return _seeded_table(config, tally, allocations[0], detail)
     report = compute_quotas(tally, allocations[0].house_size)
     if config.format == "json":
         key = "trace" if seed is None else "seeded_run"
         return _json_report(config, tally, report, allocations, key, detail)
-    if seed is not None:
-        return _seeded_table(config, tally, allocations[0], detail)
     return _fixed_house_table(config, tally, report, allocations, detail)
 
 
@@ -324,7 +327,7 @@ def _fixed_run(config, tally, method, form, tie):
         return jump_allocation(tally, n, method, tie), None
     if method == HARE:
         allocation, awards = sequential_hare(tally, n, tie)
-        return allocation, {"form": "sequential", "method": HARE, "awards": awards}
+        return allocation, AwardLog("sequential", HARE, awards)
     return highest_averages(tally, n, method, tie)
 
 
@@ -403,11 +406,9 @@ def _fmt(value) -> str:
 
 
 def _layout(rows) -> str:
-    widths = [max(len(row[c]) for row in rows) for c in range(len(rows[0]))]
-    return "\n".join(
-        "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
-        for row in rows
-    )
+    """Left-aligned columns two spaces apart, trailing blanks stripped."""
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return "\n".join(["  ".join(map(str.ljust, row, widths)).rstrip() for row in rows])
 
 
 def _tie_lines(allocations):
@@ -459,16 +460,20 @@ def _fixed_house_table(config, tally, report, allocations, trace):
     return "\n".join(lines) + "\n"
 
 
-def _cells(values, above):
-    """(value, text) per cell; a value that is the very object of the cell
-    above reuses its text, so ``_fmt`` runs only where a table row changed."""
-    return [(v, text if v is old else _fmt(v)) for v, (old, text) in zip(values, above)]
+def _cells(values, above, row):
+    """``row`` (a label, then the text of each value in ``above``) remade for
+    ``values``: only a value that is not the very object above it is
+    formatted, so ``_fmt`` runs only where a table row changed."""
+    row = row.copy()
+    for i in itertools.compress(range(len(values)), map(operator.is_not, values, above)):
+        row[i + 1] = _fmt(values[i])
+    return row
 
 
 def _trace_text(trace) -> str:
-    if isinstance(trace, dict):  # sequential award log
+    if isinstance(trace, AwardLog):
         lines = ["award log (largest deficit first):"]
-        for award in trace["awards"]:
+        for award in trace.awards:
             lines.append(
                 f"  seat {award.iteration}: -> {award.party} "
                 f"(deficit {_fmt(award.deficit)})"
@@ -476,18 +481,16 @@ def _trace_text(trace) -> str:
         return "\n".join(lines)
     if trace.form == "divisor":
         blocks = [f"divisor table ({trace.method}):"]
-        present = following = [(None, "-")] * len(trace.party_ids)
+        header = ["", *trace.party_ids]
+        blank = (None,) * len(trace.party_ids)  # _fmt(None) is "-"
+        above = (blank,) * 3
+        rows = [[label, *["-"] * len(blank)] for label in ("seats", "present", "next")]
         for step in trace.steps:
-            present = _cells(step.present_quota, present)
-            following = _cells(step.next_quota, following)
-            rows = [
-                [""] + list(trace.party_ids),
-                ["seats"] + [str(s) for s in step.seats_before],
-                ["present"] + [text for _, text in present],
-                ["next"] + [text for _, text in following],
-            ]
+            values = (step.seats_before, step.present_quota, step.next_quota)
+            rows = [_cells(*cells) for cells in zip(values, above, rows)]
+            above = values
             blocks.append(f"seat {step.step} -> {step.winner}")
-            blocks.append(_layout(rows))
+            blocks.append(_layout([header, *rows]))
         return "\n".join(blocks)
     lines = [f"multiplier search ({trace.method}):"]
     for step in trace.steps:

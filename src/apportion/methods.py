@@ -65,17 +65,28 @@ METHODS = (HARE, DHONDT, SAINTE_LAGUE)
 #: events count as rows too.  :func:`_check_rows` reads it at each call.
 MAX_TRACE_ROWS = 50_000
 
+#: Refuse to build more cells than this in one trace: a divisor-table row
+#: holds 3·k (seat counts, present and next quotas), a two-stage sweep row k
+#: and an award-log row one.  :func:`_check_rows` reads it at each call.
+MAX_TRACE_CELLS = 1_000_000
+
 #: Signpost t = p/q of each divisor method.  Holding n seats, party i bids
 #: v_i / (q n + p) in the table and gains its next seat when the multiplier
 #: reaches (n + t) V / v_i: the same number, so one rule in both forms.
 _SIGNPOSTS = {DHONDT: Fraction(1), SAINTE_LAGUE: Fraction(1, 2)}
 
 
-def _check_rows(count, what):
-    """Refuse ``count`` (or more) ``what`` beyond ``MAX_TRACE_ROWS``."""
+def _check_rows(count, what, width=1):
+    """Refuse ``count`` (or more) ``what`` beyond ``MAX_TRACE_ROWS``, or rows
+    of ``width`` cells each beyond ``MAX_TRACE_CELLS`` cells in all."""
     if count > MAX_TRACE_ROWS:
         raise IterationGuardError(
             f"the run would build at least {count} {what} (limit {MAX_TRACE_ROWS})"
+        )
+    if count * width > MAX_TRACE_CELLS:
+        raise IterationGuardError(
+            f"the run would build at least {count * width} cells in {count} {what} "
+            f"(limit {MAX_TRACE_CELLS} cells)"
         )
 
 
@@ -256,7 +267,7 @@ def highest_averages(
     p, q = _SIGNPOSTS[method].as_integer_ratio()
     votes = tally.votes
     if with_trace:
-        _check_rows(house_size, "divisor table rows")
+        _check_rows(house_size, "divisor table rows", 3 * len(votes))
         presents, nexts = [None] * len(votes), [Fraction(v, p) for v in votes]
     ids = tally.party_ids
     ranks = tie.ranks(tally)

@@ -220,7 +220,7 @@ def _divisor_residual_stop(tally, seed, t, with_trace):
         first = _topups_at(tally, seed, t, start)
         # one seat threshold per top-up seat gained in (start, witness]
         count = sum(extras) - sum(first)
-        _check_rows(count, "sweep rows")
+        _check_rows(count, "sweep rows", tally.party_count)
         groups, *_ = _fill(tally, [d + x for d, x in zip(ds, first)], t, ranks, count)
         sweep = [SweepStep(start, tuple(first), sum(first))]
         for group in groups:
@@ -253,7 +253,7 @@ def _pilot(tally, seed, t):
 
 def _divisor_fixed_stop(tally, seed, t, tie, with_trace):
     if with_trace:  # one row per seat: walk up from M = 0
-        _check_rows(seed.fixed_extra, "sweep rows")
+        _check_rows(seed.fixed_extra, "sweep rows", tally.party_count)
     extras = _topups_at(tally, seed, t, 0 if with_trace else _pilot(tally, seed, t))
     groups, overhang, following = _fill(
         tally, [d + x for d, x in zip(seed.district_seats, extras)], t,

@@ -2,10 +2,15 @@
 
 Rationals travel as ``{"num": int, "den": int}`` — never as decimals, so
 a report can be re-parsed into the identical exact values.  ``dumps``
-writes canonical text (sorted keys, two-space indents, trailing newline)
-in one pass, in time linear in its length, so identical data always gives
-byte-identical output; ``jsonify`` is that text parsed.  ``from_json``
-inverts it for any domain dataclass, guided by its field annotations.
+writes canonical text (sorted keys, two-space indents, trailing newline):
+each value's writer returns its text, and each object or array is put
+together with one ``str.join``, so the cost is linear in the output.
+Within one call, an array item that is a ``Fraction``, ``int`` or ``str``
+object already written at the same depth reuses that text, so the N·k
+shared quota cells of a traced divisor table are formatted N + k times.
+Identical data always gives byte-identical output; ``jsonify`` is that
+text parsed.  ``from_json`` inverts it for any domain dataclass, guided by
+its field annotations.
 """
 
 from __future__ import annotations
@@ -13,18 +18,25 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import operator
 import types
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote  # json.dumps's C function
 
-from .types import Allocation, InputError, QuotaReport, SeededRun, TraceTable, VoteTally
+from .types import (
+    Allocation,
+    AwardLog,
+    InputError,
+    QuotaReport,
+    SeededRun,
+    TraceTable,
+    VoteTally,
+)
 
 
 def dumps(payload) -> str:
     """Canonical JSON text of plain/domain values; a float is a bug upstream."""
-    pieces = []
-    _writer(type(payload))(payload, "\n", pieces.append)
-    return "".join(pieces) + "\n"
+    return _writer(type(payload))(payload, "\n", {}) + "\n"
 
 
 def jsonify(value):
@@ -32,46 +44,94 @@ def jsonify(value):
     return json.loads(dumps(value))
 
 
+#: Array items whose text :func:`_array` keeps by identity: immutable leaves.
+_SHARED = frozenset((Fraction, int, str))
+
+
 @functools.cache
 def _writer(cls):
-    """``write(value, newline, put)`` puts a ``cls`` value's text at ``newline``."""
+    """``text(value, newline, seen)``: a ``cls`` value's text at ``newline``.
+
+    ``seen`` maps each indentation to the text of the leaves already
+    written at it, by ``id``; it lives for one :func:`dumps` call, whose
+    payload keeps every one of those leaves alive.
+    """
     if issubclass(cls, Fraction):
-        return lambda value, newline, put: put(
-            f'{{{newline}  "den": {int.__repr__(value.denominator)},'
-            f'{newline}  "num": {int.__repr__(value.numerator)}{newline}}}')
+        return _fraction
     if dataclasses.is_dataclass(cls):  # before any builtin it subclasses
         keys = sorted((f.name, f"{_quote(f.name)}: ") for f in dataclasses.fields(cls))
-        return lambda value, newline, put: _write_items(
-            "{}", [(key, getattr(value, name)) for name, key in keys], newline, put)
+        if len(keys) < 2:  # attrgetter of one name returns the bare value
+            return lambda value, newline, seen: _object(
+                [(key, getattr(value, name)) for name, key in keys], newline, seen)
+        prefixes = [key for _, key in keys]
+        values = operator.attrgetter(*[name for name, _ in keys])
+        return lambda value, newline, seen: _object(
+            zip(prefixes, values(value)), newline, seen)
     if issubclass(cls, dict):  # keys that str() merges keep the last value
-        return lambda value, newline, put: _write_items("{}", [
+        return lambda value, newline, seen: _object([
             (f"{_quote(k)}: ", v) for k, v in sorted(
-                {str(k): v for k, v in value.items()}.items())], newline, put)
+                {str(k): v for k, v in value.items()}.items())], newline, seen)
     if issubclass(cls, (list, tuple)):
-        return lambda value, newline, put: _write_items(
-            "[]", [("", v) for v in value], newline, put)
+        return _array
     if cls is bool or cls is type(None):
         literals = {None: "null", True: "true", False: "false"}
-        return lambda value, _, put: put(literals[value])
+        return lambda value, newline, seen: literals[value]
     if issubclass(cls, int):  # int.__repr__ raises past the digit limit
-        return lambda value, _, put: put(int.__repr__(value))
+        return lambda value, newline, seen: int.__repr__(value)
     if issubclass(cls, str):
-        return lambda value, _, put: put(_quote(value))
+        return lambda value, newline, seen: _quote(value)
 
-    def refuse(value, newline, put):
+    def refuse(value, newline, seen):
         raise TypeError(f"cannot serialise {cls.__name__} value {value!r}")
     return refuse
 
 
-def _write_items(brackets, items, newline, put):
-    """An object or array of (prefix, value) items; a prefix is '"key": ' or ''."""
+def _fraction(value, newline, seen):
+    return (f'{{{newline}  "den": {int.__repr__(value.denominator)},'
+            f'{newline}  "num": {int.__repr__(value.numerator)}{newline}}}')
+
+
+def _object(items, newline, seen):
+    """An object of ``('"key": ', value)`` items, in the order given."""
     inner = newline + "  "
-    start = brackets[0] + inner  # the opening bracket comes with the first item
-    for prefix, value in items:
-        put(start + prefix)
-        _writer(type(value))(value, inner, put)
-        start = "," + inner
-    put(newline + brackets[1] if items else brackets)
+    return _lines([f"{key}{_writer(type(v))(v, inner, seen)}" for key, v in items],
+                  "{", inner, newline, "}")
+
+
+def _array(value, newline, seen):
+    """An array; a leaf already written at this depth reuses its text.
+
+    The rows of a traced divisor table share their unchanged quota and
+    seat-count objects, so each is formatted once per depth, not per row.
+    """
+    inner = newline + "  "
+    texts = seen.get(inner)
+    if texts is None:
+        texts = seen[inner] = {}
+    parts = []
+    for v in value:
+        text = texts.get(id(v))
+        if text is None:
+            cls = type(v)
+            text = _writer(cls)(v, inner, seen)
+            if cls in _SHARED:
+                texts[id(v)] = text
+        parts.append(text)
+    return _lines(parts, "[", inner, newline, "]")
+
+
+def _lines(parts, opening, inner, newline, closing):
+    """``parts`` one to a line at ``inner``, comma-separated and bracketed.
+
+    The brackets join the first and last part, so the one ``str.join``
+    makes the only copy of the whole text: a report's largest value is
+    then held at most twice at once.
+    """
+    if not parts:
+        return opening + closing
+    parts[0] = f"{opening}{inner}{parts[0]}"
+    parts[-1] = f"{parts[-1]}{newline}{closing}"
+    return f",{inner}".join(parts)
 
 
 def from_json(hint, obj):
@@ -159,8 +219,8 @@ def quota_report_from_json(obj) -> QuotaReport:
     return from_json(QuotaReport, obj)
 
 
-def trace_from_json(obj) -> TraceTable:
-    return from_json(TraceTable, obj)
+def trace_from_json(obj) -> TraceTable | AwardLog:
+    return from_json(TraceTable | AwardLog, obj)
 
 
 def seeded_run_from_json(obj) -> SeededRun:

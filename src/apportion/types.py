@@ -299,6 +299,15 @@ class SeatAward:
 
 
 @dataclass(frozen=True)
+class AwardLog:
+    """The trace of a sequential Hare run: one award per seat, in order."""
+
+    form: str
+    method: str
+    awards: tuple[SeatAward, ...]
+
+
+@dataclass(frozen=True)
 class SweepStep:
     """Multiplier-sweep snapshot: M and the extra seats it implies."""
 

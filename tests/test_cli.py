@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apportion import (
+    AwardLog,
     SeedDistribution,
     VoteTally,
     allocation_from_json,
@@ -26,6 +27,7 @@ from apportion import (
     quota_report_from_json,
     seeded_run_from_json,
     seeded_sequential_hare,
+    sequential_hare,
     trace_from_json,
 )
 from apportion import cli as cli_module
@@ -285,6 +287,45 @@ class TestDivisorTraceText:
         )
 
 
+def _layout_before(rows):
+    """The table layout as it was written with per-cell generators."""
+    widths = [max(len(row[c]) for row in rows) for c in range(len(rows[0]))]
+    return "\n".join(
+        "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
+        for row in rows
+    )
+
+
+_CELLS = st.text(max_size=6) | st.sampled_from(["", " ", "Café", "☃☃", "\U0001f600", "a "])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    width=st.integers(1, 5),
+    rows=st.lists(st.lists(_CELLS, min_size=5, max_size=7), min_size=0, max_size=5),
+)
+def test_layout_matches_the_per_cell_layout(width, rows):
+    # ragged widths, unicode and blank cells; rows no shorter than the first
+    rows = [rows[0][:width] if rows else ["x"] * width, *rows]
+    assert cli_module._layout(rows) == _layout_before(rows)
+
+
+class TestAwardLogText:
+    def test_decoded_award_log_renders_the_same(self, cli, csv_file):
+        path = csv_file(THREE_WAY)
+        argv = (path, "--seats", "7", "--method", "hare", "--form", "sequential",
+                "--trace")
+        code, out, _ = cli(*argv, "--format", "json")
+        assert code == 0
+        decoded = trace_from_json(json.loads(out)["trace"])
+        _, awards = sequential_hare(VoteTally(("A", "B", "C"), (53, 24, 23)), 7)
+        assert decoded == AwardLog("sequential", "hare", awards)
+        code, table, _ = cli(*argv)
+        assert code == 0
+        assert table.endswith("\n" + cli_module._trace_text(decoded) + "\n")
+        assert table.count("\n  seat ") == 7
+
+
 class TestUntracedCostDoesNotGrowWithSeats:
     SEATS = 10**12
     # each untraced method/form, and --compare: (flags, methods reported)
@@ -482,6 +523,65 @@ class TestOneRowLimit:
         assert "--trace" not in err and "with_trace" not in err
 
 
+class TestTraceCellLimit:
+    """``methods.MAX_TRACE_CELLS`` bounds the cells of the rows a trace builds:
+    3·k per divisor-table row, k per two-stage sweep row, one per award."""
+
+    @pytest.mark.parametrize(
+        "text,flags,limit,at_limit,over,cells",
+        [
+            (WORKED, ("--method", "dhondt", "--trace"), 45, "--seats=5", "--seats=6",
+             "54 cells in 6 divisor table rows"),
+            (WORKED, ("--method", "hare", "--form", "sequential", "--trace"), 5,
+             "--seats=5", "--seats=6", "6 cells in 6 award log rows"),
+            (SEEDED, ("--form", "divisor", "--method", "dhondt", "--trace"), 10,
+             "--fixed-extra=5", "--fixed-extra=6", "12 cells in 6 sweep rows"),
+        ],
+        ids=["divisor-table", "award-log", "sweep"],
+    )
+    def test_each_traced_form(self, cli, csv_file, monkeypatch, text, flags, limit,
+                              at_limit, over, cells):
+        monkeypatch.setattr(methods, "MAX_TRACE_CELLS", limit)
+        path = csv_file(text)
+        assert cli(path, *flags, at_limit)[0] == 0
+        code, out, err = cli(path, *flags, over)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"execution error: the run would build at least {cells} (limit {limit} cells)\n"
+        )
+
+    def test_a_wide_table_under_the_row_limit_exits_2(self, cli, csv_file):
+        # 20 parties: 20,000 rows pass the 50,000-row limit, their 1.2 million
+        # cells do not
+        text = "party,votes\n" + "".join(f"P{i},{1000 + i}\n" for i in range(20))
+        code, out, err = cli(csv_file(text), "--seats", "20000", "--method", "dhondt",
+                             "--trace", "--format", "json")
+        assert (code, out) == (2, "")
+        assert err == (
+            "execution error: the run would build at least 1200000 cells in 20000 "
+            "divisor table rows (limit 1000000 cells)\n"
+        )
+
+
+class TestQuotaReportOnlyWhereRead:
+    def test_two_stage_tables_compute_no_quota_report(self, cli, csv_file, monkeypatch):
+        calls = []
+
+        def counted(tally, house_size):
+            calls.append(house_size)
+            return compute_quotas(tally, house_size)
+
+        monkeypatch.setattr(cli_module, "compute_quotas", counted)
+        two_stage, fixed = csv_file(SEEDED), csv_file(WORKED, name="fixed.csv")
+        assert cli(two_stage, "--trace")[0] == 0
+        assert cli(two_stage, "--form", "divisor", "--method", "dhondt")[0] == 0
+        assert calls == []
+        assert cli(two_stage, "--format", "json")[0] == 0
+        assert cli(fixed, "--seats", "5")[0] == 0
+        assert cli(fixed, "--seats", "6", "--format", "json")[0] == 0
+        assert calls == [11, 5, 6]
+
+
 class TestTieEventGuard:
     @pytest.mark.parametrize(
         "flags",
@@ -535,6 +635,37 @@ class TestJsonReports:
         tally = VoteTally(("A", "B", "C"), (53, 24, 23))
         _, trace = highest_averages(tally, 3, "dhondt")
         assert trace_from_json(payload["trace"]) == trace
+
+    @pytest.mark.parametrize(
+        "text,flags",
+        [
+            (WORKED, ("--seats", "10")),
+            (CLOSE, ("--seats", "10", "--compare")),
+            (CLOSE, ("--seats", "10", "--method", "dhondt", "--trace")),
+            (CLOSE, ("--seats", "10", "--method", "sainte-lague", "--form",
+                     "multiplicative", "--trace")),
+            (THREE_WAY, ("--seats", "7", "--method", "hare", "--form", "sequential",
+                         "--trace")),
+            (SEEDED, ("--trace",)),
+            (SEEDED, ("--method", "dhondt", "--form", "divisor", "--trace")),
+            (SEEDED, ("--method", "sainte-lague", "--form", "divisor",
+                      "--fixed-extra", "3", "--trace")),
+        ],
+    )
+    def test_every_domain_part_decodes(self, cli, csv_file, text, flags):
+        code, out, _ = cli(csv_file(text), *flags, "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        parts = [(allocation_from_json, a) for a in payload["allocations"]]
+        parts += [
+            (decode, payload[key])
+            for key, decode in (("quota_report", quota_report_from_json),
+                                ("trace", trace_from_json),
+                                ("seeded_run", seeded_run_from_json))
+            if key in payload
+        ]
+        for decode, part in parts:
+            assert serialize.jsonify(decode(part)) == part
 
     def test_tie_events_carry_their_source(self, cli, csv_file):
         code, out, _ = cli(

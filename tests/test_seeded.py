@@ -228,6 +228,20 @@ class TestDivisorResidualStop:
             seeded_divisor(tally, seed, "floor")
         assert str(caught.value) == message
 
+    def test_trace_cells_are_capped(self, lopsided, monkeypatch):
+        # four top-up seats are taken between M = D + 1 and the witness, each
+        # a sweep row of k = 2 cells
+        tally, seed = lopsided
+        monkeypatch.setattr(methods, "MAX_TRACE_CELLS", 8)
+        assert len(seeded_divisor(tally, seed).sweep) == 6
+        monkeypatch.setattr(methods, "MAX_TRACE_CELLS", 7)
+        with pytest.raises(IterationGuardError) as caught:
+            seeded_divisor(tally, seed)
+        assert str(caught.value) == (
+            "the run would build at least 8 cells in 4 sweep rows (limit 7 cells)"
+        )
+        assert seeded_divisor(tally, seed, with_trace=False).totals == (3, 8)
+
 
 _TIES = st.one_of(
     st.just(TiePolicy()),

@@ -32,7 +32,7 @@ from apportion import (
     trace_from_json,
 )
 from apportion.serialize import fraction_from_json, from_json
-from apportion.types import InputError, MultiplierStep, SeatAward, TraceTable
+from apportion.types import AwardLog, InputError, MultiplierStep, SeatAward, TraceTable
 
 
 def _reference_jsonify(value):
@@ -181,6 +181,69 @@ _PLAIN = st.recursive(
 @given(_PLAIN)
 def test_dumps_matches_the_old_encoder_on_plain_data(value):
     _same_as_reference(value)
+
+
+_THIRD = Fraction(7, 3)
+_BIG = 10**20 + 1  # an int object of its own, not one of the cached small ints
+_NAME = "shared name"
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        [_THIRD, [_THIRD, [_THIRD, (_THIRD,)]], _THIRD],
+        {"a": [_THIRD, _THIRD], "b": (_THIRD, {"c": [[_THIRD]]}), "d": _THIRD},
+        [SeatAward(1, 2, _NAME, _THIRD), [_THIRD, SeatAward(3, _BIG, _NAME, _THIRD)]],
+        [[_BIG, _NAME, _THIRD], {"x": [_BIG, [_NAME, _BIG]]}, (_BIG, _BIG), _NAME],
+        TraceTable("divisor", "dhondt", (_NAME,), (), (_BIG,), _THIRD, True, _THIRD),
+    ],
+    ids=["arrays", "objects", "dataclass-fields", "ints-and-strings", "trace-fields"],
+)
+def test_a_shared_leaf_is_written_at_each_of_its_depths(value):
+    _same_as_reference(value)
+
+
+@pytest.mark.parametrize("method", [DHONDT, SAINTE_LAGUE])
+@pytest.mark.parametrize("k, house", [(1, 40), (6, 300), (20, 300), (20, 0)])
+def test_long_divisor_tables_match_the_old_encoder(method, k, house):
+    votes = tuple(1_000 + 7_919 * i * i for i in range(k))
+    allocation, trace = highest_averages(_tally(votes), house, method)
+    _same_as_reference(trace)
+    # the same shared quotas at three depths: in "steps" one level above
+    # those in "trace", in "deeper" one level below
+    _same_as_reference({"allocation": allocation, "deeper": [[trace.steps]],
+                        "steps": trace.steps, "trace": trace})
+
+
+@st.composite
+def _shared_leaves(draw):
+    """A ``_PLAIN``-style tree whose leaves are drawn, object for object, from
+    a small pool, so one ``Fraction``, int or str sits at several places."""
+    pool = draw(st.lists(
+        st.fractions(max_denominator=10**6) | st.integers(-(10**30), 10**30)
+        | st.text(max_size=3),
+        min_size=1, max_size=4,
+    ))
+    return draw(st.recursive(
+        st.sampled_from(pool) | st.none() | st.booleans(),
+        lambda inner: st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(st.text(max_size=3) | st.integers(-3, 3), inner, max_size=4),
+        max_leaves=30,
+    ))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_shared_leaves())
+def test_dumps_matches_the_old_encoder_on_shared_leaves(value):
+    _same_as_reference(value)
+
+
+def test_an_award_log_writes_as_its_plain_dict_did():
+    _, awards = sequential_hare(VoteTally(("A", "B", "C"), (53, 24, 23)), 7)
+    log = AwardLog("sequential", "hare", awards)
+    assert dumps(log) == dumps({"form": "sequential", "method": "hare", "awards": awards})
+    assert trace_from_json(jsonify(log)) == log
 
 
 def test_from_json_refuses_what_it_cannot_decode():
