@@ -37,6 +37,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 from .types import (
@@ -66,8 +67,9 @@ METHODS = (HARE, DHONDT, SAINTE_LAGUE)
 MAX_TRACE_ROWS = 50_000
 
 #: Refuse to build more cells than this in one trace: a divisor-table row
-#: holds 3·k (seat counts, present and next quotas), a two-stage sweep row k
-#: and an award-log row one.  :func:`_check_rows` reads it at each call.
+#: holds 3·k (seat counts, present and next quotas), a multiplier-search or
+#: two-stage sweep row k and an award-log row one.  :func:`_check_rows`
+#: reads it at each call.
 MAX_TRACE_CELLS = 1_000_000
 
 #: Signpost t = p/q of each divisor method.  Holding n seats, party i bids
@@ -204,18 +206,24 @@ def sequential_hare(
 
 
 def _award_deficits(
-    ids, total, ranks, seats, nums, house, iterations, context, awards, events
+    ids, total, ranks, seats, nums, house, iterations, context, awards, events,
+    growth=None,
 ):
     """Give one seat per iteration ``j`` to the largest deficit.
 
     ``nums[i]`` is party i's deficit ``house * v_i / V - seats[i]`` over the
     common denominator ``total`` = V; only the winner's numerator moves.
-    Equal deficits go to the lowest tie rank and are logged as a tie event.
-    Updates ``seats`` and ``nums`` in place and appends to ``awards``
-    (unless it is None) and ``events``.
+    With ``growth`` (the votes v_i), each iteration first raises the house
+    target by one and so every deficit by v_i.  Equal deficits go to the
+    lowest tie rank and are logged as a tie event.  Updates ``seats`` and
+    ``nums`` in place and appends to ``awards`` (unless it is None) and
+    ``events``.
     """
     parties = range(len(nums))
     for j in iterations:
+        if growth is not None:
+            house += 1
+            nums[:] = map(operator.add, nums, growth)
         top = max(nums)
         best = nums.index(top)
         if nums.count(top) > 1:
@@ -229,14 +237,7 @@ def _award_deficits(
                 )
             )
         if awards is not None:
-            awards.append(
-                SeatAward(
-                    iteration=j,
-                    house_target=house,
-                    party=ids[best],
-                    deficit=Fraction(top, total),
-                )
-            )
+            awards.append(SeatAward(j, house, ids[best], Fraction(top, total)))
         seats[best] += 1
         nums[best] = top - total
 
@@ -565,6 +566,12 @@ def _multiplicative_sweep(tally, house_size, t, ranks, with_trace):
     count = sum(seats)
     steps = []
     if with_trace:
+        # the start row, at most one lowered group per surplus seat, and
+        # after a lowering overshoot fewer than k seats to raise
+        k = tally.party_count
+        surplus = count - house_size
+        _check_rows(1 + abs(surplus) + (k - 1 if surplus > 0 else 0),
+                    "multiplier search rows", k)
         steps.append(MultiplierStep("start", Fraction(house_size), tuple(seats), count))
     if count >= house_size:
         held = _thresholds(tally, seats, t, ranks, down=True)

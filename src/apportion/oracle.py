@@ -33,7 +33,6 @@ from .methods import (
     _check_house,
     hare_niemeyer,
     highest_averages,
-    jump_allocation,
     multiplicative,
     sequential_hare,
 )
@@ -227,9 +226,15 @@ def check_quota_property(
 
 
 def _allocate(method: str, tally, house_size, tie):
+    """An allocation whose seats are ``method``'s; its callers read no tie
+    event, so the divisor methods take the untraced sweep's seats (the
+    jump's, without rebuilding its tie events)."""
     if method == HARE:
         return hare_niemeyer(tally, house_size, tie)
-    return jump_allocation(tally, house_size, method, tie)
+    if method not in (DHONDT, SAINTE_LAGUE):  # by ==: an unhashable method too
+        raise InputError(f"unknown method {method!r}")
+    rounding = "floor" if method == DHONDT else "nearest"
+    return multiplicative(tally, house_size, rounding, tie=tie, with_trace=False)[0]
 
 
 def _equivalence_trial(trial):

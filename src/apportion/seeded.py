@@ -117,12 +117,15 @@ def seeded_sequential_hare(
     else:
         # The residual stop needs D + j > bound (or D = 0), so it is tested
         # from j = ceil(bound) - D on; when it lies beyond the guard and no
-        # cap ends the run first, refuse before any award.
+        # cap ends the run first, refuse before any award.  No test can pass
+        # below the next of that point, the cap and the guard, so the seats
+        # up to it are awarded in one run.
         districts = seed.total
         bound = _dilution_bound(tally, seed)
         earliest = math.ceil(bound) - districts
         capped = seed.cap is not None and seed.cap <= MAX_TOPUP_ITERATIONS
         doomed = math.floor(bound) - districts + 1 > MAX_TOPUP_ITERATIONS and not capped
+        ends = (earliest, MAX_TOPUP_ITERATIONS) + (() if seed.cap is None else (seed.cap,))
         # nums[i] is the residual (D + j) * v_i / V - m_i over the denominator V
         nums = [districts * v - mi * total for v, mi in zip(tally.votes, m)]
         j = 0
@@ -138,12 +141,12 @@ def seeded_sequential_hare(
                     f"no residual stop within {MAX_TOPUP_ITERATIONS} top-up seats; "
                     f"the stop region begins above multiplier {bound}"
                 )
-            j += 1
-            nums = [x + v for x, v in zip(nums, tally.votes)]
+            step = max(1, min(ends) - j)
             _award_deficits(
-                tally.party_ids, total, ranks, m, nums, districts + j, (j,),
-                "top-up", awards, events,
+                tally.party_ids, total, ranks, m, nums, districts + j,
+                range(j + 1, j + step + 1), "top-up", awards, events, tally.votes,
             )
+            j += step
         stop_j = j
 
     return SeededRun(

@@ -8,9 +8,16 @@ together with one ``str.join``, so the cost is linear in the output.
 Within one call, an array item that is a ``Fraction``, ``int`` or ``str``
 object already written at the same depth reuses that text, so the N·k
 shared quota cells of a traced divisor table are formatted N + k times.
-Identical data always gives byte-identical output; ``jsonify`` is that
-text parsed.  ``from_json`` inverts it for any domain dataclass, guided by
-its field annotations.
+An array whose items are all of one dataclass whose fields are all
+annotated ``int``, ``str`` or ``Fraction`` (an award log's ``SeatAward``
+rows) is written a column at a time: each field is one ``map`` over the
+items and each row one ``%`` template, with no writer called per item.
+It falls back to the per-item writers when an item is of another class
+or a field value is not exactly of its annotated type (a ``bool``,
+``None``, a tuple, a subclass); any other array costs one cached lookup
+of its first item's class.  Identical data always gives byte-identical
+output; ``jsonify`` is that text parsed.  ``from_json`` inverts it for
+any domain dataclass, guided by its field annotations.
 """
 
 from __future__ import annotations
@@ -103,8 +110,13 @@ def _array(value, newline, seen):
 
     The rows of a traced divisor table share their unchanged quota and
     seat-count objects, so each is formatted once per depth, not per row.
+    An array of one flat dataclass, such as an award log, is written a
+    column at a time (:func:`_column_rows`).
     """
     inner = newline + "  "
+    fields = _columns(type(value[0])) if value else None
+    if fields is not None and (parts := _column_rows(value, fields, inner)) is not None:
+        return _lines(parts, "[", inner, newline, "]")
     texts = seen.get(inner)
     if texts is None:
         texts = seen[inner] = {}
@@ -118,6 +130,47 @@ def _array(value, newline, seen):
                 texts[id(v)] = text
         parts.append(text)
     return _lines(parts, "[", inner, newline, "]")
+
+
+#: Field annotations the column path writes, as postponed strings or types.
+_FLAT = {name: cls for cls in (int, str, Fraction) for name in (cls, cls.__name__)}
+
+
+@functools.cache
+def _columns(cls):
+    """The ``(name, type)`` fields, in key order, of a dataclass whose
+    fields are all annotated ``int``, ``str`` or ``Fraction``; else None."""
+    if not dataclasses.is_dataclass(cls):
+        return None
+    fields = [(f.name, _FLAT.get(f.type) if isinstance(f.type, (str, type)) else None)
+              for f in dataclasses.fields(cls)]
+    if not fields or any(kind is None for _, kind in fields):
+        return None
+    return sorted(fields)
+
+
+def _column_rows(value, fields, newline):
+    """The texts of ``value``'s items at ``newline``, written a field at a
+    time and joined by one ``%`` template per row; None unless every item
+    is of the first one's class and every field value exactly of its
+    annotated type (no bool, None or subclass)."""
+    if set(map(type, value)) != {type(value[0])}:
+        return None
+    inner = newline + "  "
+    slots, texts = [], []
+    for name, kind in fields:
+        column = list(map(operator.attrgetter(name), value))
+        if set(map(type, column)) != {kind}:
+            return None
+        if kind is Fraction:
+            slots.append(f'{_quote(name)}: {{{inner}  "den": %s,{inner}  "num": %s{inner}}}')
+            texts += (map(int.__repr__, map(operator.attrgetter(part), column))
+                      for part in ("denominator", "numerator"))
+        else:
+            slots.append(f"{_quote(name)}: %s")
+            texts.append(map(_quote if kind is str else int.__repr__, column))
+    template = f"{{{inner}" + f",{inner}".join(slots) + f"{newline}}}"
+    return list(map(template.__mod__, zip(*texts)))
 
 
 def _lines(parts, opening, inner, newline, closing):

@@ -147,6 +147,10 @@ class TieEvent:
     tied: tuple[str, ...]
     winners: tuple[str, ...]
 
+    def __post_init__(self):
+        if not (isinstance(self.tied, tuple) and isinstance(self.winners, tuple)):
+            raise InputError("tied and winners must be tuples")
+
 
 @dataclass(frozen=True)
 class QuotaReport:

@@ -562,6 +562,18 @@ class TestTraceCellLimit:
             "divisor table rows (limit 1000000 cells)\n"
         )
 
+    def test_a_wide_multiplier_search_exits_2(self, cli, csv_file):
+        # 10,000 parties: floor rounding at the pilot M = N leaves 5,000 seats
+        # to raise, so the search would log up to 5,001 rows of 10,000 cells
+        text = "party,votes\n" + "".join(f"P{i},{1000 + i}\n" for i in range(10_000))
+        code, out, err = cli(csv_file(text), "--seats", "1000000", "--method", "dhondt",
+                             "--form", "multiplicative", "--trace", "--format", "json")
+        assert (code, out) == (2, "")
+        assert err == (
+            "execution error: the run would build at least 50010000 cells in 5001 "
+            "multiplier search rows (limit 1000000 cells)\n"
+        )
+
 
 class TestQuotaReportOnlyWhereRead:
     def test_two_stage_tables_compute_no_quota_report(self, cli, csv_file, monkeypatch):

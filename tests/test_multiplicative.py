@@ -228,3 +228,24 @@ def test_seats_at_multiplier_rejects_an_inexact_threshold(worked_example):
     )
     with pytest.raises(InputError, match="round_threshold must be an int or a Fraction"):
         seats_at_multiplier(worked_example, 10, "nearest", round_threshold=1.0)
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(st.integers(0, 9), min_size=1, max_size=8).filter(any),
+    st.integers(0, 60),
+    st.sampled_from(RULES),
+    st.integers(0, 2**64 - 1),
+)
+def test_sweep_rows_stay_within_the_charged_rows(votes, house_size, rule, rng_seed):
+    # the start row, a lowered group per surplus seat, and after a lowering
+    # overshoot fewer than k raised ones
+    rounding, threshold, _ = rule
+    tally = VoteTally(tuple(f"P{i}" for i in range(len(votes))), tuple(votes))
+    _, trace = multiplicative(
+        tally, house_size, rounding, round_threshold=threshold,
+        tie=TiePolicy("random", rng_seed),
+    )
+    surplus = trace.steps[0].total - house_size
+    charged = 1 + abs(surplus) + (len(votes) - 1 if surplus > 0 else 0)
+    assert len(trace.steps) <= charged

@@ -1,7 +1,9 @@
 """Two-stage (district seats + proportional top-up) allocation."""
 
 import dataclasses
+import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from apportion import (
     STOP_FIXED,
     STOP_RESIDUAL,
     SeedDistribution,
+    SeededRun,
     TiePolicy,
     VoteTally,
     highest_averages,
@@ -489,3 +492,110 @@ class TestSequentialResidualStop:
         run = seeded_sequential_hare(*case)
         assert run.stop_reason == STOP_RESIDUAL
         _assert_stops_at_the_first_balanced_house(*case, run)
+
+
+def _per_iteration_run(tally, seed, tie, guard):
+    """The residual and cap stops as one loop pass per top-up seat, each
+    stop tested before every award: what the batched run must equal."""
+    total = tally.total_votes
+    ranks = tie.ranks(tally)
+    m = list(seed.district_seats)
+    awards, events = [], []
+    districts = seed.total
+    bound = seeded._dilution_bound(tally, seed)
+    earliest = math.ceil(bound) - districts
+    capped = seed.cap is not None and seed.cap <= guard
+    doomed = math.floor(bound) - districts + 1 > guard and not capped
+    nums = [districts * v - mi * total for v, mi in zip(tally.votes, m)]
+    j = 0
+    while True:
+        if j >= earliest and all(-total < x < total for x in nums):
+            reason = STOP_RESIDUAL
+            break
+        if seed.cap is not None and j >= seed.cap:
+            reason = STOP_CAP
+            break
+        if doomed or j >= guard:
+            raise IterationGuardError(
+                f"no residual stop within {guard} top-up seats; "
+                f"the stop region begins above multiplier {bound}"
+            )
+        j += 1
+        nums = [x + v for x, v in zip(nums, tally.votes)]
+        methods._award_deficits(
+            tally.party_ids, total, ranks, m, nums, districts + j, (j,),
+            "top-up", awards, events,
+        )
+    return SeededRun(
+        party_ids=tally.party_ids,
+        district_seats=seed.district_seats,
+        extra_seats=tuple(mi - di for mi, di in zip(m, seed.district_seats)),
+        totals=tuple(m),
+        stop_iteration=j,
+        stop_reason=reason,
+        residuals=tuple(Fraction(x, total) for x in nums),
+        awards=tuple(awards),
+        tie_events=tuple(events),
+    )
+
+
+@st.composite
+def batched_cases(draw):
+    """Votes with repeats (ties inside the batch), districts none to many
+    (D = 0, and a stop region at, below or far above them), and a cap of
+    0, below or above the first seat the residual stop can be tested at."""
+    k = draw(st.integers(1, 5))
+    votes = draw(st.lists(st.sampled_from([0, 1, 2, 3, 6]), min_size=k, max_size=k)
+                 .filter(any))
+    tally = VoteTally(tuple(f"P{i + 1}" for i in range(k)), tuple(votes))
+    districts = tuple(draw(st.integers(0, 9)) if v and draw(st.booleans()) else 0
+                      for v in votes)
+    seed = SeedDistribution(tally.party_ids, districts)
+    earliest = math.ceil(seeded._dilution_bound(tally, seed)) - seed.total
+    first = max(0, earliest)
+    cap = draw(st.none() | st.just(0) | st.integers(0, first)
+               | st.integers(first + 1, first + 5))
+    tie = draw(st.sampled_from([TiePolicy()]) | st.integers(0, 99).map(
+        lambda s: TiePolicy("random", s)))
+    guard = draw(st.sampled_from([seeded.MAX_TOPUP_ITERATIONS, 0, 1, first, first + 1]))
+    return tally, SeedDistribution(tally.party_ids, districts, cap=cap), tie, guard
+
+
+class TestBatchedResidualRun:
+    @settings(max_examples=400, deadline=None)
+    @given(batched_cases())
+    def test_it_equals_the_per_iteration_loop(self, case):
+        tally, seed, tie, guard = case
+        with mock.patch.object(seeded, "MAX_TOPUP_ITERATIONS", guard):
+            try:
+                expected = _per_iteration_run(tally, seed, tie, guard)
+            except IterationGuardError as exc:
+                with pytest.raises(IterationGuardError) as caught:
+                    seeded_sequential_hare(tally, seed, tie)
+                assert str(caught.value) == str(exc)
+                return
+            run = seeded_sequential_hare(tally, seed, tie)
+        assert run.totals == expected.totals
+        assert run.residuals == expected.residuals
+        assert run.awards == expected.awards
+        assert run.tie_events == expected.tie_events
+        assert (run.stop_reason, run.stop_iteration) == (
+            expected.stop_reason, expected.stop_iteration)
+        assert run == expected
+
+    def test_the_batch_runs_up_to_the_first_testable_seat(self, monkeypatch):
+        # votes (1, 100) with districts (5, 0): the stop region lies above
+        # M = 404, so the first call awards the 399 seats below it at once,
+        # and one more test and award end the run
+        tally = VoteTally(("A", "B"), (1, 100))
+        seed = SeedDistribution(("A", "B"), (5, 0))
+        runs = []
+
+        def counted(*args):
+            runs.append(len(args[6]))
+            return methods._award_deficits(*args)
+
+        monkeypatch.setattr("apportion.seeded._award_deficits", counted)
+        run = seeded_sequential_hare(tally, seed)
+        assert run.stop_iteration == 400
+        assert runs == [399, 1]

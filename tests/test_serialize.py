@@ -4,6 +4,7 @@ import dataclasses
 import json
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -31,6 +32,7 @@ from apportion import (
     tally_from_json,
     trace_from_json,
 )
+from apportion import serialize
 from apportion.serialize import fraction_from_json, from_json
 from apportion.types import AwardLog, InputError, MultiplierStep, SeatAward, TraceTable
 
@@ -398,3 +400,98 @@ def test_seeded_runs_round_trip(votes, districts, rule, extra, cap, tie):
         for rounding in ("floor", "nearest"):
             _round_trips(seeded_divisor(tally, seed, rounding, stop, tie=tie))
 
+
+
+def _per_item_dumps(value):
+    """``dumps`` with the column path turned off: every item by its writer."""
+    with mock.patch.object(serialize, "_columns", lambda cls: None):
+        return dumps(value)
+
+
+def _takes_columns(array):
+    fields = serialize._columns(type(array[0])) if array else None
+    return fields is not None and serialize._column_rows(array, fields, "\n") is not None
+
+
+_HUGE = st.integers() | st.integers(-(10**300), 10**300)
+_AWARDS = st.lists(st.builds(
+    SeatAward, _HUGE, _HUGE, st.text(max_size=4),
+    st.builds(Fraction, _HUGE, _HUGE.filter(bool)),
+), max_size=6)
+
+
+def _wrapped(awards, log, shapes):
+    """``awards``, in an award log if ``log``, nested one level per shape."""
+    value = AwardLog("sequential", "hare", tuple(awards)) if log else awards
+    for shape in shapes:
+        value = [value] if shape == "list" else {"awards": value, "n": 0}
+    return value
+
+
+@settings(max_examples=200, deadline=None)
+@given(_AWARDS, st.booleans(), st.lists(st.sampled_from(["list", "dict"]), max_size=4))
+def test_award_columns_match_the_per_item_writer(awards, log, shapes):
+    value = _wrapped(awards, log, shapes)
+    assert _takes_columns(awards) == bool(awards)
+    text = dumps(value)
+    assert text == _per_item_dumps(value) == _reference_dumps(value)
+
+
+@dataclasses.dataclass(frozen=True)
+class _LookAlike:
+    """The fields of a :class:`SeatAward` in another class."""
+
+    iteration: int
+    house_target: int
+    party: str
+    deficit: Fraction
+
+
+class _Word(str):
+    pass
+
+
+class _Third(Fraction):
+    pass
+
+
+_AWARD = SeatAward(1, 12, "A", Fraction(-7, 3))
+
+
+@pytest.mark.parametrize(
+    "array, columns",
+    [
+        ([], False),
+        ((_AWARD,), True),
+        ([_AWARD, SeatAward(2, 13, "B", Fraction(10**40, 3))], True),
+        ([_AWARD, _LookAlike(2, 13, "B", Fraction(1, 3))], False),
+        ([_AWARD, TieEvent("seat 1", ("A", "B"), ("A",))], False),
+        ([_AWARD, 3], False),
+        ([_AWARD, SeatAward(True, 13, "B", Fraction(1, 3))], False),
+        ([_AWARD, SeatAward(2, 13, None, Fraction(1, 3))], False),
+        ([_AWARD, SeatAward(2, 13, "B", (1, 3))], False),
+        ([_AWARD, SeatAward(2, _Count(13), "B", Fraction(1, 3))], False),
+        ([_AWARD, SeatAward(2, 13, _Word("B"), Fraction(1, 3))], False),
+        ([_AWARD, SeatAward(2, 13, "B", _Third(1, 3))], False),
+        ([_AWARD, SeatAward(2, 13, "B", 1)], False),  # an int in a Fraction field
+        ([MultiplierStep("start", Fraction(7), (1,), 1)] * 2, False),
+    ],
+    ids=["empty", "one", "two", "look-alike", "other-class", "int-item", "bool",
+         "none", "tuple", "int-subclass", "str-subclass", "fraction-subclass",
+         "int-deficit", "not-flat"],
+)
+def test_arrays_that_cannot_take_the_columns_fall_back(array, columns):
+    assert _takes_columns(array) == columns
+    for value in (array, {"awards": array}, [[array]]):
+        assert dumps(value) == _per_item_dumps(value) == _reference_dumps(value)
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"),
+    reason="this interpreter converts ints of any length",
+)
+def test_award_columns_refuse_ints_past_the_digit_limit():
+    big = 10 ** sys.get_int_max_str_digits()
+    for award in (SeatAward(big, 1, "A", Fraction(1)), SeatAward(1, 1, "A", Fraction(big, 7))):
+        with pytest.raises(ValueError, match="integer string conversion"):
+            dumps([_AWARD, award])

@@ -9,6 +9,7 @@ from apportion import (
     STOP_RESIDUAL,
     SeedDistribution,
     SeededRun,
+    TieEvent,
     TiePolicy,
     VoteTally,
     compute_quotas,
@@ -178,3 +179,14 @@ def test_residuals_for_rejects_foreign_allocations():
     other_house = hare_niemeyer(tally, 5)
     with pytest.raises(InputError):
         report.residuals_for(other_house)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [("c", ["a"], ["a"]), ("c", ["a"], ("a",)), ("c", ("a",), ["a"]), ("c", "a", ("a",))],
+)
+def test_tie_event_rejects_fields_that_are_not_tuples(fields):
+    # a list field used to build, and hash() then raised TypeError
+    with pytest.raises(InputError, match="must be tuples"):
+        TieEvent(*fields)
+    assert hash(TieEvent("c", ("a",), ("a",))) == hash(TieEvent("c", ("a",), ("a",)))
