@@ -28,8 +28,10 @@ the seats: the divisor methods take the multiplier sweep's seats, Hare
 its lower quotas and largest remainders, and the tie events are rebuilt
 from groups of coincident values.
 
-Hot paths compare candidates by integer cross-multiplication; `Fraction`
-objects only materialise in reports and traces.
+Hot paths compare candidates as integers: the divisor table by exact
+scaled keys, scanned with ``max``, and the threshold heap by
+cross-multiplication.  `Fraction` objects only materialise in reports and
+traces.
 """
 
 from __future__ import annotations
@@ -97,6 +99,15 @@ def _check_house(house_size):
         raise InputError("house size must be a non-negative integer")
 
 
+def _check_call(tally, house_size, tie):
+    """Refuse a fixed-house engine's arguments of the wrong domain type."""
+    if not isinstance(tally, VoteTally):
+        raise InputError(f"tally must be a VoteTally, not {type(tally).__name__}")
+    if not isinstance(tie, TiePolicy):
+        raise InputError(f"tie must be a TiePolicy, not {type(tie).__name__}")
+    _check_house(house_size)
+
+
 def compute_quotas(tally: VoteTally, house_size: int) -> QuotaReport:
     """Ideal seat counts ``N * v_i / V`` with lower/upper integer bounds."""
     _check_house(house_size)
@@ -132,7 +143,7 @@ def hare_niemeyer(
     straddle the cut-off, i.e. when the tie policy actually decided
     something.
     """
-    _check_house(house_size)
+    _check_call(tally, house_size, tie)
     total = tally.total_votes
     seats = []
     rem_nums = []  # remainder numerators over the common denominator `total`
@@ -183,7 +194,7 @@ def sequential_hare(
     ``with_trace=False`` the same per-seat loop runs without building the
     log, and ``()`` comes back in its place; tie events are kept.
     """
-    _check_house(house_size)
+    _check_call(tally, house_size, tie)
     if with_trace:
         _check_rows(house_size, "award log rows")
     seats = [0] * tally.party_count
@@ -254,15 +265,19 @@ def highest_averages(
 
     A party holding ``n`` seats bids ``v_i / (q n + p)``, t = p/q being the
     method's signpost: ``v_i / (n + 1)`` under d'Hondt-Jefferson, ``v_i /
-    (2n + 1)`` under Sainte-Laguë.  Bids are compared by integer
-    cross-multiplication; equal top bids go to the lowest tie rank and are
+    (2n + 1)`` under Sainte-Laguë.  Each party keeps one integer key, its
+    bid scaled by ``2**shift`` and floored, and each seat goes to ``max``
+    of the keys; only the winner's key is recomputed.  Two different bids
+    differ by at least ``1 / (qN + p)**2`` and ``2**shift`` exceeds
+    ``(qN + p)**2``, so the keys order the bids exactly, equal bids
+    included.  Equal top bids go to the lowest tie rank and are
     logged as a ``seat j`` tie event listing every tied party.  The trace
     records, per seat, the full bidding table (present and next prices).
     Only the winner's prices move, so consecutive rows share the other
     ``Fraction`` objects (one new one per seat; values and equality are as
     if each row were built afresh).
     """
-    _check_house(house_size)
+    _check_call(tally, house_size, tie)
     if method not in tuple(_SIGNPOSTS):  # by ==: an unhashable method is refused too
         raise InputError(f"unknown divisor method {method!r}")
     p, q = _SIGNPOSTS[method].as_integer_ratio()
@@ -275,24 +290,20 @@ def highest_averages(
     k = tally.party_count
     seats = [0] * k
     dens = [p] * k  # q * seats[i] + p
+    # A bid's divisor stays below qN + p while a seat is open, so two
+    # different bids differ by at least 1 / (qN + p)**2; scaled by
+    # 2**shift > (qN + p)**2 they differ by more than 1, and floored keys
+    # keep their strict order.  Equal bids get equal keys.
+    shift = 2 * (q * house_size + p).bit_length()
+    keys = [(v << shift) // p for v in votes]
     steps = []
     events = []
     for step in range(1, house_size + 1):
-        best = 0
-        best_num, best_den = votes[0], dens[0]
-        tied = [0]
-        for i in range(1, k):
-            num, den = votes[i], dens[i]
-            lhs = num * best_den
-            rhs = best_num * den
-            if lhs > rhs:
-                best, best_num, best_den = i, num, den
-                tied = [i]
-            elif lhs == rhs:
-                tied.append(i)
-                if ranks[i] < ranks[best]:
-                    best, best_num, best_den = i, num, den
-        if len(tied) > 1:
+        top = max(keys)
+        best = keys.index(top)
+        if keys.count(top) > 1:
+            tied = [i for i in range(k) if keys[i] == top]
+            best = min(tied, key=ranks.__getitem__)
             events.append(
                 TieEvent(
                     context=f"seat {step}",
@@ -314,6 +325,7 @@ def highest_averages(
             nexts[best] = Fraction(votes[best], dens[best] + q)
         seats[best] += 1
         dens[best] += q
+        keys[best] = (votes[best] << shift) // dens[best]
     allocation = Allocation(
         party_ids=ids,
         seats=tuple(seats),
@@ -455,9 +467,12 @@ def _exact(x, name):
     return Fraction(x)
 
 
+#: Method name of each signpost, for the sweep's labels and implied quota.
+_SIGNPOST_METHODS = {signpost: method for method, signpost in _SIGNPOSTS.items()}
+
+
 def _method_label(t):
-    named = {signpost: method for method, signpost in _SIGNPOSTS.items()}
-    return named.get(t, f"nearest-{t.numerator}/{t.denominator}")
+    return _SIGNPOST_METHODS.get(t, f"nearest-{t.numerator}/{t.denominator}")
 
 
 def multiplicative(
@@ -483,7 +498,7 @@ def multiplicative(
     de-assigns the surplus seats; the witness then over-fills the house on
     its own and ``witness_is_exact`` is False.
     """
-    _check_house(house_size)
+    _check_call(tally, house_size, tie)
     t = _round_threshold(rounding, round_threshold)
     seats, steps, taken, overhang, witness = _multiplicative_sweep(
         tally, house_size, t, tie.ranks(tally), with_trace
@@ -545,9 +560,9 @@ def _implied_quota(total, witness, t):
     votes: ``V / M`` for d'Hondt, ``V / (2M)`` for Sainte-Laguë.  Other
     thresholds have no standard quota reading, so None is returned.
     """
-    if witness is None or witness == 0 or t not in _SIGNPOSTS.values():
+    if witness is None or witness == 0 or t not in _SIGNPOST_METHODS:
         return None
-    return Fraction(total) / (t.denominator * witness)
+    return Fraction(total * witness.denominator, t.denominator * witness.numerator)
 
 
 def _multiplicative_sweep(tally, house_size, t, ranks, with_trace):
@@ -617,7 +632,7 @@ def jump_allocation(
     groups of coincident values.  Costs O(k²) for the divisor methods and
     O(k log k) for Hare, plus O(k) per tie event, whatever N is.
     """
-    _check_house(house_size)
+    _check_call(tally, house_size, tie)
     if method not in METHODS:  # by ==: an unhashable method is refused too
         raise InputError(f"unknown method {method!r}")
     ranks = tie.ranks(tally)

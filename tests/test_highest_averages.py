@@ -3,20 +3,24 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from apportion import (
     DHONDT,
     SAINTE_LAGUE,
+    Allocation,
     InputError,
     IterationGuardError,
+    TieEvent,
     TiePolicy,
+    TraceTable,
     VoteTally,
     check_quota_property,
     highest_averages,
 )
 from apportion import methods
+from apportion.types import DivisorStep
 
 
 @pytest.mark.parametrize("method", [DHONDT, SAINTE_LAGUE])
@@ -190,3 +194,77 @@ def test_traced_rows_share_the_quotas_that_did_not_move(method):
     # one quota per party to start, then one new one per seat; rows built
     # afresh would hold about 2 * k * house_size
     assert len(quotas) <= house_size + k
+
+
+def _cross_multiplication_table(tally, house_size, method, tie, with_trace):
+    """The divisor table as it compared bids before integer keys: each seat
+    scans every party, cross-multiplying its bid with the best so far."""
+    p, q = _DIVISORS[method]
+    votes, ids, ranks = tally.votes, tally.party_ids, tie.ranks(tally)
+    k = len(votes)
+    seats, dens = [0] * k, [p] * k
+    presents, nexts = [None] * k, [Fraction(v, p) for v in votes]
+    steps, events = [], []
+    for step in range(1, house_size + 1):
+        best = 0
+        best_num, best_den = votes[0], dens[0]
+        tied = [0]
+        for i in range(1, k):
+            num, den = votes[i], dens[i]
+            lhs = num * best_den
+            rhs = best_num * den
+            if lhs > rhs:
+                best, best_num, best_den = i, num, den
+                tied = [i]
+            elif lhs == rhs:
+                tied.append(i)
+                if ranks[i] < ranks[best]:
+                    best, best_num, best_den = i, num, den
+        if len(tied) > 1:
+            events.append(
+                TieEvent(f"seat {step}", tuple(ids[i] for i in tied), (ids[best],))
+            )
+        if with_trace:
+            steps.append(
+                DivisorStep(step, tuple(seats), tuple(presents), tuple(nexts), ids[best])
+            )
+            presents[best] = nexts[best]
+            nexts[best] = Fraction(votes[best], dens[best] + q)
+        seats[best] += 1
+        dens[best] += q
+    allocation = Allocation(ids, tuple(seats), house_size, method, "divisor", tuple(events))
+    trace = TraceTable("divisor", method, ids, tuple(steps), tuple(seats))
+    return allocation, trace
+
+
+_WIDE = st.integers(0, 10**12)
+_TIE_PRONE = st.one_of(
+    st.integers(0, 6),  # zeros and equal votes
+    st.integers(1, 8).map(lambda m: 125 * m),  # small multiples of one unit
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        st.lists(_TIE_PRONE, min_size=1, max_size=30),
+        st.lists(_WIDE, min_size=1, max_size=30),
+        st.lists(st.integers(1, 1_000), min_size=2, max_size=3),  # bids close at large N
+        st.tuples(_WIDE, st.integers(1, 30)).map(lambda vk: [vk[0]] * vk[1]),
+    ).filter(any),
+    st.one_of(st.integers(0, 60), st.integers(0, 3_000), st.integers(1_000, 3_000)),
+    st.sampled_from(sorted(_DIVISORS)),
+    st.one_of(
+        st.just(TiePolicy()),
+        st.integers(0, 2**64 - 1).map(lambda seed: TiePolicy("random", seed)),
+    ),
+)
+# two bids 1 / (291 * 348) apart at seat 306: keys scaled by only
+# 2**bit_length(N + 1) would tie them
+@example(votes=[291, 348], house_size=306, method=DHONDT, tie=TiePolicy())
+def test_table_matches_the_cross_multiplication_table(votes, house_size, method, tie):
+    tally = VoteTally(tuple(f"P{i}" for i in range(len(votes))), tuple(votes))
+    for with_trace in (True, False):
+        got = highest_averages(tally, house_size, method, tie, with_trace=with_trace)
+        want = _cross_multiplication_table(tally, house_size, method, tie, with_trace)
+        assert got == want  # seats, tie events and every DivisorStep

@@ -249,3 +249,35 @@ def test_sweep_rows_stay_within_the_charged_rows(votes, house_size, rule, rng_se
     surplus = trace.steps[0].total - house_size
     charged = 1 + abs(surplus) + (len(votes) - 1 if surplus > 0 else 0)
     assert len(trace.steps) <= charged
+
+
+# (rounding, round_threshold, label, q of the signpost t = p/q or None)
+_LABELS = [
+    ("floor", None, "dhondt", 1),
+    ("nearest", None, "sainte-lague", 2),
+    ("nearest", 1, "dhondt", 1),
+    ("nearest", Fraction(1, 2), "sainte-lague", 2),
+    ("nearest", Fraction(1, 3), "nearest-1/3", None),
+]
+
+
+@pytest.mark.parametrize("with_trace", [True, False])
+@pytest.mark.parametrize("rounding, threshold, label, q", _LABELS)
+def test_sweep_report_labels_and_implied_quota(rounding, threshold, label, q, with_trace):
+    witnesses = set()
+    for votes in ((53, 24, 23), (600, 300, 100), (5, 5, 5, 0), (10**12, 7)):
+        tally = VoteTally(tuple(f"P{i}" for i in range(len(votes))), votes)
+        for house_size in (0, 1, 2, 7, 10, 19, 1_000):
+            allocation, trace = multiplicative(
+                tally, house_size, rounding, round_threshold=threshold,
+                tie=TiePolicy("random", house_size), with_trace=with_trace,
+            )
+            assert allocation.method == trace.method == label
+            witnesses.add(trace.witness == 0)
+            if q is None or trace.witness == 0:
+                assert trace.implied_quota is None
+            else:
+                expected = Fraction(tally.total_votes) / (q * trace.witness)
+                assert trace.implied_quota == expected
+                assert type(trace.implied_quota) is Fraction
+    assert witnesses == {True, False}  # witness 0 (the empty house) and others

@@ -14,6 +14,10 @@ from apportion import (
     VoteTally,
     compute_quotas,
     hare_niemeyer,
+    highest_averages,
+    jump_allocation,
+    multiplicative,
+    sequential_hare,
 )
 from apportion import types
 
@@ -190,3 +194,24 @@ def test_tie_event_rejects_fields_that_are_not_tuples(fields):
     with pytest.raises(InputError, match="must be tuples"):
         TieEvent(*fields)
     assert hash(TieEvent("c", ("a",), ("a",))) == hash(TieEvent("c", ("a",), ("a",)))
+
+
+_TALLY = VoteTally(("A", "B"), (1, 2))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: highest_averages(_TALLY, 3, "dhondt", None), "tie must be a TiePolicy"),
+        (lambda: multiplicative([1, 2], 3), "tally must be a VoteTally"),
+        (lambda: multiplicative(_TALLY, 3, tie=None), "tie must be a TiePolicy"),
+        (lambda: sequential_hare(_TALLY, 3, "x"), "tie must be a TiePolicy"),
+        (lambda: hare_niemeyer(_TALLY, 3, None), "tie must be a TiePolicy"),
+        (lambda: jump_allocation([1, 2], 3, "dhondt"), "tally must be a VoteTally"),
+        (lambda: highest_averages((1, 2), 3), "tally must be a VoteTally"),
+        (lambda: jump_allocation(_TALLY, 3, "hare", "deterministic"), "tie must be a TiePolicy"),
+    ],
+)
+def test_fixed_house_engines_refuse_the_wrong_domain_type(call, message):
+    with pytest.raises(InputError, match=message):
+        call()
