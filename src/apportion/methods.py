@@ -99,17 +99,25 @@ def _check_house(house_size):
         raise InputError("house size must be a non-negative integer")
 
 
+def _check_type(value, cls, name):
+    """Refuse an entry point's argument ``name`` unless it is a ``cls``."""
+    if not isinstance(value, cls):
+        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        raise InputError(
+            f"{name} must be {article} {cls.__name__}, not {type(value).__name__}"
+        )
+
+
 def _check_call(tally, house_size, tie):
     """Refuse a fixed-house engine's arguments of the wrong domain type."""
-    if not isinstance(tally, VoteTally):
-        raise InputError(f"tally must be a VoteTally, not {type(tally).__name__}")
-    if not isinstance(tie, TiePolicy):
-        raise InputError(f"tie must be a TiePolicy, not {type(tie).__name__}")
+    _check_type(tally, VoteTally, "tally")
+    _check_type(tie, TiePolicy, "tie")
     _check_house(house_size)
 
 
 def compute_quotas(tally: VoteTally, house_size: int) -> QuotaReport:
     """Ideal seat counts ``N * v_i / V`` with lower/upper integer bounds."""
+    _check_type(tally, VoteTally, "tally")
     _check_house(house_size)
     total = tally.total_votes
     ideals, lowers, uppers, remainders = [], [], [], []
@@ -471,10 +479,6 @@ def _exact(x, name):
 _SIGNPOST_METHODS = {signpost: method for method, signpost in _SIGNPOSTS.items()}
 
 
-def _method_label(t):
-    return _SIGNPOST_METHODS.get(t, f"nearest-{t.numerator}/{t.denominator}")
-
-
 def multiplicative(
     tally: VoteTally,
     house_size: int,
@@ -505,7 +509,8 @@ def multiplicative(
     )
     ids = tally.party_ids
     events = [_straddle_event(ids, witness, taken, overhang)] if overhang else []
-    method = _method_label(t)
+    signpost_method = _SIGNPOST_METHODS.get(t)  # t is hashed once per call
+    method = signpost_method or f"nearest-{t.numerator}/{t.denominator}"
     allocation = Allocation(
         party_ids=ids,
         seats=tuple(seats),
@@ -522,7 +527,7 @@ def multiplicative(
         final_seats=tuple(seats),
         witness=witness,
         witness_is_exact=not overhang,
-        implied_quota=_implied_quota(tally.total_votes, witness, t),
+        implied_quota=_implied_quota(tally.total_votes, witness, t, signpost_method),
     )
     return allocation, trace
 
@@ -553,14 +558,15 @@ def _rounded(tally, multiplier, t):
     return [max(0, (q * a * v - offset) // den + 1) for v in tally.votes]
 
 
-def _implied_quota(total, witness, t):
+def _implied_quota(total, witness, t, signpost_method):
     """Votes-per-seat scale of the witness, where the rule has one.
 
     A divisor method's signpost t = p/q prices a seat at ``V / (q M)``
     votes: ``V / M`` for d'Hondt, ``V / (2M)`` for Sainte-Laguë.  Other
-    thresholds have no standard quota reading, so None is returned.
+    thresholds (``signpost_method`` None) have no standard quota reading,
+    so None is returned.
     """
-    if witness is None or witness == 0 or t not in _SIGNPOST_METHODS:
+    if signpost_method is None or witness is None or witness == 0:
         return None
     return Fraction(total * witness.denominator, t.denominator * witness.numerator)
 

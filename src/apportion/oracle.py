@@ -31,6 +31,7 @@ from .methods import (
     HARE,
     SAINTE_LAGUE,
     _check_house,
+    _check_type,
     hare_niemeyer,
     highest_averages,
     multiplicative,
@@ -210,6 +211,8 @@ def check_quota_property(
     The bounds are recomputed here from raw integers, independently of
     :func:`apportion.methods.compute_quotas`.
     """
+    _check_type(tally, VoteTally, "tally")
+    _check_type(allocation, Allocation, "allocation")
     if allocation.party_ids != tally.party_ids:
         raise InputError("allocation refers to a different party set")
     _check_house(house_size)
@@ -271,6 +274,7 @@ def _map_trials(per_trial, space: InstanceSpace, jobs: int) -> list:
     most one per CPU, since the pool starts every worker at once; the
     workers unpickle ``per_trial``, so it is a module-level function.
     """
+    _check_type(space, InstanceSpace, "space")
     if not _is_count(jobs) or jobs < 1:
         raise InputError("jobs must be a positive integer")
     trials = space.trials
@@ -316,6 +320,7 @@ def find_quota_violation(space: InstanceSpace, method: str = DHONDT):
     is clean (the expected outcome for Hare and, typically, a quick find
     for d'Hondt-Jefferson once one party dominates).
     """
+    _check_type(space, InstanceSpace, "space")
     for index in range(space.trials):
         trial = space.trial_instance(index)
         allocation = _allocate(method, trial.tally, trial.house_size, trial.tie)
@@ -333,6 +338,7 @@ def find_house_monotonicity_violation(space: InstanceSpace, method: str = HARE):
     construction, so searches with them are expected to come back empty;
     Hare is the interesting target.
     """
+    _check_type(space, InstanceSpace, "space")
     for index in range(space.trials):
         trial = space.trial_instance(index)
         smaller = _allocate(method, trial.tally, trial.house_size, trial.tie)

@@ -1,6 +1,7 @@
 """End-to-end command-line behaviour: parsing, rendering, exit codes."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -33,7 +34,7 @@ from apportion import (
 from apportion import cli as cli_module
 from apportion import methods, oracle, serialize
 from apportion.cli import main, parse_votes
-from apportion.types import DivisorStep, InputError, TraceTable
+from apportion.types import DivisorStep, InputError, TieEvent, TraceTable
 
 WORKED = "party,votes\nA,600\nB,300\nC,100\n"
 THREE_WAY = "party,votes\nA,53\nB,24\nC,23\n"
@@ -737,6 +738,66 @@ class TestJsonReports:
         assert inline_pool == [2]
 
 
+def _json_report_by_asdict(config, tally, report, allocations, detail_key, detail):
+    """The JSON report as written with deep copies, the reference for the
+    shallow dicts of ``cli._json_report``."""
+    tie_events = [
+        {"source": f"{allocation.method}/{allocation.form}", **dataclasses.asdict(event)}
+        for allocation in allocations
+        for event in allocation.tie_events
+    ]
+    payload = {
+        "config": cli_module._config_payload(config),
+        "tally": {**dataclasses.asdict(tally), "total_votes": tally.total_votes},
+        "allocations": allocations,
+        "quota_report": report,
+        "tie_events": tie_events,
+    }
+    if detail is not None:
+        payload[detail_key] = detail
+    return serialize.dumps(payload)
+
+
+_IDS = st.text(min_size=1, max_size=4) | st.sampled_from(
+    ['"', '\\"q"', "Café", "☃", "\U0001f600"]
+)
+
+
+@st.composite
+def _report_args(draw):
+    """``_json_report`` arguments: a tally of up to 30 parties, one to three
+    allocations with any tie events, and an award log or no detail."""
+    ids = tuple(draw(st.lists(_IDS, min_size=1, max_size=30, unique=True)))
+    votes = draw(st.lists(st.integers(0, 10**6), min_size=len(ids), max_size=len(ids)))
+    votes[0] += 1  # some party has votes
+    tally = VoteTally(ids, tuple(votes))
+    n = draw(st.integers(0, 40))
+    events = st.builds(
+        TieEvent, st.text(max_size=8),
+        st.lists(st.sampled_from(ids), max_size=4).map(tuple),
+        st.lists(st.sampled_from(ids), max_size=2).map(tuple),
+    )
+    allocations = [
+        dataclasses.replace(hare_niemeyer(tally, n), method=method,
+                            tie_events=tuple(draw(st.lists(events, max_size=3))))
+        for method in draw(st.lists(st.sampled_from(["hare", "dhondt", "sainte-lague"]),
+                                    min_size=1, max_size=3))
+    ]
+    detail = (AwardLog("sequential", "hare", sequential_hare(tally, n)[1])
+              if draw(st.booleans()) else None)
+    return tally, compute_quotas(tally, n), allocations, detail
+
+
+@settings(max_examples=200, deadline=None)
+@given(args=_report_args())
+def test_json_report_matches_the_deep_copy_report(args):
+    tally, report, allocations, detail = args
+    argv = ["votes.csv", "--seats", "1", "--format", "json"]
+    config = cli_module._config_from_args(cli_module.build_parser().parse_args(argv))
+    report_args = (config, tally, report, allocations, "trace", detail)
+    assert cli_module._json_report(*report_args) == _json_report_by_asdict(*report_args)
+
+
 class TestSeededRuns:
     def test_sequential_table(self, cli, csv_file):
         code, out, _ = cli(csv_file(SEEDED), "--trace")
@@ -964,6 +1025,103 @@ class TestStartUp:
         assert (code, out) == (2, "")
         assert err.startswith("Traceback (most recent call last):")
         assert err.endswith(f"{type(error).__name__}: boom\n")
+
+
+_FIRST_CALL = """
+import contextlib, io, json, sys
+from apportion import cli
+out, err = io.StringIO(), io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    try:
+        code = cli.main(json.loads(sys.argv[1]))
+    except SystemExit as exc:  # --help
+        code = exc.code
+print(json.dumps([code, out.getvalue(), err.getvalue()]))
+"""
+
+
+def _call(argv):
+    """``[exit code, stdout, stderr]`` of ``cli.main(argv)`` in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # --help
+            code = exc.code
+    return [code, out.getvalue(), err.getvalue()]
+
+
+@pytest.fixture
+def fresh_parser_cache():
+    """``main``'s parser is built anew in the test, and not kept after it."""
+    cli_module._parser.cache_clear()
+    yield
+    cli_module._parser.cache_clear()
+
+
+class TestOneParserPerProcess:
+    def test_each_call_matches_a_first_call_in_a_fresh_interpreter(
+        self, csv_file, monkeypatch
+    ):
+        monkeypatch.setenv("COLUMNS", "80")  # --help wraps to it
+        close, worked, seeded = (csv_file(CLOSE), csv_file(WORKED, "worked.csv"),
+                                 csv_file(SEEDED, "seeded.csv"))
+        argvs = [
+            [close, "--seats", "9", "--method", "dhondt", "--trace"],
+            [close, "--seats", "9", "--method", "dhondt"],
+            [close, "--seats", "7", "--tie", "random", "--seed", "5", "--format", "json"],
+            [close, "--seats", "7"],
+            ["--suite", "bias", "--trials", "4", "--master-seed", "2", "--jobs", "1"],
+            [worked, "--seats", "10", "--compare"],
+            [worked, "--seats", "10", "--tie", "random"],  # exit 1: no --seed
+            [worked, "--seats", "10", "--tie", "coin"],  # exit 1, from argparse
+            [worked, "--seats", "10", "--method", "sainte-lague", "--form",
+             "multiplicative", "--trace", "--format", "json"],
+            ["--help"],
+            [seeded, "--cap", "2", "--districts-col", "districts"],
+            [seeded.replace("seeded", "missing"), "--seats", "3"],  # exit 1
+            [seeded, "--method", "dhondt", "--form", "divisor", "--stop", "fixed",
+             "--fixed-extra", "3", "--trace", "--format", "json"],
+        ]
+        results = [_call(argv) for argv in argvs]
+        assert [code for code, _, _ in results] == [0] * 6 + [1, 1, 0, 0, 0, 1, 0]
+        env = {**os.environ, "PYTHONPATH": str(SRC), "COLUMNS": "80"}
+        for argv, result in zip(argvs, results):
+            proc = subprocess.run(
+                [sys.executable, "-c", _FIRST_CALL, json.dumps(argv)],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert json.loads(proc.stdout) == result, argv
+
+    def test_help_follows_the_width_of_each_call(self, csv_file, monkeypatch):
+        assert _call([csv_file(WORKED), "--seats", "3"])[0] == 0
+        texts = {}
+        for columns in ("200", "40"):
+            monkeypatch.setenv("COLUMNS", columns)
+            texts[columns] = _call(["--help"])
+            assert texts[columns] == [0, cli_module.build_parser().format_help(), ""]
+        wide, narrow = texts["200"][1], texts["40"][1]
+        assert len(narrow.splitlines()) > len(wide.splitlines())
+
+    def test_three_calls_build_one_parser(self, csv_file, monkeypatch, fresh_parser_cache):
+        build_parser, built = cli_module.build_parser, []
+
+        def counting_build_parser():
+            built.append(build_parser())
+            return built[-1]
+
+        monkeypatch.setattr(cli_module, "build_parser", counting_build_parser)
+        path = csv_file(WORKED)
+        codes = [_call(argv)[0] for argv in (
+            [path, "--seats", "3"],
+            [path, "--tie", "coin"],
+            ["--suite", "paradox", "--trials", "1"],
+        )]
+        assert codes == [0, 1, 0]
+        assert len(built) == 1 and cli_module._parser() is built[0]
+        # the public builder still hands out a parser of its own
+        assert build_parser() is not built[0]
 
 
 class TestBadInvocations:

@@ -12,7 +12,12 @@ from apportion import (
     TieEvent,
     TiePolicy,
     VoteTally,
+    bias_montecarlo,
+    check_quota_property,
     compute_quotas,
+    equivalence_suite,
+    find_house_monotonicity_violation,
+    find_quota_violation,
     hare_niemeyer,
     highest_averages,
     jump_allocation,
@@ -210,6 +215,14 @@ _TALLY = VoteTally(("A", "B"), (1, 2))
         (lambda: jump_allocation([1, 2], 3, "dhondt"), "tally must be a VoteTally"),
         (lambda: highest_averages((1, 2), 3), "tally must be a VoteTally"),
         (lambda: jump_allocation(_TALLY, 3, "hare", "deterministic"), "tie must be a TiePolicy"),
+        (lambda: compute_quotas(None, 3), "tally must be a VoteTally, not NoneType"),
+        (lambda: equivalence_suite(None), "space must be an InstanceSpace, not NoneType"),
+        (lambda: bias_montecarlo(1), "space must be an InstanceSpace, not int"),
+        (lambda: find_quota_violation(None), "space must be an InstanceSpace"),
+        (lambda: find_house_monotonicity_violation(None), "space must be an InstanceSpace"),
+        (lambda: check_quota_property(_TALLY, 3, None), "allocation must be an Allocation"),
+        (lambda: check_quota_property(None, 3, hare_niemeyer(_TALLY, 3)),
+         "tally must be a VoteTally"),
     ],
 )
 def test_fixed_house_engines_refuse_the_wrong_domain_type(call, message):
