@@ -24,6 +24,7 @@ from .methods import (
     HARE,
     METHODS,
     SAINTE_LAGUE,
+    _ROUNDING,
     compute_quotas,
     hare_niemeyer,
     highest_averages,
@@ -311,10 +312,6 @@ def _check_run(config, two_stage):
         raise InputError("hare supports --form sequential only")
     if config.form == "sequential" and not hare:
         raise InputError("--form sequential applies to hare only")
-
-
-#: The rounding rule of each divisor method's multiplier form.
-_ROUNDING = {DHONDT: "floor", SAINTE_LAGUE: "nearest"}
 
 
 # ---------------------------------------------------------------- fixed house

@@ -28,10 +28,12 @@ the seats: the divisor methods take the multiplier sweep's seats, Hare
 its lower quotas and largest remainders, and the tie events are rebuilt
 from groups of coincident values.
 
-Hot paths compare candidates as integers: the divisor table by exact
-scaled keys, scanned with ``max``, and the threshold heap by
-cross-multiplication.  `Fraction` objects only materialise in reports and
-traces.
+Hot paths compare candidates by one exact integer key: a value whose
+denominators are at most D, scaled by ``2**shift > D**2`` and floored.
+Two different such values differ by at least 1 / D², so their keys keep
+their order, and equal values get equal keys.  The divisor table scans its
+keys with ``max``; the threshold heap compares them in C.  `Fraction`
+objects only materialise in reports, traces and once per threshold group.
 """
 
 from __future__ import annotations
@@ -78,6 +80,9 @@ MAX_TRACE_CELLS = 1_000_000
 #: v_i / (q n + p) in the table and gains its next seat when the multiplier
 #: reaches (n + t) V / v_i: the same number, so one rule in both forms.
 _SIGNPOSTS = {DHONDT: Fraction(1), SAINTE_LAGUE: Fraction(1, 2)}
+
+#: The rounding rule of each divisor method's multiplier form.
+_ROUNDING = {DHONDT: "floor", SAINTE_LAGUE: "nearest"}
 
 
 def _check_rows(count, what, width=1):
@@ -298,10 +303,6 @@ def highest_averages(
     k = tally.party_count
     seats = [0] * k
     dens = [p] * k  # q * seats[i] + p
-    # A bid's divisor stays below qN + p while a seat is open, so two
-    # different bids differ by at least 1 / (qN + p)**2; scaled by
-    # 2**shift > (qN + p)**2 they differ by more than 1, and floored keys
-    # keep their strict order.  Equal bids get equal keys.
     shift = 2 * (q * house_size + p).bit_length()
     keys = [(v << shift) // p for v in votes]
     steps = []
@@ -352,99 +353,75 @@ def highest_averages(
     return allocation, trace
 
 
-class _Bid:
-    """Heap entry: the exact multiplier at which a party gains one more seat.
-
-    Ordered by value (integer cross-multiplication), then by tie rank, so
-    the heap pops coincident thresholds in tie-policy order.
-    """
-
-    __slots__ = ("num", "den", "rank", "party")
-
-    def __init__(self, num, den, rank, party):
-        self.num = num
-        self.den = den
-        self.rank = rank
-        self.party = party
-
-    def __lt__(self, other):
-        lhs = self.num * other.den
-        rhs = other.num * self.den
-        if lhs != rhs:
-            return lhs < rhs
-        return self.rank < other.rank
-
-    def same_value(self, other):
-        return self.num * other.den == other.num * self.den
-
-    def value(self):
-        return Fraction(self.num, self.den)
-
-
-def _thresholds(tally, base, t, ranks, down=False):
-    """Seat thresholds from ``base`` seats on, as a stream of ``_Bid``s.
+def _groups(tally, base, t, ranks, down=False):
+    """Seat thresholds from ``base`` seats on, in groups of coincident values.
 
     Holding n seats, party i gains one more when the multiplier reaches
-    ``(n + t) * V / v_i``, so its thresholds lie ``V / v_i`` apart.  The
-    stream yields every threshold above ``base`` in (value, tie rank) order;
-    it is endless because some party has votes.  With ``down`` it yields
-    the thresholds of the seats held instead, highest first, as bids with
-    negated numerators, and ends when no seat is left.  Parties without
-    votes never gain a seat.
+    ``(n + t) V / v_i``, so its thresholds lie ``V / v_i`` apart.  Yields
+    ``(value, parties)``: each threshold value as an exact `Fraction`, and
+    the parties whose threshold it is, in tie-rank order.  It yields every
+    threshold above ``base`` in ascending order, endlessly because some
+    party has votes; with ``down``, the thresholds of the seats held instead,
+    highest first, ending when no seat is left.  Parties without votes never
+    gain a seat.
+
+    The heap holds tuples ``(key, rank, party, numerator)``, compared in C:
+    with t = p/q the threshold over V is ``(q n + p) / (q v_i)``, and the
+    key is that numerator (negated with ``down``) scaled by ``2**shift``
+    and floored by the denominator.  Two different thresholds over V differ
+    by at least ``1 / (q v_i q v_j) >= 1 / (q max v)**2``, and ``2**shift >
+    (q max v)**2``, so the keys keep their strict order and equal
+    thresholds get equal keys.
     """
     p, q = t.numerator, t.denominator
-    total = tally.total_votes
-    step = q * total
-    if down:  # negated, so the highest threshold pops first; 0: none held
-        firsts = [-((b - 1) * q + p) * total if b else 0 for b in base]
-    else:
-        firsts = [(b * q + p) * total for b in base]
-    heap = [
-        _Bid(num, q * v, ranks[i], i)
-        for i, (v, num) in enumerate(zip(tally.votes, firsts))
-        if v > 0 and num != 0
-    ]
+    votes, total = tally.votes, tally.total_votes
+    shift = 2 * (q * max(votes)).bit_length()
+    heap = []
+    for i, (v, b) in enumerate(zip(votes, base)):
+        if v > 0 and (b or not down):  # down: a party holding none has none to shed
+            num = -((b - 1) * q + p) if down else b * q + p
+            heap.append(((num << shift) // (q * v), ranks[i], i, num))
     heapq.heapify(heap)
     while heap:
-        bid = heap[0]
-        yield bid
-        num = bid.num + step
-        if down and num >= 0:  # that was the party's first seat
-            heapq.heappop(heap)
-        else:
-            heapq.heapreplace(heap, _Bid(num, bid.den, bid.rank, bid.party))
+        key, _, first, num = heap[0]
+        value = Fraction(total * (-num if down else num), q * votes[first])
+        parties = []
+        while heap and heap[0][0] == key:
+            _, rank, i, num = heap[0]
+            parties.append(i)
+            num += q
+            if down and num >= 0:  # that was the party's first seat
+                heapq.heappop(heap)
+            else:
+                heapq.heapreplace(heap, ((num << shift) // (q * votes[i]), rank, i, num))
+        yield value, parties
 
 
 def _fill(tally, base, t, ranks, count):
     """Take the ``count`` smallest seat thresholds above ``base`` seats.
 
-    Returns ``(groups, overhang, following)``: the bids taken, as lists of
-    coincident thresholds in ascending order; the bids coincident with the
-    last group that did not fit (a tie straddling the target); and the
-    first bid above that multiplier.
+    Returns ``(groups, overhang, following)``: the ``(value, parties)``
+    groups taken in ascending order, the last one cut to fit; the parties
+    of that group left out (a tie straddling the target); and the next
+    threshold value above it.
     """
-    groups = []
-    stream = _thresholds(tally, base, t, ranks)
-    for bid in itertools.islice(stream, count):
-        if groups and bid.same_value(groups[-1][0]):
-            groups[-1].append(bid)
-        else:
-            groups.append([bid])
-    following = next(stream)
-    overhang = []
-    while groups and following.same_value(groups[-1][0]):
-        overhang.append(following)
-        following = next(stream)
-    return groups, overhang, following
+    groups, overhang = [], []
+    stream = _groups(tally, base, t, ranks)
+    while count > 0:
+        value, parties = next(stream)
+        groups.append((value, parties[:count]))
+        overhang = parties[count:]
+        count -= len(parties)
+    return groups, overhang, next(stream)[0]
 
 
 def _straddle_event(party_ids, multiplier, taken, overhang):
-    """Coincident thresholds straddle the target: ``taken`` keep their
-    seats and the tie policy de-assigns ``overhang``."""
+    """Coincident thresholds straddle the target: parties ``taken`` keep
+    their seats and the tie policy de-assigns ``overhang``."""
     return TieEvent(
         context=f"multiplier {multiplier}",
-        tied=tuple(party_ids[i] for i in sorted(b.party for b in taken + overhang)),
-        winners=tuple(party_ids[i] for i in sorted(b.party for b in taken)),
+        tied=tuple(party_ids[i] for i in sorted(taken + overhang)),
+        winners=tuple(party_ids[i] for i in sorted(taken)),
     )
 
 
@@ -541,6 +518,7 @@ def seats_at_multiplier(
     exactly when these counts sum to the intended house size.  Any M in a
     witness's accepting interval passes, not just the one reported.
     """
+    _check_type(tally, VoteTally, "tally")
     t = _round_threshold(rounding, round_threshold)
     multiplier = _exact(multiplier, "multiplier")
     if multiplier < 0:
@@ -580,8 +558,8 @@ def _multiplicative_sweep(tally, house_size, t, ranks, with_trace):
     from the thresholds above (``raise`` rows), and a group straddling the
     house size is cut by the tie policy (``deassign``).  Returns ``(seats,
     steps, taken, overhang, witness)``: ``taken`` and ``overhang`` are the
-    straddling group's bids that keep and lose their seats, both empty when
-    no group straddles.
+    straddling group's parties that keep and lose their seats, both empty
+    when no group straddles.
     """
     seats = _rounded(tally, house_size, t)
     count = sum(seats)
@@ -595,29 +573,26 @@ def _multiplicative_sweep(tally, house_size, t, ranks, with_trace):
                     "multiplier search rows", k)
         steps.append(MultiplierStep("start", Fraction(house_size), tuple(seats), count))
     if count >= house_size:
-        held = _thresholds(tally, seats, t, ranks, down=True)
-        top = next(held, None)
+        held = _groups(tally, seats, t, ranks, down=True)
+        bottom = Fraction(0), ()  # below the lowest held threshold
+        value, parties = next(held, bottom)  # the highest threshold still held
         while count > house_size:
-            group = top
-            while top is not None and top.same_value(group):
-                seats[top.party] -= 1
-                count -= 1
-                top = next(held, None)
+            for i in parties:
+                seats[i] -= 1
+            count -= len(parties)
+            value, parties = next(held, bottom)
             if with_trace:
-                below = Fraction(0) if top is None else -top.value()
-                steps.append(MultiplierStep("lower", below, tuple(seats), count))
+                steps.append(MultiplierStep("lower", value, tuple(seats), count))
         if count == house_size:
-            witness = Fraction(0) if top is None else -top.value()
-            return seats, steps, [], [], witness
+            return seats, steps, [], [], value
     groups, overhang, _ = _fill(tally, seats, t, ranks, house_size - count)
-    for group in groups:
-        for bid in group:
-            seats[bid.party] += 1
-        count += len(group)
+    for value, parties in groups:
+        for i in parties:
+            seats[i] += 1
+        count += len(parties)
         if with_trace:
-            steps.append(MultiplierStep("raise", group[0].value(), tuple(seats), count))
-    taken = groups[-1]
-    witness = taken[0].value()
+            steps.append(MultiplierStep("raise", value, tuple(seats), count))
+    witness, taken = groups[-1]
     if overhang and with_trace:
         steps[-1] = MultiplierStep("deassign", witness, steps[-1].seats, house_size)
     return seats, steps, taken, overhang, witness
@@ -672,7 +647,7 @@ def _jump_divisor(tally, house_size, t, ranks):
     if overhang:  # the parties left out still tied for seat N
         earlier = house_size - len(taken)
         ties = [group for group in ties if group[0] != earlier]
-        ties.append((earlier, [bid.party for bid in taken + overhang]))
+        ties.append((earlier, taken + overhang))
     return seats, _group_events(tally, ranks, "seat", ties, house_size)
 
 

@@ -30,6 +30,7 @@ from .methods import (
     DHONDT,
     HARE,
     SAINTE_LAGUE,
+    _ROUNDING,
     _check_house,
     _check_type,
     hare_niemeyer,
@@ -236,8 +237,7 @@ def _allocate(method: str, tally, house_size, tie):
         return hare_niemeyer(tally, house_size, tie)
     if method not in (DHONDT, SAINTE_LAGUE):  # by ==: an unhashable method too
         raise InputError(f"unknown method {method!r}")
-    rounding = "floor" if method == DHONDT else "nearest"
-    return multiplicative(tally, house_size, rounding, tie=tie, with_trace=False)[0]
+    return multiplicative(tally, house_size, _ROUNDING[method], tie=tie, with_trace=False)[0]
 
 
 def _equivalence_trial(trial):

@@ -26,11 +26,12 @@ from fractions import Fraction
 from .methods import (
     _award_deficits,
     _check_rows,
+    _check_type,
     _fill,
+    _groups,
     _round_threshold,
     _rounded,
     _straddle_event,
-    _thresholds,
 )
 from .types import (
     InputError,
@@ -51,7 +52,10 @@ from .types import (
 MAX_TOPUP_ITERATIONS = 1_000_000
 
 
-def _check_seed(tally: VoteTally, seed: SeedDistribution):
+def _check_seed(tally: VoteTally, seed: SeedDistribution, tie: TiePolicy):
+    _check_type(tally, VoteTally, "tally")
+    _check_type(seed, SeedDistribution, "seed")
+    _check_type(tie, TiePolicy, "tie")
     if seed.party_ids != tally.party_ids:
         raise InputError("seed distribution refers to a different party set")
     for pid, v, d in zip(tally.party_ids, tally.votes, seed.district_seats):
@@ -96,7 +100,7 @@ def seeded_sequential_hare(
     the fixed house target D + T and reports ``fixed-extra-exhausted``;
     a T above ``MAX_TOPUP_ITERATIONS`` is refused before any award.
     """
-    _check_seed(tally, seed)
+    _check_seed(tally, seed, tie)
     total = tally.total_votes
     ranks = tie.ranks(tally)
     m = list(seed.district_seats)
@@ -192,7 +196,7 @@ def seeded_divisor(
     below D + 1.  Coincident thresholds straddling the target are resolved
     by the tie policy (de-assignment), recorded as a tie event.
     """
-    _check_seed(tally, seed)
+    _check_seed(tally, seed, tie)
     if stop not in ("residual", "fixed"):
         raise InputError(f"unknown stop rule {stop!r}")
     if stop == "fixed" and seed.fixed_extra is None:
@@ -215,7 +219,7 @@ def _divisor_residual_stop(tally, seed, t, with_trace):
     # Only whole threshold groups are taken here, so tie order is moot.
     ranks = range(tally.party_count)
     held = [d + x for d, x in zip(ds, _topups_at(tally, seed, t, lo))]
-    hi = next(_thresholds(tally, held, t, ranks)).value()
+    hi = next(_groups(tally, held, t, ranks))[0]
     witness = start if bound < start else (lo + hi) / 2
     extras = _topups_at(tally, seed, t, witness)
     sweep = []
@@ -226,10 +230,10 @@ def _divisor_residual_stop(tally, seed, t, with_trace):
         _check_rows(count, "sweep rows", tally.party_count)
         groups, *_ = _fill(tally, [d + x for d, x in zip(ds, first)], t, ranks, count)
         sweep = [SweepStep(start, tuple(first), sum(first))]
-        for group in groups:
-            for bid in group:
-                first[bid.party] += 1
-            sweep.append(SweepStep(group[0].value(), tuple(first), sum(first)))
+        for value, parties in groups:
+            for i in parties:
+                first[i] += 1
+            sweep.append(SweepStep(value, tuple(first), sum(first)))
         if witness != start:  # strictly between two thresholds: its own row
             sweep.append(SweepStep(witness, tuple(extras), sum(extras)))
     return _report(tally, seed, extras, STOP_RESIDUAL, sweep, witness, (lo, hi))
@@ -263,19 +267,19 @@ def _divisor_fixed_stop(tally, seed, t, tie, with_trace):
         tie.ranks(tally), seed.fixed_extra - sum(extras),
     )
     sweep = []
-    for group in groups:
-        for bid in group:
-            extras[bid.party] += 1
+    for value, parties in groups:
+        for i in parties:
+            extras[i] += 1
             if with_trace:
-                sweep.append(SweepStep(bid.value(), tuple(extras), len(sweep) + 1))
+                sweep.append(SweepStep(value, tuple(extras), len(sweep) + 1))
     events = []
     witness = interval = None
     if groups:
-        witness = groups[-1][0].value()
+        witness, taken = groups[-1]
         if overhang:
-            events.append(_straddle_event(tally.party_ids, witness, groups[-1], overhang))
+            events.append(_straddle_event(tally.party_ids, witness, taken, overhang))
         else:
-            interval = (witness, following.value())
+            interval = (witness, following)
     return _report(tally, seed, extras, STOP_FIXED, sweep, witness, interval, events)
 
 

@@ -1,10 +1,11 @@
 """Multiplier-form allocation: scale shares, round, adjust until the house fits."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from apportion import (
@@ -18,6 +19,7 @@ from apportion import (
     multiplicative,
     seats_at_multiplier,
 )
+from apportion.methods import _groups
 
 
 def test_floor_rounding_worked_example(worked_example):
@@ -281,3 +283,50 @@ def test_sweep_report_labels_and_implied_quota(rounding, threshold, label, q, wi
                 assert trace.implied_quota == expected
                 assert type(trace.implied_quota) is Fraction
     assert witnesses == {True, False}  # witness 0 (the empty house) and others
+
+
+def _reference_groups(tally, base, t, ranks, down, length):
+    """The threshold stream without keys: every threshold a Fraction, sorted
+    by (value, tie rank) and grouped by equal value; ``length`` thresholds a
+    party from ``base`` up, or with ``down`` every seat held, highest first.
+    A party's thresholds are distinct, so the first ``length`` groups hold
+    at most ``length`` of any one party, and the listing is complete."""
+    listed = []
+    for i, (v, b) in enumerate(zip(tally.votes, base)):
+        if v:
+            apart = Fraction(tally.total_votes, v)
+            seats = range(b) if down else range(b, b + length)
+            listed += [((n + t) * apart, ranks[i], i) for n in seats]
+    listed.sort(key=lambda x: (-x[0] if down else x[0], x[1]))
+    grouped = itertools.groupby(listed, key=lambda x: x[0])
+    groups = [(value, [i for _, _, i in members]) for value, members in grouped]
+    return groups if down else groups[:length]
+
+
+@st.composite
+def threshold_streams(draw):
+    k = draw(st.integers(1, 12))
+    if draw(st.booleans()):  # wide
+        votes = draw(st.lists(st.integers(0, 10**12), min_size=k, max_size=k))
+    else:  # tie-prone: zeros, equal votes and small multiples of one unit
+        unit = draw(st.sampled_from([1, 7, 1_000, 10**9]))
+        multiples = draw(st.lists(st.integers(0, 6), min_size=k, max_size=k))
+        votes = [unit * x for x in multiples]
+    votes[draw(st.integers(0, k - 1))] += 1  # some party has votes
+    base = draw(st.just([0] * k) | st.lists(st.integers(0, 20), min_size=k, max_size=k))
+    t = draw(st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(2, 3)]))
+    return votes, base, t, draw(st.permutations(range(k)))
+
+
+@settings(max_examples=400)
+@given(threshold_streams(), st.integers(1, 30))
+# Over V = 5 the thresholds 5/2 and 10/3 are 1/2 and 2/3: with half the key
+# width, 2**2, both keys floor to 2 and the two values would merge.
+@example(([2, 3], [0, 1], Fraction(1), [0, 1]), 3)
+def test_threshold_groups_match_a_keyless_reference(case, length):
+    votes, base, t, ranks = case
+    tally = VoteTally(tuple(f"P{i}" for i in range(len(votes))), tuple(votes))
+    up = list(itertools.islice(_groups(tally, base, t, ranks), length))
+    assert up == _reference_groups(tally, base, t, ranks, False, length)
+    down = list(_groups(tally, base, t, ranks, down=True))
+    assert down == _reference_groups(tally, base, t, ranks, True, None)

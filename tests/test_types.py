@@ -22,6 +22,9 @@ from apportion import (
     highest_averages,
     jump_allocation,
     multiplicative,
+    seats_at_multiplier,
+    seeded_divisor,
+    seeded_sequential_hare,
     sequential_hare,
 )
 from apportion import types
@@ -202,6 +205,7 @@ def test_tie_event_rejects_fields_that_are_not_tuples(fields):
 
 
 _TALLY = VoteTally(("A", "B"), (1, 2))
+_SEED = SeedDistribution(("A", "B"), (1, 0))
 
 
 @pytest.mark.parametrize(
@@ -223,6 +227,18 @@ _TALLY = VoteTally(("A", "B"), (1, 2))
         (lambda: check_quota_property(_TALLY, 3, None), "allocation must be an Allocation"),
         (lambda: check_quota_property(None, 3, hare_niemeyer(_TALLY, 3)),
          "tally must be a VoteTally"),
+        (lambda: seeded_sequential_hare(None, _SEED),
+         "tally must be a VoteTally, not NoneType$"),
+        (lambda: seeded_sequential_hare(_TALLY, None),
+         "seed must be a SeedDistribution, not NoneType"),
+        (lambda: seeded_divisor(None, _SEED), "tally must be a VoteTally, not NoneType$"),
+        (lambda: seeded_divisor(_TALLY, [1, 0]),
+         "seed must be a SeedDistribution, not list"),
+        (lambda: seeded_sequential_hare(_TALLY, _SEED, 1),
+         "tie must be a TiePolicy, not int"),
+        (lambda: seeded_divisor(_TALLY, _SEED, tie=1),
+         "tie must be a TiePolicy, not int"),
+        (lambda: seats_at_multiplier(None, 1), "tally must be a VoteTally, not NoneType$"),
     ],
 )
 def test_fixed_house_engines_refuse_the_wrong_domain_type(call, message):
