@@ -179,61 +179,76 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+#: The rules on the flags alone, checked before the input is read: an
+#: ``(applies, message)`` pair each, and the first rule that applies is the error.
+#: (``dest=dest`` binds each generated rule to its own flag.)
+_FLAG_RULES = (
+    *((lambda a, dest=dest: a.suite and getattr(a, dest) is not None,
+       f"{flag} does not apply to --suite runs") for flag, dest in (
+        ("--method", "method"), ("--form", "form"), ("--seats", "seats"),
+        ("--seed", "tie_seed"), ("--districts-col", "districts_col"), ("--cap", "cap"),
+        ("--fixed-extra", "fixed_extra"), ("--stop", "stop"))),
+    (lambda a: a.suite and (a.compare or a.trace),
+     "--compare and --trace do not apply to --suite runs"),
+    (lambda a: a.suite and a.tie_mode != "deterministic",
+     "--tie does not apply to --suite runs (each trial draws its own)"),
+    (lambda a: a.suite and a.input_path is not None, "--suite runs take no input file"),
+    (lambda a: not a.suite and a.input_path is None,
+     "an input file (or '-') is required unless --suite is given"),
+    *((lambda a, dest=dest: not a.suite and getattr(a, dest) is not None,
+       f"{flag} applies to --suite runs only") for flag, dest in (
+        ("--trials", "trials"), ("--master-seed", "master_seed"), ("--jobs", "jobs"))),
+    (lambda a: a.compare and a.method is not None, "--compare runs all methods; drop --method"),
+    (lambda a: a.compare and a.form is not None,
+     "--compare uses each method's canonical form; drop --form"),
+    (lambda a: a.compare and a.trace, "--trace applies to single-method runs"),
+    (lambda a: a.tie_mode == "random" and a.tie_seed is None, "--tie random requires --seed"),
+    (lambda a: a.tie_mode == "random" and not 0 <= a.tie_seed < 2**64,
+     "--seed must fit in 64 bits"),
+    (lambda a: a.tie_mode != "random" and a.tie_seed is not None,
+     "--seed applies to --tie random only"),
+    (lambda a: a.stop == "fixed" and a.fixed_extra is None,
+     "--stop fixed requires --fixed-extra"),
+    (lambda a: a.stop == "residual" and a.fixed_extra is not None,
+     "--fixed-extra implies --stop fixed"),
+    (lambda a: a.jobs is not None and a.jobs < 1, "--jobs must be at least 1"),
+)
+
+#: The rules that turn on whether the input has a districts column, checked
+#: once it is read (``two`` is True for a two-stage run), in the same way.
+_RUN_RULES = (
+    (lambda c, two: two and c.seats is not None,
+     "--seats does not apply to two-stage runs (the house size is derived)"),
+    (lambda c, two: two and c.compare, "--compare applies to fixed-house runs"),
+    (lambda c, two: two and c.form in (None, "sequential") and c.method != HARE,
+     "sequential two-stage runs use hare deficits; "
+     "pick --form divisor with --method dhondt or sainte-lague"),
+    (lambda c, two: two and c.form not in (None, "sequential") and c.method == HARE,
+     "two-stage divisor runs need --method dhondt or sainte-lague"),
+    (lambda c, two: not two and (c.cap is not None or c.fixed_extra is not None or c.stop),
+     "two-stage options require a districts column"),
+    (lambda c, two: not two and c.seats is None,
+     "--seats is required without a districts column"),
+    (lambda c, two: not two and c.method == HARE and c.form is None and c.trace,
+     "the largest-remainder form has no step trace; use --form sequential"),
+    (lambda c, two: not two and c.method == HARE and c.form not in (None, "sequential"),
+     "hare supports --form sequential only"),
+    (lambda c, two: not two and c.form == "sequential" and c.method != HARE,
+     "--form sequential applies to hare only"),
+)
+
+
+def _refuse(rules, *args):
+    """Raise the message of the first of ``rules`` that applies to ``args``."""
+    for applies, message in rules:
+        if applies(*args):
+            raise InputError(message)
+
+
 def _config_from_args(args) -> argparse.Namespace:
     """Check the flags, then fill in the defaults that would hide whether a flag
     was given; the namespace is then the run configuration, one field per dest."""
-    if args.suite:
-        blocked = [
-            ("--method", args.method),
-            ("--form", args.form),
-            ("--seats", args.seats),
-            ("--seed", args.tie_seed),
-            ("--districts-col", args.districts_col),
-            ("--cap", args.cap),
-            ("--fixed-extra", args.fixed_extra),
-            ("--stop", args.stop),
-        ]
-        for flag, value in blocked:
-            if value is not None:
-                raise InputError(f"{flag} does not apply to --suite runs")
-        if args.compare or args.trace:
-            raise InputError("--compare and --trace do not apply to --suite runs")
-        if args.tie_mode != "deterministic":
-            raise InputError(
-                "--tie does not apply to --suite runs (each trial draws its own)"
-            )
-        if args.input_path is not None:
-            raise InputError("--suite runs take no input file")
-    else:
-        if args.input_path is None:
-            raise InputError("an input file (or '-') is required unless --suite is given")
-        for flag, value in (
-            ("--trials", args.trials),
-            ("--master-seed", args.master_seed),
-            ("--jobs", args.jobs),
-        ):
-            if value is not None:
-                raise InputError(f"{flag} applies to --suite runs only")
-    if args.compare:
-        if args.method is not None:
-            raise InputError("--compare runs all methods; drop --method")
-        if args.form is not None:
-            raise InputError("--compare uses each method's canonical form; drop --form")
-        if args.trace:
-            raise InputError("--trace applies to single-method runs")
-    if args.tie_mode == "random":
-        if args.tie_seed is None:
-            raise InputError("--tie random requires --seed")
-        if not 0 <= args.tie_seed < 2**64:
-            raise InputError("--seed must fit in 64 bits")
-    elif args.tie_seed is not None:
-        raise InputError("--seed applies to --tie random only")
-    if args.stop == "fixed" and args.fixed_extra is None:
-        raise InputError("--stop fixed requires --fixed-extra")
-    if args.stop == "residual" and args.fixed_extra is not None:
-        raise InputError("--fixed-extra implies --stop fixed")
-    if args.jobs is not None and args.jobs < 1:
-        raise InputError("--jobs must be at least 1")
+    _refuse(_FLAG_RULES, args)
     defaults = {"method": HARE, "districts_col": "districts", "trials": 10_000,
                 "master_seed": 0, "jobs": 1}
     for name, default in defaults.items():
@@ -263,7 +278,7 @@ def run(config: argparse.Namespace) -> str:
     if config.suite:
         return _run_suite(config)
     tally, seed = parse_votes(_read_input(config.input_path), config.districts_col)
-    _check_run(config, seed is not None)
+    _refuse(_RUN_RULES, config, seed is not None)
     tie = TiePolicy(config.tie_mode, config.tie_seed)
     if config.compare:  # each method's canonical form, untraced
         runs = [_fixed_run(config, tally, m, None, tie) for m in METHODS]
@@ -280,38 +295,6 @@ def run(config: argparse.Namespace) -> str:
         key = "trace" if seed is None else "seeded_run"
         return _json_report(config, tally, report, allocations, key, detail)
     return _fixed_house_table(config, tally, report, allocations, detail)
-
-
-def _check_run(config, two_stage):
-    """The flag rules that turn on whether the input has a districts column."""
-    hare, sequential = config.method == HARE, config.form in (None, "sequential")
-    if two_stage:
-        if config.seats is not None:
-            raise InputError(
-                "--seats does not apply to two-stage runs (the house size is derived)"
-            )
-        if config.compare:
-            raise InputError("--compare applies to fixed-house runs")
-        if sequential and not hare:
-            raise InputError(
-                "sequential two-stage runs use hare deficits; "
-                "pick --form divisor with --method dhondt or sainte-lague"
-            )
-        if hare and not sequential:
-            raise InputError("two-stage divisor runs need --method dhondt or sainte-lague")
-        return
-    if config.cap is not None or config.fixed_extra is not None or config.stop:
-        raise InputError("two-stage options require a districts column")
-    if config.seats is None:
-        raise InputError("--seats is required without a districts column")
-    if hare and config.form is None and config.trace:
-        raise InputError(
-            "the largest-remainder form has no step trace; use --form sequential"
-        )
-    if hare and not sequential:
-        raise InputError("hare supports --form sequential only")
-    if config.form == "sequential" and not hare:
-        raise InputError("--form sequential applies to hare only")
 
 
 # ---------------------------------------------------------------- fixed house

@@ -76,13 +76,17 @@ MAX_TRACE_ROWS = 50_000
 #: reads it at each call.
 MAX_TRACE_CELLS = 1_000_000
 
-#: Signpost t = p/q of each divisor method.  Holding n seats, party i bids
-#: v_i / (q n + p) in the table and gains its next seat when the multiplier
-#: reaches (n + t) V / v_i: the same number, so one rule in both forms.
-_SIGNPOSTS = {DHONDT: Fraction(1), SAINTE_LAGUE: Fraction(1, 2)}
-
-#: The rounding rule of each divisor method's multiplier form.
-_ROUNDING = {DHONDT: "floor", SAINTE_LAGUE: "nearest"}
+#: Each divisor method, the rounding rule of its multiplier form and its
+#: signpost t = p/q.  Holding n seats, party i bids v_i / (q n + p) in the
+#: table and gains its next seat when the multiplier reaches (n + t) V / v_i:
+#: the same number, so one rule in both forms.  The maps below all read it.
+_DIVISOR_RULES = ((DHONDT, "floor", Fraction(1)), (SAINTE_LAGUE, "nearest", Fraction(1, 2)))
+_SIGNPOSTS = {method: t for method, _, t in _DIVISOR_RULES}
+_ROUNDING = {method: rounding for method, rounding, _ in _DIVISOR_RULES}
+#: Method name of each signpost, for the sweep's labels and implied quota.
+_SIGNPOST_METHODS = {t: method for method, _, t in _DIVISOR_RULES}
+#: Each rounding rule's default threshold, for :func:`_round_threshold`.
+_ROUNDING_SIGNPOSTS = {rounding: t for _, rounding, t in _DIVISOR_RULES}
 
 
 def _check_rows(count, what, width=1):
@@ -124,25 +128,24 @@ def compute_quotas(tally: VoteTally, house_size: int) -> QuotaReport:
     """Ideal seat counts ``N * v_i / V`` with lower/upper integer bounds."""
     _check_type(tally, VoteTally, "tally")
     _check_house(house_size)
-    total = tally.total_votes
-    ideals, lowers, uppers, remainders = [], [], [], []
-    for v in tally.votes:
-        num = house_size * v
-        lower, rem = divmod(num, total)
-        ideals.append(Fraction(num, total))
-        lowers.append(lower)
-        uppers.append(lower if rem == 0 else lower + 1)
-        remainders.append(Fraction(rem, total))
-    ideal_quota = Fraction(total, house_size) if house_size > 0 else None
+    total, lowers, rems = _quota_split(tally, house_size)
     return QuotaReport(
         party_ids=tally.party_ids,
         house_size=house_size,
-        ideals=tuple(ideals),
+        ideals=tuple(Fraction(house_size * v, total) for v in tally.votes),
         lowers=tuple(lowers),
-        uppers=tuple(uppers),
-        remainders=tuple(remainders),
-        ideal_quota=ideal_quota,
+        uppers=tuple(lower + (rem > 0) for lower, rem in zip(lowers, rems)),
+        remainders=tuple(Fraction(rem, total) for rem in rems),
+        ideal_quota=Fraction(total, house_size) if house_size > 0 else None,
     )
+
+
+def _quota_split(tally, house_size):
+    """``(V, lowers, remainders)``: the total vote V, and per party the lower
+    quota ``N v_i // V`` and the remainder ``N v_i mod V`` (over V), in lists."""
+    total = tally.total_votes
+    splits = [divmod(house_size * v, total) for v in tally.votes]
+    return total, [lower for lower, _ in splits], [rem for _, rem in splits]
 
 
 def hare_niemeyer(
@@ -157,13 +160,7 @@ def hare_niemeyer(
     something.
     """
     _check_call(tally, house_size, tie)
-    total = tally.total_votes
-    seats = []
-    rem_nums = []  # remainder numerators over the common denominator `total`
-    for v in tally.votes:
-        lower, rem = divmod(house_size * v, total)
-        seats.append(lower)
-        rem_nums.append(rem)
+    _, seats, rem_nums = _quota_split(tally, house_size)
     leftover = house_size - sum(seats)
     events = []
     if leftover:
@@ -243,7 +240,6 @@ def _award_deficits(
     ``nums`` in place and appends to ``awards`` (unless it is None) and
     ``events``.
     """
-    parties = range(len(nums))
     for j in iterations:
         if growth is not None:
             house += 1
@@ -251,19 +247,20 @@ def _award_deficits(
         top = max(nums)
         best = nums.index(top)
         if nums.count(top) > 1:
-            tied = [i for i in parties if nums[i] == top]
-            best = min(tied, key=ranks.__getitem__)
-            events.append(
-                TieEvent(
-                    context=f"{context} {j}",
-                    tied=tuple(ids[i] for i in tied),
-                    winners=(ids[best],),
-                )
-            )
+            best = _tie(nums, top, ranks, ids, f"{context} {j}", events)
         if awards is not None:
             awards.append(SeatAward(j, house, ids[best], Fraction(top, total)))
         seats[best] += 1
         nums[best] = top - total
+
+
+def _tie(values, top, ranks, ids, context, events):
+    """The party of lowest tie rank among those whose value is ``top``;
+    appends the tie event, every tied party listed in index order."""
+    tied = [i for i, value in enumerate(values) if value == top]
+    best = min(tied, key=ranks.__getitem__)
+    events.append(TieEvent(context, tuple(ids[i] for i in tied), (ids[best],)))
+    return best
 
 
 def highest_averages(
@@ -311,15 +308,7 @@ def highest_averages(
         top = max(keys)
         best = keys.index(top)
         if keys.count(top) > 1:
-            tied = [i for i in range(k) if keys[i] == top]
-            best = min(tied, key=ranks.__getitem__)
-            events.append(
-                TieEvent(
-                    context=f"seat {step}",
-                    tied=tuple(ids[i] for i in tied),
-                    winners=(ids[best],),
-                )
-            )
+            best = _tie(keys, top, ranks, ids, f"seat {step}", events)
         if with_trace:
             steps.append(
                 DivisorStep(
@@ -431,18 +420,16 @@ def _round_threshold(rounding, round_threshold):
     ``round_t(x)`` awards s seats when ``x >= s - 1 + t``; t = 1 is floor
     rounding, t = 1/2 is round-to-nearest (exact halves round up).
     """
+    if rounding not in tuple(_ROUNDING_SIGNPOSTS):  # by ==: an unhashable rule too
+        raise InputError(f"unknown rounding rule {rounding!r}")
+    if round_threshold is None:
+        return _ROUNDING_SIGNPOSTS[rounding]
     if rounding == "floor":
-        if round_threshold is not None:
-            raise InputError("round_threshold applies to nearest rounding only")
-        return _SIGNPOSTS[DHONDT]
-    if rounding == "nearest":
-        if round_threshold is None:
-            return _SIGNPOSTS[SAINTE_LAGUE]
-        t = _exact(round_threshold, "round_threshold")
-        if not 0 < t <= 1:
-            raise InputError("round_threshold must lie in (0, 1]")
-        return t
-    raise InputError(f"unknown rounding rule {rounding!r}")
+        raise InputError("round_threshold applies to nearest rounding only")
+    t = _exact(round_threshold, "round_threshold")
+    if not 0 < t <= 1:
+        raise InputError("round_threshold must lie in (0, 1]")
+    return t
 
 
 def _exact(x, name):
@@ -450,10 +437,6 @@ def _exact(x, name):
     if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
         raise InputError(f"{name} must be an int or a Fraction, not {type(x).__name__}")
     return Fraction(x)
-
-
-#: Method name of each signpost, for the sweep's labels and implied quota.
-_SIGNPOST_METHODS = {signpost: method for method, signpost in _SIGNPOSTS.items()}
 
 
 def multiplicative(
@@ -702,13 +685,8 @@ def _jump_hare(tally, house_size, ranks):
     at every level ``c V + remainder`` that both of them hold, the
     remainder itself (level 0) included.
     """
-    total = tally.total_votes
+    total, seats, rems = _quota_split(tally, house_size)
     ideals = [house_size * v for v in tally.votes]
-    seats, rems = [], []
-    for x in ideals:
-        lower, remainder = divmod(x, total)
-        seats.append(lower)
-        rems.append(remainder)
     base = sum(seats)
     order = sorted(range(tally.party_count), key=lambda i: (-rems[i], ranks[i]))
     classes = {}  # remainder -> (deficits above it, parties)

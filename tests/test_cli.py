@@ -1345,3 +1345,175 @@ def test_fuzzed_invocations_keep_the_exit_code_contract(invocation):
     else:
         assert code in (0, 1)
         assert (err == "") if code == 0 else err.startswith("error: ")
+
+
+# Every flag rule's exact message, first one by one and then where several
+# rules apply at once, which pins the rule order.  In the argv, "votes.csv"
+# stands for a fixed-house input, "seeded.csv" for one with a districts
+# column, "empty.csv" for an empty file and "missing.csv" for a path that
+# cannot be read.  The first rules run before the input is read, so they win
+# over an unreadable path; the rules that turn on a districts column run after.
+FLAG_RULES = [
+    # the flags a --suite run refuses
+    pytest.param(("--suite", "equivalence", "--method", "dhondt"),
+                 "--method does not apply to --suite runs", id="suite-method"),
+    pytest.param(("--suite", "equivalence", "--form", "divisor"),
+                 "--form does not apply to --suite runs", id="suite-form"),
+    pytest.param(("--suite", "equivalence", "--seats", "5"),
+                 "--seats does not apply to --suite runs", id="suite-seats"),
+    pytest.param(("--suite", "equivalence", "--seed", "1"),
+                 "--seed does not apply to --suite runs", id="suite-seed"),
+    pytest.param(("--suite", "equivalence", "--districts-col", "won"),
+                 "--districts-col does not apply to --suite runs", id="suite-districts-col"),
+    pytest.param(("--suite", "equivalence", "--cap", "2"),
+                 "--cap does not apply to --suite runs", id="suite-cap"),
+    pytest.param(("--suite", "equivalence", "--fixed-extra", "2"),
+                 "--fixed-extra does not apply to --suite runs", id="suite-fixed-extra"),
+    pytest.param(("--suite", "equivalence", "--stop", "fixed"),
+                 "--stop does not apply to --suite runs", id="suite-stop"),
+    pytest.param(("--suite", "bias", "--compare"),
+                 "--compare and --trace do not apply to --suite runs", id="suite-compare"),
+    pytest.param(("--suite", "paradox", "--trace"),
+                 "--compare and --trace do not apply to --suite runs", id="suite-trace"),
+    pytest.param(("--suite", "equivalence", "--tie", "random"),
+                 "--tie does not apply to --suite runs (each trial draws its own)",
+                 id="suite-tie"),
+    pytest.param(("votes.csv", "--suite", "equivalence"),
+                 "--suite runs take no input file", id="suite-input"),
+    pytest.param(("--suite", "equivalence", "--jobs", "0"),
+                 "--jobs must be at least 1", id="suite-jobs-zero"),
+    # the flags of --suite runs only, and the input file of every other run
+    pytest.param((), "an input file (or '-') is required unless --suite is given",
+                 id="no-input"),
+    pytest.param(("votes.csv", "--seats", "10", "--trials", "5"),
+                 "--trials applies to --suite runs only", id="trials-without-suite"),
+    pytest.param(("votes.csv", "--seats", "10", "--master-seed", "1"),
+                 "--master-seed applies to --suite runs only",
+                 id="master-seed-without-suite"),
+    pytest.param(("votes.csv", "--seats", "10", "--jobs", "2"),
+                 "--jobs applies to --suite runs only", id="jobs-without-suite"),
+    # --compare, --tie and the two-stage stop
+    pytest.param(("votes.csv", "--seats", "10", "--compare", "--method", "hare"),
+                 "--compare runs all methods; drop --method", id="compare-method"),
+    pytest.param(("votes.csv", "--seats", "10", "--compare", "--form", "divisor"),
+                 "--compare uses each method's canonical form; drop --form",
+                 id="compare-form"),
+    pytest.param(("votes.csv", "--seats", "10", "--compare", "--trace"),
+                 "--trace applies to single-method runs", id="compare-trace"),
+    pytest.param(("votes.csv", "--seats", "10", "--tie", "random"),
+                 "--tie random requires --seed", id="random-without-seed"),
+    pytest.param(("votes.csv", "--seats", "10", "--tie", "random", "--seed", str(2**64)),
+                 "--seed must fit in 64 bits", id="seed-too-large"),
+    pytest.param(("votes.csv", "--seats", "10", "--tie", "random", "--seed", "-1"),
+                 "--seed must fit in 64 bits", id="seed-negative"),
+    pytest.param(("votes.csv", "--seats", "10", "--seed", "4"),
+                 "--seed applies to --tie random only", id="seed-without-random"),
+    pytest.param(("seeded.csv", "--stop", "fixed"),
+                 "--stop fixed requires --fixed-extra", id="stop-fixed-without-extra"),
+    pytest.param(("seeded.csv", "--stop", "residual", "--fixed-extra", "2"),
+                 "--fixed-extra implies --stop fixed", id="residual-with-extra"),
+    # the rules that turn on a districts column
+    pytest.param(("seeded.csv", "--seats", "10"),
+                 "--seats does not apply to two-stage runs (the house size is derived)",
+                 id="two-stage-seats"),
+    pytest.param(("seeded.csv", "--compare"),
+                 "--compare applies to fixed-house runs", id="two-stage-compare"),
+    pytest.param(("seeded.csv", "--method", "dhondt"),
+                 "sequential two-stage runs use hare deficits; "
+                 "pick --form divisor with --method dhondt or sainte-lague",
+                 id="two-stage-sequential-dhondt"),
+    pytest.param(("seeded.csv", "--method", "sainte-lague", "--form", "sequential"),
+                 "sequential two-stage runs use hare deficits; "
+                 "pick --form divisor with --method dhondt or sainte-lague",
+                 id="two-stage-sequential-sainte-lague"),
+    pytest.param(("seeded.csv", "--form", "divisor"),
+                 "two-stage divisor runs need --method dhondt or sainte-lague",
+                 id="two-stage-hare-divisor"),
+    pytest.param(("votes.csv", "--seats", "10", "--cap", "2"),
+                 "two-stage options require a districts column", id="fixed-house-cap"),
+    pytest.param(("votes.csv", "--seats", "10", "--stop", "fixed", "--fixed-extra", "2"),
+                 "two-stage options require a districts column", id="fixed-house-stop"),
+    pytest.param(("votes.csv", "--seats", "10", "--stop", "residual"),
+                 "two-stage options require a districts column",
+                 id="fixed-house-residual"),
+    pytest.param(("votes.csv",), "--seats is required without a districts column",
+                 id="fixed-house-no-seats"),
+    pytest.param(("votes.csv", "--seats", "10", "--trace"),
+                 "the largest-remainder form has no step trace; use --form sequential",
+                 id="largest-remainder-trace"),
+    pytest.param(("votes.csv", "--seats", "10", "--form", "multiplicative"),
+                 "hare supports --form sequential only", id="hare-multiplicative"),
+    pytest.param(("votes.csv", "--seats", "10", "--method", "dhondt", "--form",
+                  "sequential"),
+                 "--form sequential applies to hare only", id="dhondt-sequential"),
+    # several rules apply: the first one in the order wins
+    pytest.param(("--suite", "equivalence", "--method", "dhondt", "--seats", "5"),
+                 "--method does not apply to --suite runs", id="first-suite-flag-wins"),
+    pytest.param(("--suite", "equivalence", "--stop", "fixed", "--trace"),
+                 "--stop does not apply to --suite runs", id="suite-flag-before-trace"),
+    pytest.param(("--suite", "equivalence", "--trace", "--tie", "random"),
+                 "--compare and --trace do not apply to --suite runs",
+                 id="suite-trace-before-tie"),
+    pytest.param(("--suite", "equivalence", "--tie", "random", "--seed", "1"),
+                 "--seed does not apply to --suite runs", id="suite-seed-before-tie"),
+    pytest.param(("votes.csv", "--suite", "equivalence", "--tie", "random"),
+                 "--tie does not apply to --suite runs (each trial draws its own)",
+                 id="suite-tie-before-input"),
+    pytest.param(("votes.csv", "--suite", "equivalence", "--jobs", "0"),
+                 "--suite runs take no input file", id="suite-input-before-jobs"),
+    pytest.param(("--trials", "5", "--compare", "--method", "hare"),
+                 "an input file (or '-') is required unless --suite is given",
+                 id="no-input-before-trials"),
+    pytest.param(("votes.csv", "--jobs", "0", "--trials", "5"),
+                 "--trials applies to --suite runs only", id="trials-before-jobs"),
+    pytest.param(("votes.csv", "--jobs", "0"),
+                 "--jobs applies to --suite runs only", id="jobs-without-suite-before-zero"),
+    pytest.param(("votes.csv", "--master-seed", "1", "--compare", "--method", "hare"),
+                 "--master-seed applies to --suite runs only",
+                 id="suite-only-before-compare"),
+    pytest.param(("votes.csv", "--compare", "--method", "hare", "--form", "divisor",
+                  "--trace"),
+                 "--compare runs all methods; drop --method", id="compare-method-first"),
+    pytest.param(("votes.csv", "--compare", "--form", "divisor", "--trace"),
+                 "--compare uses each method's canonical form; drop --form",
+                 id="compare-form-before-trace"),
+    pytest.param(("votes.csv", "--compare", "--trace", "--tie", "random"),
+                 "--trace applies to single-method runs", id="compare-trace-before-tie"),
+    pytest.param(("votes.csv", "--tie", "random", "--stop", "fixed"),
+                 "--tie random requires --seed", id="random-without-seed-before-stop"),
+    pytest.param(("votes.csv", "--tie", "random", "--seed", "-1", "--stop", "fixed"),
+                 "--seed must fit in 64 bits", id="seed-range-before-stop"),
+    pytest.param(("votes.csv", "--seed", "4", "--stop", "fixed"),
+                 "--seed applies to --tie random only", id="seed-before-stop"),
+    pytest.param(("votes.csv", "--stop", "fixed"),
+                 "--stop fixed requires --fixed-extra", id="stop-before-districts"),
+    pytest.param(("seeded.csv", "--seats", "10", "--compare"),
+                 "--seats does not apply to two-stage runs (the house size is derived)",
+                 id="two-stage-seats-first"),
+    pytest.param(("seeded.csv", "--compare", "--form", "sequential"),
+                 "--compare uses each method's canonical form; drop --form",
+                 id="compare-form-before-two-stage"),
+    pytest.param(("seeded.csv", "--seats", "10", "--method", "dhondt"),
+                 "--seats does not apply to two-stage runs (the house size is derived)",
+                 id="two-stage-seats-before-method"),
+    pytest.param(("votes.csv", "--cap", "2", "--method", "dhondt", "--form", "sequential"),
+                 "two-stage options require a districts column",
+                 id="districts-before-seats"),
+    pytest.param(("votes.csv", "--method", "dhondt", "--form", "sequential"),
+                 "--seats is required without a districts column",
+                 id="seats-before-form"),
+    pytest.param(("missing.csv", "--seed", "4"),
+                 "--seed applies to --tie random only", id="flags-before-unreadable-input"),
+    pytest.param(("empty.csv",), "empty input", id="input-before-districts-rules"),
+]
+
+
+@pytest.mark.parametrize("argv,message", FLAG_RULES)
+def test_each_flag_rule_and_which_one_wins(cli, csv_file, tmp_path, argv, message):
+    paths = {
+        "votes.csv": csv_file(WORKED),
+        "seeded.csv": csv_file(SEEDED, "seeded.csv"),
+        "empty.csv": csv_file("", "empty.csv"),
+        "missing.csv": str(tmp_path / "missing.csv"),
+    }
+    assert cli(*(paths.get(arg, arg) for arg in argv)) == (1, "", f"error: {message}\n")

@@ -10,6 +10,7 @@ from apportion import (
     METHODS,
     SAINTE_LAGUE,
     InputError,
+    InstanceSpace,
     IterationGuardError,
     TiePolicy,
     VoteTally,
@@ -177,3 +178,22 @@ def test_explicit_cases(method, votes, house_size):
 def test_rejects_bad_arguments(worked_example, method, house_size):
     with pytest.raises(InputError):
         jump_allocation(worked_example, house_size, method)
+
+
+def test_the_tie_rich_space():
+    # votes of at most 20 tie often: every per-seat tie event must come back
+    space = InstanceSpace(
+        parties=(2, 8), votes=(0, 20), house=(1, 200), trials=2000, master_seed=0
+    )
+    events = 0
+    for index in range(500):
+        trial = space.trial_instance(index)
+        tally, n, tie = trial.tally, trial.house_size, trial.tie
+        jumped = {method: jump_allocation(tally, n, method, tie) for method in METHODS}
+        assert jumped[HARE] == sequential_hare(tally, n, tie, with_trace=False)[0]
+        for method in (DHONDT, SAINTE_LAGUE):
+            assert jumped[method] == highest_averages(
+                tally, n, method, tie, with_trace=False
+            )[0]
+        events += sum(len(allocation.tie_events) for allocation in jumped.values())
+    assert events == 24_172

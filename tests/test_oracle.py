@@ -20,10 +20,17 @@ from apportion import (
     equivalence_suite,
     find_house_monotonicity_violation,
     find_quota_violation,
+    dumps,
     hare_niemeyer,
     highest_averages,
 )
 from apportion import methods, oracle
+
+# Votes of at most 20 make coincident values common, so the tie policy
+# decides seats in most trials; the default space almost never ties.
+TIE_RICH = InstanceSpace(
+    parties=(2, 8), votes=(0, 20), house=(1, 200), trials=2000, master_seed=0
+)
 
 
 class TestInstanceSpace:
@@ -177,6 +184,13 @@ class TestEquivalenceSuite:
     def test_parallel_run_is_identical_to_serial(self):
         space = InstanceSpace.default(trials=120, master_seed=4)
         assert equivalence_suite(space, jobs=3) == equivalence_suite(space, jobs=1)
+
+    def test_forms_agree_where_ties_decide_seats(self):
+        report = equivalence_suite(TIE_RICH)
+        assert len(report.disagreements) == 0
+        assert report.agreements == 2000
+        assert report.stats["hare_quota_ok"] == 2000
+        assert dumps(equivalence_suite(TIE_RICH, jobs=2)) == dumps(report)
 
     def test_jobs_are_clamped_to_the_cpu_count(self, inline_pool, monkeypatch):
         space = InstanceSpace.default(trials=30, master_seed=5)
