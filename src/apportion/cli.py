@@ -426,8 +426,8 @@ def _fixed_house_table(config, tally, report, allocations, trace):
         head += [a.method for a in allocations] + ["differs"]
     else:
         head += ["seats", "residual"]
+        residuals = report.residuals_for(allocations[0])
     rows = [head]
-    residuals = [report.residuals_for(a) for a in allocations]
     for i, pid in enumerate(tally.party_ids):
         row = [
             pid,
@@ -441,7 +441,7 @@ def _fixed_house_table(config, tally, report, allocations, trace):
             row += [str(s) for s in seats]
             row.append("*" if len(set(seats)) > 1 else "")
         else:
-            row += [str(allocations[0].seats[i]), _fmt(residuals[0][i])]
+            row += [str(allocations[0].seats[i]), _fmt(residuals[i])]
         rows.append(row)
     lines.append(_layout(rows))
     if not config.compare:

@@ -593,8 +593,9 @@ def jump_allocation(
     multiplier sweep (pilot M = N, then whole threshold groups in (value,
     tie rank) order); Hare awards the lower quotas, then the fewer than k
     seats left by largest remainder.  Every tie event is rebuilt from
-    groups of coincident values.  Costs O(k²) for the divisor methods and
-    O(k log k) for Hare, plus O(k) per tie event, whatever N is.
+    groups of coincident values.  Costs O(k²) gcds for the divisor methods,
+    taken and filtered in C, and O(k log k) for Hare, plus O(k) per tie
+    event, whatever N is.
     """
     _check_call(tally, house_size, tie)
     if method not in METHODS:  # by ==: an unhashable method is refused too
@@ -641,9 +642,11 @@ def _divisor_groups(tally, seats, t):
     Parties i and j coincide exactly where ``q(n_i - 1) + p = m a`` and
     ``q(n_j - 1) + p = m b``, with ``a : b = v_i : v_j`` in lowest terms, at
     the value ``m V / (q g)``, g = gcd(v_i, v_j).  For t = 1 that is every
-    m >= 1; for t = 1/2 every odd m, when a and b are odd.  Returns one
-    ``(earlier, members)`` pair per value: the count of thresholds strictly
-    below it and the parties holding it.
+    m >= 1; for t = 1/2 every odd m, when a and b are odd.  Only a pair with
+    ``g >= ceil(v_i / top_i)`` has m a within party i's seats: C finds those
+    (a ``map`` of gcds, ``itertools.compress``).  Returns one ``(earlier,
+    members)`` pair per value: the count of thresholds strictly below it
+    and the parties holding it.
     """
     p, q = t.numerator, t.denominator
     votes = tally.votes
@@ -651,14 +654,17 @@ def _divisor_groups(tally, seats, t):
     tops = [q * (n - 1) + p for n in seats]  # m a at each party's last seat
     groups = {}  # m / g of the value, in lowest terms -> parties
     found = 0
-    for i, j in itertools.combinations(range(k), 2):
-        if not (seats[i] and seats[j]):
-            continue
+    for i, j in (  # i < j, both holding seats, g >= ceil(v_i / top_i)
+        (i, j) for i, v in enumerate(votes) if seats[i]
+        for j in itertools.compress(range(i + 1, k), map(
+            (-(-v // tops[i])).__le__, map(math.gcd, itertools.repeat(v), votes[i + 1:])))
+        if seats[j]
+    ):
         g = math.gcd(votes[i], votes[j])
         a, b = votes[i] // g, votes[j] // g
-        if q == 2 and not a & b & 1:
-            continue
         ms = range(1, min(tops[i] // a, tops[j] // b) + 1, q)
+        if not ms or q == 2 and not a & b & 1:
+            continue
         # Lower bounds on the events: each m is a value of its own, and a
         # value s parties share is found by s(s - 1)/2 <= (s - 1)k/2 pairs.
         found += len(ms)

@@ -5,9 +5,10 @@ a report can be re-parsed into the identical exact values.  ``dumps``
 writes canonical text (sorted keys, two-space indents, trailing newline):
 each value's writer returns its text, and each object or array is put
 together with one ``str.join``, so the cost is linear in the output.
-Within one call, an array item that is a ``Fraction``, ``int`` or ``str``
-object already written at the same depth reuses that text, so the N·k
-shared quota cells of a traced divisor table are formatted N + k times.
+An array of exact ``int`` items, or of exact ``str`` items, is one ``map``.
+In any other, within one call, an item that is a ``Fraction``, ``int`` or
+``str`` object already written at the same depth reuses that text, so the
+N·k shared quota cells of a traced divisor table are formatted N + k times.
 An array whose items are all of one dataclass whose fields are all
 annotated ``int``, ``str`` or ``Fraction`` (an award log's ``SeatAward``
 rows) is written a column at a time: each field is one ``map`` over the
@@ -53,6 +54,8 @@ def jsonify(value):
 
 #: Array items whose text :func:`_array` keeps by identity: immutable leaves.
 _SHARED = frozenset((Fraction, int, str))
+#: The writer of an array whose items are all exactly ``int`` or all ``str``.
+_LEAVES = {int: int.__repr__, str: _quote}  # int.__repr__ raises past the digit limit
 
 
 @functools.cache
@@ -108,13 +111,17 @@ def _object(items, newline, seen):
 def _array(value, newline, seen):
     """An array; a leaf already written at this depth reuses its text.
 
-    The rows of a traced divisor table share their unchanged quota and
-    seat-count objects, so each is formatted once per depth, not per row.
-    An array of one flat dataclass, such as an award log, is written a
-    column at a time (:func:`_column_rows`).
+    The rows of a traced divisor table share their unchanged quota
+    objects, so each is formatted once per depth, not per row.  An array
+    of exact ``int`` or exact ``str`` items is one ``map`` of its leaf
+    writer, and one of one flat dataclass, such as an award log, is
+    written a column at a time (:func:`_column_rows`).
     """
     inner = newline + "  "
-    fields = _columns(type(value[0])) if value else None
+    kind = type(value[0]) if value else None
+    if kind in _LEAVES and set(map(type, value)) == {kind}:
+        return _lines(list(map(_LEAVES[kind], value)), "[", inner, newline, "]")
+    fields = _columns(kind)
     if fields is not None and (parts := _column_rows(value, fields, inner)) is not None:
         return _lines(parts, "[", inner, newline, "]")
     texts = seen.get(inner)

@@ -1,5 +1,10 @@
 """Jump-and-step: the per-seat forms' allocation without a loop over the seats."""
 
+import itertools
+import math
+from fractions import Fraction
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -197,3 +202,60 @@ def test_the_tie_rich_space():
             )[0]
         events += sum(len(allocation.tie_events) for allocation in jumped.values())
     assert events == 24_172
+
+
+def _pair_loop_groups(tally, seats, t):
+    """``methods._divisor_groups`` with every pair visited in Python."""
+    p, q = t.numerator, t.denominator
+    votes = tally.votes
+    k = len(votes)
+    tops = [q * (n - 1) + p for n in seats]
+    groups = {}
+    found = 0
+    for i, j in itertools.combinations(range(k), 2):
+        if not (seats[i] and seats[j]):
+            continue
+        g = math.gcd(votes[i], votes[j])
+        a, b = votes[i] // g, votes[j] // g
+        if q == 2 and not a & b & 1:
+            continue
+        ms = range(1, min(tops[i] // a, tops[j] // b) + 1, q)
+        found += len(ms)
+        methods._check_rows(max(len(ms), 2 * found // k), "tie events")
+        for m in ms:
+            d = math.gcd(m, g)
+            groups.setdefault((m // d, g // d), set()).update((i, j))
+    methods._check_rows(sum(len(members) - 1 for members in groups.values()), "tie events")
+    return [
+        (sum(max(0, -((p * g - m * v) // (q * g))) for v in votes if v), members)
+        for (m, g), members in groups.items()
+    ]
+
+
+def _groups_or_message(groups, tally, seats, t):
+    try:
+        return groups(tally, seats, t)
+    except IterationGuardError as exc:
+        return str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.one_of(
+        st.lists(st.integers(0, 6), min_size=1, max_size=10),
+        st.lists(st.integers(0, 500), min_size=1, max_size=10),
+        # a large common factor: coincidences far apart in the votes
+        st.tuples(st.lists(st.integers(0, 12), min_size=1, max_size=10),
+                  st.integers(1, 10**15)).map(lambda vf: [v * vf[1] for v in vf[0]]),
+    ).filter(any),
+    st.lists(st.integers(0, 40), min_size=10, max_size=10),
+    st.sampled_from([Fraction(1), Fraction(1, 2)]),
+    st.one_of(st.just(methods.MAX_TRACE_ROWS), st.integers(0, 12)),
+)
+def test_the_pair_scan_finds_the_pair_loops_groups(votes, seats, t, limit):
+    # zero-vote parties hold no seat; a party with votes may hold none
+    seats = [n if v else 0 for v, n in zip(votes, seats)]
+    tally = _tally(votes)
+    with mock.patch.object(methods, "MAX_TRACE_ROWS", limit):
+        expected = _groups_or_message(_pair_loop_groups, tally, seats, t)
+        assert _groups_or_message(methods._divisor_groups, tally, seats, t) == expected

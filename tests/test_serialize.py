@@ -161,7 +161,8 @@ def test_dumps_matches_the_old_encoder(value):
     reason="this interpreter converts ints of any length",
 )
 @pytest.mark.parametrize(
-    "big", [lambda n: n, lambda n: Fraction(n, 7), lambda n: {"x": [n]}]
+    "big", [lambda n: n, lambda n: Fraction(n, 7), lambda n: {"x": [n]},
+            lambda n: [[1, n, 2], (3,)]]
 )
 def test_dumps_refuses_ints_past_the_digit_limit(big):
     value = big(10 ** sys.get_int_max_str_digits())
@@ -198,8 +199,10 @@ _NAME = "shared name"
         [SeatAward(1, 2, _NAME, _THIRD), [_THIRD, SeatAward(3, _BIG, _NAME, _THIRD)]],
         [[_BIG, _NAME, _THIRD], {"x": [_BIG, [_NAME, _BIG]]}, (_BIG, _BIG), _NAME],
         TraceTable("divisor", "dhondt", (_NAME,), (), (_BIG,), _THIRD, True, _THIRD),
+        [[_BIG, 3, _BIG], ([_BIG, [_BIG]], _BIG), {"n": [_NAME, "x", _NAME]}, [[_NAME]]],
     ],
-    ids=["arrays", "objects", "dataclass-fields", "ints-and-strings", "trace-fields"],
+    ids=["arrays", "objects", "dataclass-fields", "ints-and-strings", "trace-fields",
+         "int-and-str-arrays"],
 )
 def test_a_shared_leaf_is_written_at_each_of_its_depths(value):
     _same_as_reference(value)
@@ -403,8 +406,9 @@ def test_seeded_runs_round_trip(votes, districts, rule, extra, cap, tie):
 
 
 def _per_item_dumps(value):
-    """``dumps`` with the column path turned off: every item by its writer."""
-    with mock.patch.object(serialize, "_columns", lambda cls: None):
+    """``dumps`` with the column and leaf paths off: every item by its writer."""
+    with mock.patch.object(serialize, "_columns", lambda cls: None), \
+            mock.patch.object(serialize, "_LEAVES", {}):
         return dumps(value)
 
 
@@ -495,3 +499,65 @@ def test_award_columns_refuse_ints_past_the_digit_limit():
     for award in (SeatAward(big, 1, "A", Fraction(1)), SeatAward(1, 1, "A", Fraction(big, 7))):
         with pytest.raises(ValueError, match="integer string conversion"):
             dumps([_AWARD, award])
+
+
+def _item_writers(array):
+    """The classes whose writer ``dumps(array)`` asks for, the array's own
+    class left out: none when the items are written by one ``map``."""
+    asked = []
+    writer = serialize._writer
+
+    def spy(cls):
+        asked.append(cls)
+        return writer(cls)
+
+    with mock.patch.object(serialize, "_writer", spy):
+        dumps(array)
+    return set(asked[1:])
+
+
+@st.composite
+def _leaf_arrays(draw):
+    """Nested arrays of exact ints or of exact strs, whose items are drawn,
+    object for object, from a small pool: one leaf sits at several depths."""
+    ints = draw(st.lists(_HUGE, min_size=1, max_size=3))
+    strs = draw(st.lists(st.text(max_size=4), min_size=1, max_size=3))
+    return draw(st.recursive(
+        st.lists(st.sampled_from(ints), max_size=5)
+        | st.lists(st.sampled_from(strs), max_size=5).map(tuple),
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=2), inner, max_size=3),
+        max_leaves=8,
+    ))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_leaf_arrays())
+def test_int_and_str_arrays_match_the_per_item_writer(value):
+    assert dumps(value) == _per_item_dumps(value) == _reference_dumps(value)
+
+
+@pytest.mark.parametrize(
+    "array, writers",
+    [
+        ([1, -2, 2**70, 0], set()),
+        (("a", "Café", 'q"uote', ""), set()),
+        ([[1, 2], [3], []], {list}),
+        ([True, False], {bool}),
+        ([1, True], {int, bool}),
+        ([None, None], {type(None)}),
+        (["a", None], {str, type(None)}),
+        ([1, "a"], {int, str}),
+        ([_Count(3), 4], {_Count, int}),
+        ([_Count(3)], {_Count}),
+        ([_Word("b"), "c"], {_Word, str}),
+        ([_Word("b")], {_Word}),
+    ],
+    ids=["ints", "strs", "nested", "bools", "int-and-bool", "nones", "str-and-none",
+         "int-and-str", "int-subclass", "int-subclass-only", "str-subclass",
+         "str-subclass-only"],
+)
+def test_only_all_int_or_all_str_arrays_skip_the_item_writers(array, writers):
+    assert _item_writers(array) == writers
+    for value in (array, {"items": array}, [[array]]):
+        assert dumps(value) == _per_item_dumps(value) == _reference_dumps(value)
