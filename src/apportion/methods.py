@@ -169,16 +169,10 @@ def hare_niemeyer(
         for i in order[:leftover]:
             seats[i] += 1
         boundary = rem_nums[order[leftover - 1]]
-        group = [i for i in order if rem_nums[i] == boundary]
-        chosen = [i for i in order[:leftover] if rem_nums[i] == boundary]
-        if len(chosen) < len(group):
-            events.append(
-                TieEvent(
-                    context="residual seats",
-                    tied=tuple(tally.party_ids[i] for i in sorted(group)),
-                    winners=tuple(tally.party_ids[i] for i in sorted(chosen)),
-                )
-            )
+        taken = [i for i in order[:leftover] if rem_nums[i] == boundary]
+        overhang = [i for i in order[leftover:] if rem_nums[i] == boundary]
+        if overhang:
+            events.append(_straddle_event(tally.party_ids, "residual seats", taken, overhang))
     return Allocation(
         party_ids=tally.party_ids,
         seats=tuple(seats),
@@ -404,11 +398,11 @@ def _fill(tally, base, t, ranks, count):
     return groups, overhang, next(stream)[0]
 
 
-def _straddle_event(party_ids, multiplier, taken, overhang):
-    """Coincident thresholds straddle the target: parties ``taken`` keep
-    their seats and the tie policy de-assigns ``overhang``."""
+def _straddle_event(party_ids, context, taken, overhang):
+    """Equal claims straddle the target: parties ``taken`` keep their seats
+    and the tie policy de-assigns ``overhang``."""
     return TieEvent(
-        context=f"multiplier {multiplier}",
+        context=context,
         tied=tuple(party_ids[i] for i in sorted(taken + overhang)),
         winners=tuple(party_ids[i] for i in sorted(taken)),
     )
@@ -468,7 +462,7 @@ def multiplicative(
         tally, house_size, t, tie.ranks(tally), with_trace
     )
     ids = tally.party_ids
-    events = [_straddle_event(ids, witness, taken, overhang)] if overhang else []
+    events = [_straddle_event(ids, f"multiplier {witness}", taken, overhang)] if overhang else []
     signpost_method = _SIGNPOST_METHODS.get(t)  # t is hashed once per call
     method = signpost_method or f"nearest-{t.numerator}/{t.denominator}"
     allocation = Allocation(

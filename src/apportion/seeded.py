@@ -277,7 +277,8 @@ def _divisor_fixed_stop(tally, seed, t, tie, with_trace):
     if groups:
         witness, taken = groups[-1]
         if overhang:
-            events.append(_straddle_event(tally.party_ids, witness, taken, overhang))
+            context = f"multiplier {witness}"
+            events.append(_straddle_event(tally.party_ids, context, taken, overhang))
         else:
             interval = (witness, following)
     return _report(tally, seed, extras, STOP_FIXED, sweep, witness, interval, events)

@@ -1,0 +1,90 @@
+"""tools/against.py, the reports that run this tree and another checkout."""
+
+import importlib.util
+import shutil
+from pathlib import Path
+
+_SPEC = importlib.util.spec_from_file_location(
+    "against", Path(__file__).resolve().parents[1] / "tools" / "against.py"
+)
+against = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(against)
+
+
+def test_code_lines_leave_out_docstrings_comments_and_blank_lines():
+    source = '''"""Module docstring
+over two lines."""
+
+# a comment
+TEXT = """a string that is
+not a docstring"""
+
+
+def total(a,
+          b):
+    """Function docstring."""
+
+    return a + b  # a trailing comment
+
+
+class Box:
+    """Class docstring
+    on two lines."""
+    size = 1
+'''
+    # TEXT (2 lines), the def (2), the return, the class line and its size
+    assert against.code_lines(source) == 7
+
+
+def _cases(tmp_path):
+    votes = against.write_csv(str(tmp_path / "votes" / "three.csv"), (53, 24, 23))
+    return [
+        (("table",), [*against.CLI, votes, "--seats", "10"]),
+        (("json",), [*against.CLI, votes, "--seats", "10", "--format", "json"]),
+    ]
+
+
+def _rows(text):
+    return text.splitlines()[4:]
+
+
+def test_sha_table_reads_yes_for_the_same_tree(tmp_path):
+    text = against.sha_table(str(against.HEAD), "CLI output", ("format",), _cases(tmp_path))
+    assert text.splitlines()[:4] == [
+        "### CLI output", "", "| format | parent | this commit | equal |", "|---|---|---|---|"
+    ]
+    assert [row.split(" | ")[-1] for row in _rows(text)] == ["yes |", "yes |"]
+
+
+def test_sha_table_reads_no_where_one_byte_differs(tmp_path):
+    parent = tmp_path / "parent"
+    shutil.copytree(against.HEAD / "src", parent / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    cli = parent / "src" / "apportion" / "cli.py"
+    source = cli.read_text()
+    assert source.count('f"house size {') == 1  # the table's first line only
+    cli.write_text(source.replace('f"house size {', 'f"House size {'))
+    rows = _rows(against.sha_table(str(parent), "CLI output", ("format",), _cases(tmp_path)))
+    assert [row.split(" | ")[0] for row in rows] == ["| table", "| json"]
+    assert [row.split(" | ")[-1] for row in rows] == ["NO |", "yes |"]
+
+
+def test_count_diffs_list_only_a_differing_count_or_byte_metric():
+    parent = {
+        "cli.main.calls": {"value": 460, "unit": "count"},
+        "cli.main.self_ms": {"value": 0.8, "unit": "ms"},
+        "pass.output_bytes": {"value": 9_000, "unit": "B"},
+    }
+    head = {
+        "cli.main.calls": {"value": 461, "unit": "count"},
+        "cli.main.self_ms": {"value": 0.9, "unit": "ms"},
+        "pass.output_bytes": {"value": 9_000, "unit": "B"},
+    }
+    assert against.count_diffs("suite", parent, head) == ["| suite | cli.main.calls | 460 | 461 |"]
+
+
+def test_lines_against_the_same_tree_change_nothing():
+    text = against.lines(str(against.HEAD), None)
+    assert " total\n" in text
+    assert "change 0 (target 2740)" in text
+    assert text.splitlines()[-2].endswith("change 0")

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from apportion import (
     IterationGuardError,
+    TieEvent,
     TiePolicy,
     VoteTally,
     hare_niemeyer,
@@ -47,6 +48,45 @@ def test_straddling_remainder_tie_is_recorded():
     (event,) = allocation.tie_events
     assert event.tied == ("A", "B")
     assert event.winners == ("A",)
+
+
+def _residual_tie_events(tally, house_size, tie):
+    """The residual-seat tie events, stated on their own: every party whose
+    remainder equals the last awarded one is tied, and those of them inside
+    the first ``leftover`` places of the remainder order win."""
+    total = tally.total_votes
+    leftover = house_size - sum(house_size * v // total for v in tally.votes)
+    if not leftover:
+        return ()
+    rems = [house_size * v % total for v in tally.votes]
+    ranks = tie.ranks(tally)
+    order = sorted(range(tally.party_count), key=lambda i: (-rems[i], ranks[i]))
+    boundary = rems[order[leftover - 1]]
+    group = [i for i in order if rems[i] == boundary]
+    chosen = [i for i in order[:leftover] if rems[i] == boundary]
+    if len(chosen) == len(group):
+        return ()
+    ids = tally.party_ids
+    return (TieEvent("residual seats", tuple(ids[i] for i in sorted(group)),
+                     tuple(ids[i] for i in sorted(chosen))),)
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(st.integers(0, 6), min_size=1, max_size=8).filter(any),  # ties are common
+    st.integers(0, 60),
+    st.one_of(
+        st.just(TiePolicy()),
+        st.integers(0, 2**64 - 1).map(lambda seed: TiePolicy("random", seed)),
+    ),
+)
+def test_residual_tie_event_names_the_straddling_group(votes, house_size, tie):
+    tally = VoteTally(tuple(f"P{i}" for i in range(len(votes))), tuple(votes))
+    assert hare_niemeyer(tally, house_size, tie).tie_events == _residual_tie_events(
+        tally, house_size, tie
+    )
+    example = hare_niemeyer(VoteTally(("A", "B", "C"), (1, 1, 1)), 2, tie)
+    assert [event.context for event in example.tie_events] == ["residual seats"]
 
 
 def test_no_event_when_tied_group_fits_entirely():

@@ -208,37 +208,44 @@ _TALLY = VoteTally(("A", "B"), (1, 2))
 _SEED = SeedDistribution(("A", "B"), (1, 0))
 
 
+def _case(call, message, suffix=""):
+    """One case under the id pytest once derived from its message, so that
+    appending a case with the same message renames no existing case."""
+    return pytest.param(call, message, id=f"<lambda>-{message}{suffix}")
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: highest_averages(_TALLY, 3, "dhondt", None), "tie must be a TiePolicy"),
-        (lambda: multiplicative([1, 2], 3), "tally must be a VoteTally"),
-        (lambda: multiplicative(_TALLY, 3, tie=None), "tie must be a TiePolicy"),
-        (lambda: sequential_hare(_TALLY, 3, "x"), "tie must be a TiePolicy"),
-        (lambda: hare_niemeyer(_TALLY, 3, None), "tie must be a TiePolicy"),
-        (lambda: jump_allocation([1, 2], 3, "dhondt"), "tally must be a VoteTally"),
-        (lambda: highest_averages((1, 2), 3), "tally must be a VoteTally"),
-        (lambda: jump_allocation(_TALLY, 3, "hare", "deterministic"), "tie must be a TiePolicy"),
-        (lambda: compute_quotas(None, 3), "tally must be a VoteTally, not NoneType"),
-        (lambda: equivalence_suite(None), "space must be an InstanceSpace, not NoneType"),
-        (lambda: bias_montecarlo(1), "space must be an InstanceSpace, not int"),
-        (lambda: find_quota_violation(None), "space must be an InstanceSpace"),
-        (lambda: find_house_monotonicity_violation(None), "space must be an InstanceSpace"),
-        (lambda: check_quota_property(_TALLY, 3, None), "allocation must be an Allocation"),
-        (lambda: check_quota_property(None, 3, hare_niemeyer(_TALLY, 3)),
-         "tally must be a VoteTally"),
-        (lambda: seeded_sequential_hare(None, _SEED),
-         "tally must be a VoteTally, not NoneType$"),
-        (lambda: seeded_sequential_hare(_TALLY, None),
-         "seed must be a SeedDistribution, not NoneType"),
-        (lambda: seeded_divisor(None, _SEED), "tally must be a VoteTally, not NoneType$"),
-        (lambda: seeded_divisor(_TALLY, [1, 0]),
-         "seed must be a SeedDistribution, not list"),
-        (lambda: seeded_sequential_hare(_TALLY, _SEED, 1),
-         "tie must be a TiePolicy, not int"),
-        (lambda: seeded_divisor(_TALLY, _SEED, tie=1),
-         "tie must be a TiePolicy, not int"),
-        (lambda: seats_at_multiplier(None, 1), "tally must be a VoteTally, not NoneType$"),
+        _case(lambda: highest_averages(_TALLY, 3, "dhondt", None), "tie must be a TiePolicy", 0),
+        _case(lambda: multiplicative([1, 2], 3), "tally must be a VoteTally", 0),
+        _case(lambda: multiplicative(_TALLY, 3, tie=None), "tie must be a TiePolicy", 1),
+        _case(lambda: sequential_hare(_TALLY, 3, "x"), "tie must be a TiePolicy", 2),
+        _case(lambda: hare_niemeyer(_TALLY, 3, None), "tie must be a TiePolicy", 3),
+        _case(lambda: jump_allocation([1, 2], 3, "dhondt"), "tally must be a VoteTally", 1),
+        _case(lambda: highest_averages((1, 2), 3), "tally must be a VoteTally", 2),
+        _case(lambda: jump_allocation(_TALLY, 3, "hare", "deterministic"),
+              "tie must be a TiePolicy", 4),
+        _case(lambda: compute_quotas(None, 3), "tally must be a VoteTally, not NoneType"),
+        _case(lambda: equivalence_suite(None), "space must be an InstanceSpace, not NoneType"),
+        _case(lambda: bias_montecarlo(1), "space must be an InstanceSpace, not int"),
+        _case(lambda: find_quota_violation(None), "space must be an InstanceSpace", 0),
+        _case(lambda: find_house_monotonicity_violation(None),
+              "space must be an InstanceSpace", 1),
+        _case(lambda: check_quota_property(_TALLY, 3, None), "allocation must be an Allocation"),
+        _case(lambda: check_quota_property(None, 3, hare_niemeyer(_TALLY, 3)),
+              "tally must be a VoteTally", 3),
+        _case(lambda: seeded_sequential_hare(None, _SEED),
+              "tally must be a VoteTally, not NoneType$", 0),
+        _case(lambda: seeded_sequential_hare(_TALLY, None),
+              "seed must be a SeedDistribution, not NoneType"),
+        _case(lambda: seeded_divisor(None, _SEED), "tally must be a VoteTally, not NoneType$", 1),
+        _case(lambda: seeded_divisor(_TALLY, [1, 0]), "seed must be a SeedDistribution, not list"),
+        _case(lambda: seeded_sequential_hare(_TALLY, _SEED, 1),
+              "tie must be a TiePolicy, not int", 0),
+        _case(lambda: seeded_divisor(_TALLY, _SEED, tie=1), "tie must be a TiePolicy, not int", 1),
+        _case(lambda: seats_at_multiplier(None, 1),
+              "tally must be a VoteTally, not NoneType$", 2),
     ],
 )
 def test_fixed_house_engines_refuse_the_wrong_domain_type(call, message):

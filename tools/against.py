@@ -1,0 +1,293 @@
+"""Run this tree and another checkout on the same inputs; tabulate where they differ.
+
+Usage: python3 tools/against.py PARENT_ROOT [REPORT ...]
+
+PARENT_ROOT is another checkout, usually the parent commit (``git worktree
+add <dir> HEAD^``).  Each report prints one markdown table; all run when none
+is named.  ``tracer`` lists the count metrics (calls, seats, steps, bytes) of
+one traced bench pass that differ; ``suites``, ``engines``, ``traced`` and
+``two-stage`` compare the sha256 of each suite's JSON, of 2,000 seeded draws
+run by the untraced table, sweep and jump, and of traced and two-stage CLI
+output at k = 50 with varied and with equal votes; ``calls`` gives the median
+us per in-process ``cli.main`` call, and ``lines`` the size of src/apportion.
+
+Each command runs in a subprocess with its root as working directory and
+that root's ``src`` on ``PYTHONPATH``, so the two trees never meet in one
+process.  The CLI's JSON echoes the input path, so inputs go under
+``$RUNNER_TEMP`` when it is set, which keeps CI's digests stable.
+"""
+
+import ast
+import hashlib
+import io
+import json
+import os
+import random
+import statistics
+import subprocess
+import sys
+import tempfile
+import tokenize
+from pathlib import Path
+
+HEAD = Path(__file__).resolve().parents[1]
+CLI = ("-m", "apportion.cli")
+
+
+def env(root):
+    return {**os.environ, "PYTHONPATH": os.path.join(root, "src")}
+
+
+def run(root, args):
+    """Standard output, as bytes, of ``python args`` run in ``root``."""
+    return subprocess.run([sys.executable, *args], cwd=root, env=env(root),
+                          stdout=subprocess.PIPE).stdout
+
+
+def table(title, columns, rows):
+    """A markdown table of ``(labels, parent, head)`` rows, each marked equal or not."""
+    columns = (*columns, "parent", "this commit", "equal")
+    lines = [f"### {title}", "", f"| {' | '.join(columns)} |", "|---" * len(columns) + "|"]
+    lines += [f"| {' | '.join((*labels, old, new, 'yes' if old == new else 'NO'))} |"
+              for labels, old, new in rows]
+    return "\n".join(lines)
+
+
+def sha_table(parent, title, columns, cases):
+    """The table of the sha256 of each ``(labels, args)`` case's output in both trees."""
+    def sha(root, args):
+        return hashlib.sha256(run(root, args)).hexdigest()[:16]
+    return table(title, columns, [(labels, sha(parent, args), sha(HEAD, args))
+                                  for labels, args in cases])
+
+
+def write_csv(path, *columns):
+    """A CSV of parties P0, P1, ... with a votes and an optional districts column."""
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    rows = [("party", "votes", "districts")[:len(columns) + 1]]
+    rows += [(f"P{i}", *row) for i, row in enumerate(zip(*columns))]
+    with open(path, "w") as out:
+        out.writelines(",".join(map(str, row)) + "\n" for row in rows)
+    return path
+
+
+def count_diffs(workload, parent, head):
+    """Rows for each count or byte metric whose value differs."""
+    rows = []
+    for name in sorted(set(head) | set(parent)):
+        new, old = head.get(name, {}), parent.get(name, {})
+        unit = new.get("unit", old.get("unit"))
+        if unit in ("count", "B") and new.get("value") != old.get("value"):
+            rows.append(f"| {workload} | {name} | {old.get('value')} | {new.get('value')} |")
+    return rows
+
+
+def tracer(parent, inputs):
+    rows = []
+    for workload in ("fixed-house", "suite", "two-stage", "traced"):
+        head, old = (
+            json.loads(run(root, ["bench/run.py", "--workload", workload, "--seconds", "0",
+                                  "--trace", "1"]).splitlines()[-1])["metrics"]
+            for root in (HEAD, parent)
+        )
+        rows += count_diffs(workload, old, head)
+    body = ("| workload | metric | parent | this commit |\n|---|---|---|---|\n" + "\n".join(rows)
+            if rows else "Every count metric equals the parent's.")
+    return f"### Tracer count metrics against the parent commit\n\n{body}"
+
+
+def suites(parent, inputs):
+    return sha_table(parent, "Suite JSON sha256 against the parent commit", ("suite", "jobs"), [
+        ((suite, jobs), [*CLI, "--suite", suite, "--trials", "2000", "--master-seed", "7",
+                         "--jobs", jobs, "--format", "json"])
+        for suite in ("equivalence", "bias", "paradox") for jobs in ("1", "2")
+    ])
+
+
+ENGINES = """
+import hashlib, random
+from apportion import (DHONDT, SAINTE_LAGUE, TiePolicy, VoteTally, dumps,
+                       highest_averages, jump_allocation, multiplicative)
+ROUNDING = {DHONDT: "floor", SAINTE_LAGUE: "nearest"}
+rng = random.Random(18)
+digests = {}
+for trial in range(2_000):
+    kind = ("wide", "tie-prone")[trial % 2]
+    k = rng.randint(1, 50)
+    if kind == "wide":
+        votes = [rng.randint(0, 10**12) for _ in range(k)]
+    else:  # zeros, equal votes and small multiples of one unit
+        unit = rng.choice((1, 7, 1_000, 10**9))
+        votes = [unit * rng.randint(0, 6) for _ in range(k)]
+    votes[rng.randrange(k)] += 1  # some party has votes
+    method = rng.choice((DHONDT, SAINTE_LAGUE))
+    tie = TiePolicy("random", rng.getrandbits(64)) if rng.random() < 0.75 else TiePolicy()
+    tally = VoteTally(tuple(f"P{i}" for i in range(k)), tuple(votes))
+    n = rng.randint(0, 5_000)
+    outputs = {
+        f"table-{method}": highest_averages(tally, n, method, tie, with_trace=False)[0],
+        f"sweep-{ROUNDING[method]}": multiplicative(
+            tally, n, ROUNDING[method], tie=tie, with_trace=False),
+        f"jump-{method}": jump_allocation(tally, n, method, tie),
+    }
+    for engine, output in outputs.items():
+        digests.setdefault((kind, engine), hashlib.sha256()).update(dumps(output).encode())
+for (kind, engine), digest in sorted(digests.items()):
+    print(kind, engine, digest.hexdigest()[:16])
+"""
+
+
+def engines(parent, inputs):
+    old, new = ([line.split() for line in run(root, ["-c", ENGINES]).decode().splitlines()]
+                for root in (parent, HEAD))
+    return table("Untraced divisor engines sha256 against the parent commit", ("votes", "engine"),
+                 [(line[:2], line[2], other[2]) for line, other in zip(old, new)])
+
+
+def vote_sets(seed, low):
+    """k = 50 varied votes drawn from ``seed``, and equal ones (a tie at almost every seat)."""
+    rng = random.Random(seed)
+    return {"varied": [rng.randint(low, 1_000_000) for _ in range(50)], "equal": [1_000] * 50}
+
+
+def traced(parent, inputs):
+    paths = {name: write_csv(f"{inputs}/traced-inputs/{name}.csv", votes)
+             for name, votes in vote_sets(16, 1_000).items()}
+    return sha_table(parent, "Traced output sha256 against the parent commit",
+                     ("votes", "run", "format"), [
+        ((name, flags, fmt), [*CLI, path, *flags.split(), "--format", fmt, "--seats", "3000",
+                              "--trace"])
+        for name, path in paths.items()
+        for flags in ("--method dhondt", "--method sainte-lague",
+                      "--method hare --form sequential")
+        for fmt in ("table", "json")
+    ])
+
+
+def two_stage(parent, inputs):
+    paths, target = {}, 20_000
+    for name, votes in vote_sets(17, 10_000).items():
+        # near-proportional districts, and an overhang for the largest
+        # party that keeps the residual stop about `target` top-ups away
+        total = sum(votes)
+        big = max(range(50), key=votes.__getitem__)
+        districts = [target * v // total for v in votes]
+        others = sum(districts) - districts[big]
+        districts[big] = ((target + others) * votes[big] + total) // (total - votes[big]) + 1
+        paths[name] = write_csv(f"{inputs}/two-stage-inputs/{name}.csv", votes, districts)
+    return sha_table(parent, "Two-stage JSON sha256 against the parent commit", ("votes", "run"), [
+        ((name, flags or "residual"), [*CLI, path, *flags.split(), "--format", "json"])
+        for name, path in paths.items()
+        for flags in ("", "--cap 10000", "--fixed-extra 20000", "--method dhondt --form divisor",
+                      "--method dhondt --form divisor --stop fixed --fixed-extra 20000",
+                      "--method sainte-lague --form divisor",
+                      "--method sainte-lague --form divisor --stop fixed --fixed-extra 20000")
+    ])
+
+
+WORKER = """
+import contextlib, io, json, sys, time
+from apportion import cli
+for line in sys.stdin:  # one argv a line: run it 100 times, print each call's us
+    argv, times = json.loads(line), []
+    for _ in range(100):
+        with contextlib.redirect_stdout(io.StringIO()):
+            start = time.perf_counter()
+            code = cli.main(argv)
+            times.append((time.perf_counter() - start) * 1e6)
+        if code != 0:
+            sys.exit(f"exit code {code} from {argv}")
+    print(json.dumps(times), flush=True)
+"""
+ROUNDS = 10
+
+
+def calls(parent, inputs):
+    k6 = write_csv(f"{inputs}/k6.csv", (48_210, 31_977, 9_504, 6_118, 2_730, 1_461))
+    k20 = write_csv(f"{inputs}/k20.csv", [1_000 + 7_919 * i * i for i in range(20)])
+    argvs = {
+        "k = 6 table": [k6, "--seats", "100"],
+        "k = 6 JSON": [k6, "--seats", "100", "--format", "json"],
+        "--compare": [k6, "--seats", "100", "--compare"],
+        "k = 20 --compare JSON, N = 598": [k20, "--seats", "598", "--compare", "--format", "json"],
+        "--suite equivalence --trials 10": ["--suite", "equivalence", "--trials", "10"],
+    }
+    workers = {
+        side: subprocess.Popen([sys.executable, "-c", WORKER], cwd=root, env=env(root), text=True,
+                               stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+        for side, root in (("parent", parent), ("head", HEAD))
+    }
+    times = {(side, name): [] for side in workers for name in argvs}
+    for turn in range(ROUNDS):
+        order = ("parent", "head") if turn % 2 else ("head", "parent")
+        for name, argv in argvs.items():
+            for side in order:
+                workers[side].stdin.write(json.dumps(argv) + "\n")
+                workers[side].stdin.flush()
+                line = workers[side].stdout.readline()
+                if not line:
+                    sys.exit(f"the {side} worker stopped on {name}")
+                times[side, name] += json.loads(line)
+    for worker in workers.values():
+        worker.stdin.close()
+        worker.wait()
+    lines = [f"### Median us per in-process `cli.main` call ({ROUNDS * 100} calls a side)", "",
+             "| call | parent | this commit | ratio |", "|---|---|---|---|"]
+    for name in argvs:
+        old, new = (statistics.median(times[side, name]) for side in ("parent", "head"))
+        lines.append(f"| `{name}` | {old:.0f} | {new:.0f} | {new / old:.2f} |")
+    return "\n".join(lines)
+
+
+def code_lines(source):
+    """Lines holding a token other than a comment or a docstring."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)) and node.body:
+            first = node.body[0]
+            if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                docstrings.update(range(first.lineno, first.end_lineno + 1))
+    lines = set()
+    skip = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+            tokenize.DEDENT, tokenize.ENDMARKER}
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type not in skip:
+            lines.update(range(token.start[0], token.end[0] + 1))
+    return len(lines - docstrings)
+
+
+def lines(parent, inputs):
+    files = [sorted(Path(root, "src/apportion").glob("*.py")) for root in (parent, HEAD)]
+    old, new = ([path.read_bytes().count(b"\n") for path in paths] for paths in files)
+    code = [sum(code_lines(path.read_text()) for path in paths) for paths in files]
+    width = len(str(sum(path.stat().st_size for path in files[1])))  # as GNU wc pads
+    return "\n".join([
+        "```",
+        *(f"{n:>{width}} {path.relative_to(HEAD)}" for n, path in zip(new, files[1])),
+        f"{sum(new):>{width}} total",
+        f"src/ total: {sum(old)} at HEAD^, {sum(new)} at HEAD, change {sum(new) - sum(old)} "
+        "(target 2740)",
+        f"src/ code lines (no blank lines, comments or docstrings): {code[0]} at HEAD^, "
+        f"{code[1]} at HEAD, change {code[1] - code[0]}",
+        "```",
+    ])
+
+
+REPORTS = {"tracer": tracer, "suites": suites, "engines": engines, "traced": traced,
+           "two-stage": two_stage, "calls": calls, "lines": lines}
+
+
+def main(argv):
+    if not argv or not set(argv[1:]) <= set(REPORTS):
+        sys.exit(__doc__)
+    parent = os.path.abspath(argv[0])
+    with tempfile.TemporaryDirectory() as tmp:
+        inputs = os.environ.get("RUNNER_TEMP", tmp)
+        for i, name in enumerate(argv[1:] or REPORTS):
+            print(("\n" if i else "") + REPORTS[name](parent, inputs), flush=True)
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])
