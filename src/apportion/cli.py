@@ -20,10 +20,8 @@ import sys
 
 from . import serialize
 from .methods import (
-    DHONDT,
     HARE,
     METHODS,
-    SAINTE_LAGUE,
     _ROUNDING,
     compute_quotas,
     hare_niemeyer,
@@ -38,8 +36,9 @@ from .oracle import (
     equivalence_suite,
     find_house_monotonicity_violation,
 )
-from .seeded import seeded_divisor, seeded_sequential_hare
+from .seeded import _STOP_RULES, seeded_divisor, seeded_sequential_hare
 from .types import (
+    _TIE_MODES,
     Allocation,
     AwardLog,
     InputError,
@@ -136,21 +135,20 @@ def build_parser() -> argparse.ArgumentParser:
         "input_path", nargs="?", metavar="input",
         help="votes CSV with header party,votes[,districts]; '-' reads stdin",
     )
-    parser.add_argument("--method", choices=[HARE, DHONDT, SAINTE_LAGUE])
+    parser.add_argument("--method", choices=METHODS)
     parser.add_argument(
         "--form", choices=["divisor", "multiplicative", "sequential"],
         help="sequential applies to hare; divisor/multiplicative to the others",
     )
     parser.add_argument("--seats", type=int, help="house size for fixed-house runs")
-    parser.add_argument("--tie", choices=["deterministic", "random"],
-                        default="deterministic", dest="tie_mode")
+    parser.add_argument("--tie", choices=_TIE_MODES, default="deterministic", dest="tie_mode")
     parser.add_argument("--seed", type=int, dest="tie_seed", metavar="SEED",
                         help="rng seed for --tie random")
     parser.add_argument("--districts-col", help="name of the district-seats column")
     parser.add_argument("--cap", type=int, help="cap on two-stage top-up seats")
     parser.add_argument("--fixed-extra", type=int,
                         help="exact number of two-stage top-up seats")
-    parser.add_argument("--stop", choices=["residual", "fixed"],
+    parser.add_argument("--stop", choices=_STOP_RULES,
                         help="two-stage stop rule (default residual)")
     parser.add_argument("--compare", action="store_true",
                         help="run all three methods side by side")
@@ -654,17 +652,13 @@ def main(argv=None) -> int:
     except IterationGuardError as exc:
         print(f"execution error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        if "integer string conversion" not in str(exc):  # not the digit limit
-            import traceback  # loaded only on a crash
-            traceback.print_exc()
-            return 2
-        limit = sys.get_int_max_str_digits()
-        print(f"error: a result has a number over the {limit}-digit limit",
-              file=sys.stderr)
-        return 1
-    except Exception:  # pragma: no cover - unexpected execution errors
-        import traceback
+    except Exception as exc:
+        if isinstance(exc, ValueError) and "integer string conversion" in str(exc):
+            limit = sys.get_int_max_str_digits()
+            print(f"error: a result has a number over the {limit}-digit limit",
+                  file=sys.stderr)
+            return 1
+        import traceback  # loaded only on a crash
         traceback.print_exc()
         return 2
 

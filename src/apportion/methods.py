@@ -56,8 +56,15 @@ from .types import (
     TiePolicy,
     TraceTable,
     VoteTally,
+    _check_name,
     _is_count,
 )
+
+__all__ = [
+    "DHONDT", "HARE", "METHODS", "SAINTE_LAGUE", "compute_quotas", "hare_niemeyer",
+    "highest_averages", "jump_allocation", "multiplicative", "seats_at_multiplier",
+    "sequential_hare",
+]
 
 HARE = "hare"
 DHONDT = "dhondt"
@@ -282,8 +289,7 @@ def highest_averages(
     if each row were built afresh).
     """
     _check_call(tally, house_size, tie)
-    if method not in tuple(_SIGNPOSTS):  # by ==: an unhashable method is refused too
-        raise InputError(f"unknown divisor method {method!r}")
+    _check_name(method, _SIGNPOSTS, "divisor method")
     p, q = _SIGNPOSTS[method].as_integer_ratio()
     votes = tally.votes
     if with_trace:
@@ -414,8 +420,7 @@ def _round_threshold(rounding, round_threshold):
     ``round_t(x)`` awards s seats when ``x >= s - 1 + t``; t = 1 is floor
     rounding, t = 1/2 is round-to-nearest (exact halves round up).
     """
-    if rounding not in tuple(_ROUNDING_SIGNPOSTS):  # by ==: an unhashable rule too
-        raise InputError(f"unknown rounding rule {rounding!r}")
+    _check_name(rounding, _ROUNDING_SIGNPOSTS, "rounding rule")
     if round_threshold is None:
         return _ROUNDING_SIGNPOSTS[rounding]
     if rounding == "floor":
@@ -592,8 +597,7 @@ def jump_allocation(
     event, whatever N is.
     """
     _check_call(tally, house_size, tie)
-    if method not in METHODS:  # by ==: an unhashable method is refused too
-        raise InputError(f"unknown method {method!r}")
+    _check_name(method, METHODS, "method")
     ranks = tie.ranks(tally)
     if method == HARE:
         seats, events = _jump_hare(tally, house_size, ranks)
@@ -656,14 +660,15 @@ def _divisor_groups(tally, seats, t):
     ):
         g = math.gcd(votes[i], votes[j])
         a, b = votes[i] // g, votes[j] // g
-        ms = range(1, min(tops[i] // a, tops[j] // b) + 1, q)
-        if not ms or q == 2 and not a & b & 1:
+        last = min(tops[i] // a, tops[j] // b)
+        count = (last - 1) // q + 1  # the m in 1, 1 + q, ... up to last
+        if not count or q == 2 and not a & b & 1:
             continue
         # Lower bounds on the events: each m is a value of its own, and a
         # value s parties share is found by s(s - 1)/2 <= (s - 1)k/2 pairs.
-        found += len(ms)
-        _check_rows(max(len(ms), 2 * found // k), "tie events")
-        for m in ms:
+        found += count
+        _check_rows(max(count, 2 * found // k), "tie events")
+        for m in range(1, last + 1, q):
             d = math.gcd(m, g)
             groups.setdefault((m // d, g // d), set()).update((i, j))
     _check_rows(sum(len(members) - 1 for members in groups.values()), "tie events")

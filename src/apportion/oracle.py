@@ -29,6 +29,7 @@ from fractions import Fraction
 from .methods import (
     DHONDT,
     HARE,
+    METHODS,
     SAINTE_LAGUE,
     _ROUNDING,
     _check_house,
@@ -45,8 +46,15 @@ from .types import (
     SEEDED_RANDOM,
     TiePolicy,
     VoteTally,
+    _check_name,
     _is_count,
 )
+
+__all__ = [
+    "InstanceSpace", "SuiteReport", "bias_montecarlo", "check_quota_property",
+    "enumerate_allocations", "equivalence_suite", "find_house_monotonicity_violation",
+    "find_quota_violation",
+]
 
 #: Hard ceiling on the number of seat vectors exhaustive enumeration may emit.
 ENUMERATION_GUARD = 10**7
@@ -233,10 +241,9 @@ def _allocate(method: str, tally, house_size, tie):
     """An allocation whose seats are ``method``'s; its callers read no tie
     event, so the divisor methods take the untraced sweep's seats (the
     jump's, without rebuilding its tie events)."""
+    _check_name(method, METHODS, "method")
     if method == HARE:
         return hare_niemeyer(tally, house_size, tie)
-    if method not in (DHONDT, SAINTE_LAGUE):  # by ==: an unhashable method too
-        raise InputError(f"unknown method {method!r}")
     return multiplicative(tally, house_size, _ROUNDING[method], tie=tie, with_trace=False)[0]
 
 

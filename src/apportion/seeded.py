@@ -44,12 +44,18 @@ from .types import (
     SweepStep,
     TiePolicy,
     VoteTally,
+    _check_name,
 )
+
+__all__ = ["seeded_divisor", "seeded_sequential_hare"]
 
 #: Abort the sequential run if the residual stop is still unmet after this
 #: many top-up seats (reachable only with extreme vote/district skew), and
 #: refuse a larger ``fixed_extra``.
 MAX_TOPUP_ITERATIONS = 1_000_000
+
+#: The stop rules of :func:`seeded_divisor`.
+_STOP_RULES = ("residual", "fixed")
 
 
 def _check_seed(tally: VoteTally, seed: SeedDistribution, tie: TiePolicy):
@@ -73,14 +79,10 @@ def _dilution_bound(tally: VoteTally, seed: SeedDistribution) -> Fraction:
     ``M * v_i / V > d_i - 1``; above the maximum of those thresholds the
     rounding rule keeps every residual strictly inside (-1, 1).
     """
-    bound = Fraction(0)
     total = tally.total_votes
-    for v, d in zip(tally.votes, seed.district_seats):
-        if v > 0 and d > 0:
-            candidate = Fraction((d - 1) * total, v)
-            if candidate > bound:
-                bound = candidate
-    return bound
+    return max((Fraction((d - 1) * total, v)
+                for v, d in zip(tally.votes, seed.district_seats) if v > 0 and d > 0),
+               default=Fraction(0))
 
 
 def seeded_sequential_hare(
@@ -197,8 +199,7 @@ def seeded_divisor(
     by the tie policy (de-assignment), recorded as a tie event.
     """
     _check_seed(tally, seed, tie)
-    if stop not in ("residual", "fixed"):
-        raise InputError(f"unknown stop rule {stop!r}")
+    _check_name(stop, _STOP_RULES, "stop rule")
     if stop == "fixed" and seed.fixed_extra is None:
         raise InputError('stop="fixed" requires a fixed_extra seed distribution')
     if stop == "residual" and seed.fixed_extra is not None:
@@ -241,20 +242,23 @@ def _divisor_residual_stop(tally, seed, t, with_trace):
 
 def _pilot(tally, seed, t):
     """The last integer multiplier under which fewer than ``fixed_extra``
-    top-up seats are due (0 when none are), by doubling then bisection.
+    top-up seats are due (0 when none are), by bisection.
 
-    A party's thresholds lie V / v_i >= 1 apart, so at most one of each
-    falls in the next unit of M: at most k seats remain to step.
+    Rounding puts each party's seats within (M v_i / V - t, M v_i / V + 1 - t],
+    so with T = ``fixed_extra`` and D district seats ``M - kt - D < due(M) <=
+    M + k(1 - t)``: fewer than T are due at M = T - k - 1 and at least T at
+    M = T + D + k, which bracket the answer.  A party's thresholds lie
+    V / v_i >= 1 apart, so at most one of each falls in the next unit of M:
+    at most k seats remain to step.
     """
     def due(multiplier):
         return sum(_topups_at(tally, seed, t, multiplier))
 
-    lo, hi = 0, 1
-    while due(hi) < seed.fixed_extra:
-        lo, hi = hi, 2 * hi
+    k, target = tally.party_count, seed.fixed_extra
+    lo, hi = max(0, target - k - 1), target + seed.total + k
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if due(mid) < seed.fixed_extra else (lo, mid)
+        lo, hi = (mid, hi) if due(mid) < target else (lo, mid)
     return lo
 
 

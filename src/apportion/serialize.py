@@ -41,6 +41,11 @@ from .types import (
     VoteTally,
 )
 
+__all__ = [
+    "allocation_from_json", "dumps", "jsonify", "quota_report_from_json",
+    "seeded_run_from_json", "tally_from_json", "trace_from_json",
+]
+
 
 def dumps(payload) -> str:
     """Canonical JSON text of plain/domain values; a float is a bug upstream."""

@@ -13,6 +13,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+__all__ = [
+    "STOP_CAP", "STOP_FIXED", "STOP_RESIDUAL", "Allocation", "AwardLog",
+    "EnumerationGuardError", "InputError", "IterationGuardError", "QuotaReport",
+    "SeedDistribution", "SeededRun", "TieEvent", "TiePolicy", "TraceTable", "VoteTally",
+]
+
 
 class InputError(ValueError):
     """A tally, seed distribution, or run configuration is invalid."""
@@ -33,6 +39,7 @@ class IterationGuardError(RuntimeError):
 
 DETERMINISTIC = "deterministic"
 SEEDED_RANDOM = "random"
+_TIE_MODES = (DETERMINISTIC, SEEDED_RANDOM)
 
 # stop_reason values reported by the two-stage runs
 STOP_RESIDUAL = "all-residuals-below-one"
@@ -43,6 +50,13 @@ STOP_FIXED = "fixed-extra-exhausted"
 def _is_count(n) -> bool:
     """A non-negative int; bools are refused although ``True == 1``."""
     return isinstance(n, int) and not isinstance(n, bool) and n >= 0
+
+
+def _check_name(name, names, what):
+    """Refuse ``name`` unless it is one of ``names``, compared by ``==`` so
+    that an unhashable name is refused too."""
+    if name not in tuple(names):
+        raise InputError(f"unknown {what} {name!r}")
 
 
 @dataclass(frozen=True)
@@ -107,8 +121,7 @@ class TiePolicy:
     rng_seed: int | None = None
 
     def __post_init__(self):
-        if self.mode not in (DETERMINISTIC, SEEDED_RANDOM):
-            raise InputError(f"unknown tie mode {self.mode!r}")
+        _check_name(self.mode, _TIE_MODES, "tie mode")
         if self.mode == SEEDED_RANDOM and not _is_count(self.rng_seed):
             raise InputError("random tie policy requires a non-negative integer rng_seed")
         if self.mode == DETERMINISTIC and self.rng_seed is not None:

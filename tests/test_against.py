@@ -88,3 +88,11 @@ def test_lines_against_the_same_tree_change_nothing():
     assert " total\n" in text
     assert "change 0 (target 2740)" in text
     assert text.splitlines()[-2].endswith("change 0")
+
+
+def test_lines_say_when_the_parent_checkout_is_missing(tmp_path):
+    missing = tmp_path / "missing"
+    text = against.lines(str(missing), None)
+    assert "HEAD^" not in text and "change" not in text
+    assert f"parent checkout unavailable: no src/apportion/*.py under {missing}" in text
+    assert text.splitlines()[-3].endswith(" at HEAD")

@@ -1517,3 +1517,29 @@ def test_each_flag_rule_and_which_one_wins(cli, csv_file, tmp_path, argv, messag
         "missing.csv": str(tmp_path / "missing.csv"),
     }
     assert cli(*(paths.get(arg, arg) for arg in argv)) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("flags", [("--method", "dhondt"), ("--method", "sainte-lague"),
+                                   ("--compare",)])
+def test_a_house_past_the_index_range_exits_at_the_guard(cli, csv_file, flags):
+    votes = csv_file("party,votes\na,5\nb,5\nc,3\n")
+    assert cli(votes, "--seats", str(10**20), *flags) == (2, "", (
+        "execution error: the run would build at least 38461538461538461538 tie events "
+        "(limit 50000)\n"
+    ))
+
+
+def test_a_fixed_stop_over_huge_districts_still_runs(cli, csv_file):
+    # the pilot's bisection bracket is 1e20 seats wide
+    path = csv_file("party,votes,districts\n"
+                    f"a,5,{5 * 10**19}\nb,5,{5 * 10**19}\nc,3,0\n", "seeded.csv")
+    code, out, err = cli(path, "--method", "dhondt", "--form", "divisor", "--fixed-extra", "5",
+                         "--format", "json")
+    assert (code, err) == (0, "")
+    run = json.loads(out)["seeded_run"]
+    assert run["extra_seats"] == [0, 0, 5]
+    assert run["stop_reason"] == "fixed-extra-exhausted"
+
+
+def test_parse_votes_reads_a_file_like_object():
+    assert parse_votes(io.StringIO(SEEDED)) == parse_votes(SEEDED)

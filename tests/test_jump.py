@@ -259,3 +259,12 @@ def test_the_pair_scan_finds_the_pair_loops_groups(votes, seats, t, limit):
     with mock.patch.object(methods, "MAX_TRACE_ROWS", limit):
         expected = _groups_or_message(_pair_loop_groups, tally, seats, t)
         assert _groups_or_message(methods._divisor_groups, tally, seats, t) == expected
+
+
+@pytest.mark.parametrize("method", [DHONDT, SAINTE_LAGUE])
+def test_a_house_past_the_index_range_trips_the_tie_event_guard(method):
+    # 5 : 3 thresholds coincide 1.25e29 times in 1e30 seats, more than a
+    # range's len() can count
+    message = r"^the run would build at least 125000000000000000000000000000 tie events"
+    with pytest.raises(IterationGuardError, match=message):
+        jump_allocation(_tally((5, 3, 0)), 10**30, method)

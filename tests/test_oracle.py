@@ -1,5 +1,7 @@
 """Brute-force and cross-form checks that treat the engines as black boxes."""
 
+import dataclasses
+import json
 from fractions import Fraction
 
 import pytest
@@ -23,8 +25,10 @@ from apportion import (
     dumps,
     hare_niemeyer,
     highest_averages,
+    jsonify,
 )
-from apportion import methods, oracle
+from apportion import cli, methods, oracle
+from apportion.oracle import Mismatch
 
 # Votes of at most 20 make coincident values common, so the tie policy
 # decides seats in most trials; the default space almost never ties.
@@ -321,3 +325,76 @@ class TestBias:
     def test_slices_in_the_pool_match_the_serial_run(self, inline_pool):
         assert bias_montecarlo(self.SPACE, jobs=3) == bias_montecarlo(self.SPACE)
         assert inline_pool == [3]
+
+
+# The equivalence suite's failure path, seen through a multiplicative form
+# that moves one d'Hondt seat from the first party to the second wherever
+# the first holds more seats than the second.
+BROKEN_SPACE = InstanceSpace.default(trials=30, master_seed=0)
+
+
+@pytest.fixture
+def broken_dhondt(monkeypatch):
+    real = oracle.multiplicative
+
+    def broken(tally, house_size, rounding="floor", **kwargs):
+        allocation, trace = real(tally, house_size, rounding, **kwargs)
+        seats = allocation.seats
+        if rounding == "floor" and seats[0] > seats[1]:
+            seats = (seats[0] - 1, seats[1] + 1, *seats[2:])
+        return dataclasses.replace(allocation, seats=seats), trace
+
+    monkeypatch.setattr(oracle, "multiplicative", broken)
+
+
+def _table_seats(trial):
+    return highest_averages(
+        trial.tally, trial.house_size, DHONDT, trial.tie, with_trace=False
+    )[0].seats
+
+
+def test_a_broken_form_is_reported_trial_by_trial(broken_dhondt):
+    report = equivalence_suite(BROKEN_SPACE)
+    trials = [BROKEN_SPACE.trial_instance(i) for i in range(BROKEN_SPACE.trials)]
+    broken = [t for t in trials if _table_seats(t)[0] > _table_seats(t)[1]]
+    assert len(broken) > 10  # more than the CLI table lists
+    assert report.trials_run == 30
+    assert report.agreements + len(report.disagreements) == report.trials_run
+    assert [d.trial for d in report.disagreements] == broken
+    for disagreement in report.disagreements:
+        left = _table_seats(disagreement.trial)
+        right = (left[0] - 1, left[1] + 1, *left[2:])
+        assert disagreement.mismatches == (Mismatch("dhondt-forms", left, right),)
+    assert report.stats == {"trials": 30, "hare_quota_ok": 30}
+
+
+def test_the_cli_table_lists_the_first_ten_disagreements(broken_dhondt, capsys):
+    argv = ["--suite", "equivalence", "--trials", "30", "--master-seed", "0"]
+    assert cli.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    report = equivalence_suite(BROKEN_SPACE)
+    assert lines[:3] == [
+        "equivalence suite: 30 trials, master seed 0",
+        f"agreements {report.agreements}, disagreements {len(report.disagreements)}",
+        "hare within quota: 30/30",
+    ]
+    assert lines[3:] == [
+        f"  trial {d.trial.index} (dhondt-forms): "
+        f"{d.mismatches[0].left} != {d.mismatches[0].right}"
+        for d in report.disagreements[:10]
+    ]
+
+
+def test_the_json_report_carries_every_mismatch(broken_dhondt, capsys):
+    argv = ["--suite", "equivalence", "--trials", "30", "--format", "json"]
+    assert cli.main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)["suite_report"]
+    report = equivalence_suite(BROKEN_SPACE)
+    assert payload == jsonify(report)
+    first = payload["disagreements"][0]
+    assert first["trial"]["index"] == report.disagreements[0].trial.index
+    mismatch = report.disagreements[0].mismatches[0]
+    assert first["mismatches"] == [
+        {"comparison": "dhondt-forms", "left": list(mismatch.left),
+         "right": list(mismatch.right)}
+    ]

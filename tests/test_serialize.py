@@ -561,3 +561,9 @@ def test_only_all_int_or_all_str_arrays_skip_the_item_writers(array, writers):
     assert _item_writers(array) == writers
     for value in (array, {"items": array}, [[array]]):
         assert dumps(value) == _per_item_dumps(value) == _reference_dumps(value)
+
+
+def test_from_json_passes_a_dataclass_check_through_unchanged():
+    two_seats_of_three = {**_TWO_SEATS, "seats": [2, 1]}
+    with pytest.raises(InputError, match="^seats sum to 3, expected house size 2$"):
+        allocation_from_json(two_seats_of_three)

@@ -6,6 +6,7 @@ import pytest
 from apportion import (
     Allocation,
     InputError,
+    InstanceSpace,
     STOP_RESIDUAL,
     SeedDistribution,
     SeededRun,
@@ -251,3 +252,32 @@ def _case(call, message, suffix=""):
 def test_fixed_house_engines_refuse_the_wrong_domain_type(call, message):
     with pytest.raises(InputError, match=message):
         call()
+
+
+def test_allocation_party_ids_and_seats_must_have_equal_length():
+    with pytest.raises(InputError, match="^party_ids and seats must have equal length$"):
+        Allocation(("A", "B"), (1,), 1, "hare", "largest-remainder")
+
+
+def test_seeded_run_totals_must_be_district_plus_extra_seats():
+    with pytest.raises(InputError, match=r"^totals must equal district_seats \+ extra_seats$"):
+        SeededRun(("A",), (1,), (1,), (3,), 1, STOP_RESIDUAL, (Fraction(0),))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: TiePolicy(["random"]), "unknown tie mode ['random']"),
+        (lambda: highest_averages(_TALLY, 3, ["dhondt"]), "unknown divisor method ['dhondt']"),
+        (lambda: multiplicative(_TALLY, 3, ["floor"]), "unknown rounding rule ['floor']"),
+        (lambda: jump_allocation(_TALLY, 3, ["hare"]), "unknown method ['hare']"),
+        (lambda: find_quota_violation(InstanceSpace.default(trials=1), ["hare"]),
+         "unknown method ['hare']"),
+        (lambda: seeded_divisor(_TALLY, _SEED, stop=["fixed"]), "unknown stop rule ['fixed']"),
+    ],
+    ids=["tie-mode", "divisor-method", "rounding-rule", "method", "oracle-method", "stop-rule"],
+)
+def test_an_unknown_name_is_refused_though_unhashable(call, message):
+    with pytest.raises(InputError) as caught:
+        call()
+    assert str(caught.value) == message

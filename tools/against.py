@@ -263,14 +263,19 @@ def lines(parent, inputs):
     old, new = ([path.read_bytes().count(b"\n") for path in paths] for paths in files)
     code = [sum(code_lines(path.read_text()) for path in paths) for paths in files]
     width = len(str(sum(path.stat().st_size for path in files[1])))  # as GNU wc pads
+    if files[0]:
+        counts = [f"{a} at HEAD^, {b} at HEAD, change {b - a}" for a, b in (
+            (sum(old), sum(new)), code)]
+    else:  # no parent files would read as 0 lines at HEAD^
+        counts = [f"{sum(new)} at HEAD", f"{code[1]} at HEAD"]
     return "\n".join([
         "```",
         *(f"{n:>{width}} {path.relative_to(HEAD)}" for n, path in zip(new, files[1])),
         f"{sum(new):>{width}} total",
-        f"src/ total: {sum(old)} at HEAD^, {sum(new)} at HEAD, change {sum(new) - sum(old)} "
-        "(target 2740)",
-        f"src/ code lines (no blank lines, comments or docstrings): {code[0]} at HEAD^, "
-        f"{code[1]} at HEAD, change {code[1] - code[0]}",
+        f"src/ total: {counts[0]} (target 2740)",
+        f"src/ code lines (no blank lines, comments or docstrings): {counts[1]}",
+        *([] if files[0] else
+          [f"parent checkout unavailable: no src/apportion/*.py under {parent}"]),
         "```",
     ])
 
