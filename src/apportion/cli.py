@@ -59,36 +59,13 @@ def parse_votes(source, districts_col: str = "districts"):
     A leading UTF-8 byte order mark, as spreadsheet exports write, is
     skipped.
     """
-    if not isinstance(source, str):
-        source = source.read()
-    source = io.StringIO(source.removeprefix("\ufeff"))
-    rows = [
-        (lineno, row)
-        for lineno, row in enumerate(csv.reader(source), start=1)
-        if any(cell.strip() for cell in row)
-    ]
-    if not rows:
-        raise InputError("empty input")
-    header_line, header = rows[0]
-    names = [cell.strip().lower() for cell in header]
-    want = districts_col.strip().lower()
-    if len(names) < 2 or names[0] != "party" or names[1] != "votes":
-        raise InputError(
-            f"line {header_line}: header must be party,votes[,{districts_col}]"
-        )
-    if len(names) == 2:
-        has_districts = False
-    elif len(names) == 3 and names[2] == want:
-        has_districts = True
-    else:
-        raise InputError(f"line {header_line}: unexpected columns {names[2:]}")
+    rows, has_districts = _header(source, districts_col)
+    width = 2 + has_districts
     parties, votes, districts = [], [], []
     seen = set()
-    for lineno, row in rows[1:]:
-        if len(row) != len(names):
-            raise InputError(
-                f"line {lineno}: expected {len(names)} fields, got {len(row)}"
-            )
+    for lineno, row in rows:
+        if len(row) != width:
+            raise InputError(f"line {lineno}: expected {width} fields, got {len(row)}")
         pid = row[0]
         if pid in seen:
             raise InputError(f"line {lineno}: duplicate party {pid!r}")
@@ -102,6 +79,27 @@ def parse_votes(source, districts_col: str = "districts"):
     tally = VoteTally(tuple(parties), tuple(votes))
     seed = SeedDistribution(tuple(parties), tuple(districts)) if has_districts else None
     return tally, seed
+
+
+def _header(source, districts_col):
+    """Check the header of ``source``; returns its non-blank data rows as a lazy
+    iterator of ``(line number, row)`` pairs, and whether it has the districts
+    column."""
+    if not isinstance(source, str):
+        source = source.read()
+    lines = enumerate(csv.reader(io.StringIO(source.removeprefix("\ufeff"))), start=1)
+    rows = ((lineno, row) for lineno, row in lines if any(cell.strip() for cell in row))
+    header_line, header = next(rows, (None, None))
+    if header is None:
+        raise InputError("empty input")
+    names = [cell.strip().lower() for cell in header]
+    if len(names) < 2 or names[0] != "party" or names[1] != "votes":
+        raise InputError(
+            f"line {header_line}: header must be party,votes[,{districts_col}]"
+        )
+    if names[2:] not in ([], [districts_col.strip().lower()]):
+        raise InputError(f"line {header_line}: unexpected columns {names[2:]}")
+    return rows, len(names) == 3
 
 
 def _parse_count(lineno, what, text):
@@ -275,8 +273,9 @@ def run(config: argparse.Namespace) -> str:
     """Execute one resolved invocation and return the rendered report."""
     if config.suite:
         return _run_suite(config)
-    tally, seed = parse_votes(_read_input(config.input_path), config.districts_col)
-    _refuse(_RUN_RULES, config, seed is not None)
+    text = _read_input(config.input_path)
+    _refuse(_RUN_RULES, config, _header(text, config.districts_col)[1])
+    tally, seed = parse_votes(text, config.districts_col)
     tie = TiePolicy(config.tie_mode, config.tie_seed)
     if config.compare:  # each method's canonical form, untraced
         runs = [_fixed_run(config, tally, m, None, tie) for m in METHODS]
@@ -354,28 +353,19 @@ def _run_seeded(config, tally, seed, tie):
 
 def _run_suite(config):
     space = InstanceSpace.default(trials=config.trials, master_seed=config.master_seed)
-    if config.suite in ("equivalence", "bias"):
-        suite, table = (
-            (equivalence_suite, _suite_counts_table)
-            if config.suite == "equivalence"
-            else (bias_montecarlo, _bias_table)
-        )
-        report = suite(space, jobs=config.jobs)
-        if config.format == "json":
-            return serialize.dumps(
-                {"config": _config_payload(config), "suite_report": report}
-            )
-        return table(report)
-    searches = []
-    for method in METHODS:
-        witness = find_house_monotonicity_violation(space, method)
-        searches.append({"method": method, "witness": witness})
+    if config.suite == "paradox":
+        searches = [{"method": method, "witness": find_house_monotonicity_violation(space, method)}
+                    for method in METHODS]
+        payload = {"suite": "paradox", "space": space, "searches": searches}
+        table = functools.partial(_paradox_table, space, searches)
+    else:
+        equivalence = config.suite == "equivalence"
+        report = (equivalence_suite if equivalence else bias_montecarlo)(space, jobs=config.jobs)
+        payload = {"suite_report": report}
+        table = functools.partial(_suite_counts_table if equivalence else _bias_table, report)
     if config.format == "json":
-        return serialize.dumps(
-            {"config": _config_payload(config), "suite": "paradox", "space": space,
-             "searches": searches}
-        )
-    return _paradox_table(space, searches)
+        return serialize.dumps({"config": _config_payload(config), **payload})
+    return table()
 
 
 # ------------------------------------------------------------------ rendering
@@ -415,40 +405,29 @@ def _tie_lines(allocations):
 
 
 def _fixed_house_table(config, tally, report, allocations, trace):
+    head = ["party", "votes", "ideal", "lower", "upper"]
+    columns = [tally.party_ids, map(str, tally.votes), map(_fmt, report.ideals),
+               map(str, report.lowers), map(str, report.uppers)]
+    if config.compare:
+        seats = [a.seats for a in allocations]
+        head += [a.method for a in allocations] + ["differs"]
+        columns += [*(map(str, s) for s in seats),
+                    ["*" if len(set(row)) > 1 else "" for row in zip(*seats)]]
+        footer = []
+    else:
+        a = allocations[0]
+        head += ["seats", "residual"]
+        columns += [map(str, a.seats), map(_fmt, report.residuals_for(a))]
+        footer = [f"method {a.method} ({a.form})"]
     lines = [
         f"house size {report.house_size}, total votes {tally.total_votes}, "
-        f"ideal quota {_fmt(report.ideal_quota)}"
+        f"ideal quota {_fmt(report.ideal_quota)}",
+        _layout([head, *zip(*columns)]),
+        *footer,
+        *_tie_lines(allocations),
     ]
-    head = ["party", "votes", "ideal", "lower", "upper"]
-    if config.compare:
-        head += [a.method for a in allocations] + ["differs"]
-    else:
-        head += ["seats", "residual"]
-        residuals = report.residuals_for(allocations[0])
-    rows = [head]
-    for i, pid in enumerate(tally.party_ids):
-        row = [
-            pid,
-            str(tally.votes[i]),
-            _fmt(report.ideals[i]),
-            str(report.lowers[i]),
-            str(report.uppers[i]),
-        ]
-        if config.compare:
-            seats = [a.seats[i] for a in allocations]
-            row += [str(s) for s in seats]
-            row.append("*" if len(set(seats)) > 1 else "")
-        else:
-            row += [str(allocations[0].seats[i]), _fmt(residuals[i])]
-        rows.append(row)
-    lines.append(_layout(rows))
-    if not config.compare:
-        a = allocations[0]
-        lines.append(f"method {a.method} ({a.form})")
-    lines.extend(_tie_lines(allocations))
     if trace is not None:
-        lines.append("")
-        lines.append(_trace_text(trace))
+        lines += ["", _trace_text(trace)]
     return "\n".join(lines) + "\n"
 
 
@@ -498,51 +477,30 @@ def _trace_text(trace) -> str:
     return "\n".join(lines)
 
 
-def _seeded_table(config, tally, allocation, run_result):
-    d_total = sum(run_result.district_seats)
-    x_total = sum(run_result.extra_seats)
+def _seeded_table(config, tally, allocation, result):
+    head = ["party", "votes", "districts", "top-up", "total", "residual"]
+    counts = (tally.votes, result.district_seats, result.extra_seats, result.totals)
+    columns = [tally.party_ids, *(map(str, c) for c in counts), map(_fmt, result.residuals)]
     lines = [
-        f"two-stage run: {d_total} district + {x_total} top-up = "
-        f"house {run_result.house_size}"
+        f"two-stage run: {sum(result.district_seats)} district + "
+        f"{sum(result.extra_seats)} top-up = house {result.house_size}",
+        _layout([head, *zip(*columns)]),
+        f"stopped after {result.stop_iteration} top-up seat(s): {result.stop_reason}",
     ]
-    rows = [["party", "votes", "districts", "top-up", "total", "residual"]]
-    for i, pid in enumerate(tally.party_ids):
-        rows.append(
-            [
-                pid,
-                str(tally.votes[i]),
-                str(run_result.district_seats[i]),
-                str(run_result.extra_seats[i]),
-                str(run_result.totals[i]),
-                _fmt(run_result.residuals[i]),
-            ]
-        )
-    lines.append(_layout(rows))
-    lines.append(
-        f"stopped after {run_result.stop_iteration} top-up seat(s): "
-        f"{run_result.stop_reason}"
-    )
-    if run_result.multiplier is not None:
-        lines.append(f"multiplier {_fmt(run_result.multiplier)}")
-    if run_result.multiplier_interval is not None:
-        lo, hi = run_result.multiplier_interval
+    if result.multiplier is not None:
+        lines.append(f"multiplier {_fmt(result.multiplier)}")
+    if result.multiplier_interval is not None:
+        lo, hi = result.multiplier_interval
         lines.append(f"multiplier bracket ({_fmt(lo)}, {_fmt(hi)})")
     lines.extend(_tie_lines([allocation]))
-    if config.trace and run_result.awards:
+    if config.trace and result.awards:
         lines.append("award log:")
-        for award in run_result.awards:
-            lines.append(
-                f"  top-up {award.iteration} (house {award.house_target}) -> "
-                f"{award.party} (deficit {_fmt(award.deficit)})"
-            )
-    if config.trace and run_result.sweep:
+        lines += [f"  top-up {award.iteration} (house {award.house_target}) -> "
+                  f"{award.party} (deficit {_fmt(award.deficit)})" for award in result.awards]
+    if config.trace and result.sweep:
         lines.append("multiplier sweep:")
-        for step in run_result.sweep:
-            extras = ",".join(str(x) for x in step.extra_seats)
-            lines.append(
-                f"  M={_fmt(step.multiplier)}  top-up=({extras})  "
-                f"total={step.total_extra}"
-            )
+        lines += [f"  M={_fmt(step.multiplier)}  top-up=({','.join(map(str, step.extra_seats))})"
+                  f"  total={step.total_extra}" for step in result.sweep]
     return "\n".join(lines) + "\n"
 
 

@@ -171,8 +171,7 @@ def hare_niemeyer(
     leftover = house_size - sum(seats)
     events = []
     if leftover:
-        ranks = tie.ranks(tally)
-        order = sorted(range(tally.party_count), key=lambda i: (-rem_nums[i], ranks[i]))
+        order = _remainder_order(rem_nums, tie.ranks(tally))
         for i in order[:leftover]:
             seats[i] += 1
         boundary = rem_nums[order[leftover - 1]]
@@ -188,6 +187,11 @@ def hare_niemeyer(
         form="largest-remainder",
         tie_events=tuple(events),
     )
+
+
+def _remainder_order(rems, ranks):
+    """Every party, largest remainder first, equal remainders by tie rank."""
+    return sorted(range(len(rems)), key=lambda i: (-rems[i], ranks[i]))
 
 
 def sequential_hare(
@@ -693,7 +697,7 @@ def _jump_hare(tally, house_size, ranks):
     total, seats, rems = _quota_split(tally, house_size)
     ideals = [house_size * v for v in tally.votes]
     base = sum(seats)
-    order = sorted(range(tally.party_count), key=lambda i: (-rems[i], ranks[i]))
+    order = _remainder_order(rems, ranks)
     classes = {}  # remainder -> (deficits above it, parties)
     for position, i in enumerate(order):
         classes.setdefault(rems[i], (base + position, []))[1].append(i)

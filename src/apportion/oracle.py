@@ -43,6 +43,7 @@ from .types import (
     Allocation,
     EnumerationGuardError,
     InputError,
+    IterationGuardError,
     SEEDED_RANDOM,
     TiePolicy,
     VoteTally,
@@ -58,6 +59,9 @@ __all__ = [
 
 #: Hard ceiling on the number of seat vectors exhaustive enumeration may emit.
 ENUMERATION_GUARD = 10**7
+
+#: Hard ceiling on the trials of one suite or search, checked before the first.
+MAX_TRIALS = 10**7
 
 
 @dataclass(frozen=True)
@@ -202,12 +206,19 @@ def enumerate_allocations(party_count: int, house_size: int):
         )
 
     def generate(k, n):
-        if k == 1:
-            yield (n,)
-            return
-        for first in range(n + 1):
-            for rest in generate(k - 1, n - first):
-                yield (first,) + rest
+        # The successor of a vector: the rightmost party r > 0 holding a seat
+        # gives one to party r - 1 and the rest to the last party.
+        seats = [0] * k
+        seats[-1] = n
+        r = k - 1 if n else 0
+        yield tuple(seats)
+        while r:
+            rest = seats[r] - 1
+            seats[r] = 0
+            seats[r - 1] += 1
+            seats[-1] = rest
+            r = k - 1 if rest else r - 1
+            yield tuple(seats)
 
     return generate(party_count, house_size)
 
@@ -241,7 +252,6 @@ def _allocate(method: str, tally, house_size, tie):
     """An allocation whose seats are ``method``'s; its callers read no tie
     event, so the divisor methods take the untraced sweep's seats (the
     jump's, without rebuilding its tie events)."""
-    _check_name(method, METHODS, "method")
     if method == HARE:
         return hare_niemeyer(tally, house_size, tie)
     return multiplicative(tally, house_size, _ROUNDING[method], tie=tie, with_trace=False)[0]
@@ -274,6 +284,17 @@ def _trial_slice(args):
     return [per_trial(space.trial_instance(index)) for index in range(start, stop)]
 
 
+def _trial_count(space) -> int:
+    """The trials of ``space``, refused before any is drawn when it is not an
+    :class:`InstanceSpace` or holds more than :data:`MAX_TRIALS`."""
+    _check_type(space, InstanceSpace, "space")
+    if space.trials > MAX_TRIALS:
+        raise IterationGuardError(
+            f"the suite would run {space.trials} trials (limit {MAX_TRIALS})"
+        )
+    return space.trials
+
+
 def _map_trials(per_trial, space: InstanceSpace, jobs: int) -> list:
     """``per_trial(trial)`` for every trial of the space, in trial order.
 
@@ -281,10 +302,9 @@ def _map_trials(per_trial, space: InstanceSpace, jobs: int) -> list:
     most one per CPU, since the pool starts every worker at once; the
     workers unpickle ``per_trial``, so it is a module-level function.
     """
-    _check_type(space, InstanceSpace, "space")
+    trials = _trial_count(space)
     if not _is_count(jobs) or jobs < 1:
         raise InputError("jobs must be a positive integer")
-    trials = space.trials
     jobs = max(1, min(jobs, trials, os.cpu_count() or 1)) if trials else 1
     if jobs == 1:
         return _trial_slice((per_trial, space, 0, trials))
@@ -294,6 +314,15 @@ def _map_trials(per_trial, space: InstanceSpace, jobs: int) -> list:
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return [result for part in pool.map(_trial_slice, slices) for result in part]
+
+
+def _first_witness(space, method, witness):
+    """The first ``witness(trial, method)`` that is not None, in trial order,
+    or None; the space and the method are checked before any trial is drawn."""
+    trials = _trial_count(space)
+    _check_name(method, METHODS, "method")
+    found = (witness(space.trial_instance(index), method) for index in range(trials))
+    return next((w for w in found if w is not None), None)
 
 
 def equivalence_suite(space: InstanceSpace, jobs: int = 1) -> SuiteReport:
@@ -327,14 +356,13 @@ def find_quota_violation(space: InstanceSpace, method: str = DHONDT):
     is clean (the expected outcome for Hare and, typically, a quick find
     for d'Hondt-Jefferson once one party dominates).
     """
-    _check_type(space, InstanceSpace, "space")
-    for index in range(space.trials):
-        trial = space.trial_instance(index)
-        allocation = _allocate(method, trial.tally, trial.house_size, trial.tie)
-        ok, violations = check_quota_property(trial.tally, trial.house_size, allocation)
-        if not ok:
-            return QuotaWitness(trial, method, allocation.seats, violations)
-    return None
+    return _first_witness(space, method, _quota_witness)
+
+
+def _quota_witness(trial, method):
+    allocation = _allocate(method, trial.tally, trial.house_size, trial.tie)
+    ok, violations = check_quota_property(trial.tally, trial.house_size, allocation)
+    return None if ok else QuotaWitness(trial, method, allocation.seats, violations)
 
 
 def find_house_monotonicity_violation(space: InstanceSpace, method: str = HARE):
@@ -345,26 +373,14 @@ def find_house_monotonicity_violation(space: InstanceSpace, method: str = HARE):
     construction, so searches with them are expected to come back empty;
     Hare is the interesting target.
     """
-    _check_type(space, InstanceSpace, "space")
-    for index in range(space.trials):
-        trial = space.trial_instance(index)
-        smaller = _allocate(method, trial.tally, trial.house_size, trial.tie)
-        larger = _allocate(method, trial.tally, trial.house_size + 1, trial.tie)
-        losers = tuple(
-            pid
-            for pid, a, b in zip(trial.tally.party_ids, smaller.seats, larger.seats)
-            if b < a
-        )
-        if losers:
-            return MonotonicityWitness(
-                trial=trial,
-                method=method,
-                smaller_house=trial.house_size,
-                seats_smaller=smaller.seats,
-                seats_larger=larger.seats,
-                losers=losers,
-            )
-    return None
+    return _first_witness(space, method, _monotonicity_witness)
+
+
+def _monotonicity_witness(trial, method):
+    tally, n, tie = trial.tally, trial.house_size, trial.tie
+    smaller, larger = (_allocate(method, tally, house, tie).seats for house in (n, n + 1))
+    losers = tuple(pid for pid, a, b in zip(tally.party_ids, smaller, larger) if b < a)
+    return MonotonicityWitness(trial, method, n, smaller, larger, losers) if losers else None
 
 
 def _bias_trial(trial):

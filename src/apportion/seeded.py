@@ -155,17 +155,8 @@ def seeded_sequential_hare(
             j += step
         stop_j = j
 
-    return SeededRun(
-        party_ids=tally.party_ids,
-        district_seats=seed.district_seats,
-        extra_seats=tuple(mi - di for mi, di in zip(m, seed.district_seats)),
-        totals=tuple(m),
-        stop_iteration=stop_j,
-        stop_reason=reason,
-        residuals=tuple(Fraction(x, total) for x in nums),
-        awards=tuple(awards),
-        tie_events=tuple(events),
-    )
+    extras = [mi - di for mi, di in zip(m, seed.district_seats)]
+    return _report(tally, seed, extras, reason, seed.total + stop_j, events, awards=tuple(awards))
 
 
 def _topups_at(tally, seed, t, M):
@@ -237,7 +228,8 @@ def _divisor_residual_stop(tally, seed, t, with_trace):
             sweep.append(SweepStep(value, tuple(first), sum(first)))
         if witness != start:  # strictly between two thresholds: its own row
             sweep.append(SweepStep(witness, tuple(extras), sum(extras)))
-    return _report(tally, seed, extras, STOP_RESIDUAL, sweep, witness, (lo, hi))
+    return _report(tally, seed, extras, STOP_RESIDUAL, witness, sweep=tuple(sweep),
+                   multiplier=witness, multiplier_interval=(lo, hi))
 
 
 def _pilot(tally, seed, t):
@@ -285,14 +277,16 @@ def _divisor_fixed_stop(tally, seed, t, tie, with_trace):
             events.append(_straddle_event(tally.party_ids, context, taken, overhang))
         else:
             interval = (witness, following)
-    return _report(tally, seed, extras, STOP_FIXED, sweep, witness, interval, events)
+    # with no top-up seat (T = 0) there is no witness: residuals at M = 0
+    return _report(tally, seed, extras, STOP_FIXED, witness or 0, events, sweep=tuple(sweep),
+                   multiplier=witness, multiplier_interval=interval)
 
 
-def _report(tally, seed, extras, reason, sweep, witness, interval, events=()):
-    """The report of a stop at ``witness``; residuals are taken at M = 0
-    when no seat was added."""
-    at = Fraction(0) if witness is None else witness
-    total = tally.total_votes
+def _report(tally, seed, extras, reason, at, events=(), **fields):
+    """The report of a stop after ``extras`` top-up seats, with the residuals
+    ``M v_i / V - m_i`` taken at M = ``at``; ``fields`` are the ones only
+    some forms fill (awards, sweep, multiplier and its bracket)."""
+    a, b, total = at.numerator, at.denominator, tally.total_votes
     totals = tuple(d + x for d, x in zip(seed.district_seats, extras))
     return SeededRun(
         party_ids=tally.party_ids,
@@ -302,10 +296,8 @@ def _report(tally, seed, extras, reason, sweep, witness, interval, events=()):
         stop_iteration=sum(extras),
         stop_reason=reason,
         residuals=tuple(
-            at * Fraction(v, total) - m for v, m in zip(tally.votes, totals)
+            Fraction(a * v - b * m * total, b * total) for v, m in zip(tally.votes, totals)
         ),
-        sweep=tuple(sweep),
-        multiplier=witness,
-        multiplier_interval=interval,
         tie_events=tuple(events),
+        **fields,
     )

@@ -1543,3 +1543,20 @@ def test_a_fixed_stop_over_huge_districts_still_runs(cli, csv_file):
 
 def test_parse_votes_reads_a_file_like_object():
     assert parse_votes(io.StringIO(SEEDED)) == parse_votes(SEEDED)
+
+
+@pytest.mark.parametrize("flags", [
+    ("--suite", "equivalence"), ("--suite", "bias"), ("--suite", "paradox"),
+    ("--suite", "equivalence", "--jobs", "2"),
+])
+def test_a_suite_over_the_trial_limit_exits_at_the_guard(cli, flags):
+    trials = 10**20
+    assert cli(*flags, "--trials", str(trials)) == (2, "", (
+        f"execution error: the suite would run {trials} trials (limit 10000000)\n"
+    ))
+
+
+def test_the_run_rules_come_before_the_data_rows(cli, csv_file, monkeypatch):
+    votes = csv_file("party,votes\nA,many\nA,-1\nB\n")
+    monkeypatch.setattr(cli_module, "parse_votes", mock.Mock(side_effect=AssertionError))
+    assert cli(votes) == (1, "", "error: --seats is required without a districts column\n")

@@ -29,6 +29,7 @@ from apportion import (
 )
 from apportion import cli, methods, oracle
 from apportion.oracle import Mismatch
+from apportion.types import IterationGuardError
 
 # Votes of at most 20 make coincident values common, so the tie policy
 # decides seats in most trials; the default space almost never ties.
@@ -398,3 +399,53 @@ def test_the_json_report_carries_every_mismatch(broken_dhondt, capsys):
         {"comparison": "dhondt-forms", "left": list(mismatch.left),
          "right": list(mismatch.right)}
     ]
+
+
+def _recursive_allocations(k, n):
+    """The seat vectors of ``k`` parties and ``n`` seats, built recursively."""
+    if k == 1:
+        yield (n,)
+        return
+    for first in range(n + 1):
+        for rest in _recursive_allocations(k - 1, n - first):
+            yield (first,) + rest
+
+
+def test_enumeration_matches_a_recursive_reference():
+    for k in range(1, 7):
+        for n in range(8):
+            assert list(enumerate_allocations(k, n)) == list(_recursive_allocations(k, n))
+
+
+def test_enumeration_does_not_recurse_once_per_party():
+    assert list(enumerate_allocations(1000, 0)) == [(0,) * 1000]
+    vectors = enumerate_allocations(3000, 1)
+    assert next(vectors) == (0,) * 2999 + (1,)
+    *_, last = vectors
+    assert last == (1,) + (0,) * 2999
+    assert list(enumerate_allocations(1, 10**12)) == [(10**12,)]
+
+
+def test_an_unknown_method_is_refused_on_an_empty_space():
+    space = InstanceSpace.default(trials=0)
+    for search in (find_quota_violation, find_house_monotonicity_violation):
+        with pytest.raises(InputError, match="unknown method 'bogus'"):
+            search(space, "bogus")
+
+
+@pytest.mark.parametrize("entry,args", [
+    (equivalence_suite, {"jobs": 2}), (bias_montecarlo, {"jobs": 2}),
+    (find_quota_violation, {}), (find_house_monotonicity_violation, {}),
+])
+def test_a_space_over_the_trial_limit_is_refused_before_any_trial(entry, args, monkeypatch):
+    def no_trial(self, index):
+        raise AssertionError("a trial was drawn")
+
+    monkeypatch.setattr(InstanceSpace, "trial_instance", no_trial)
+    limit = oracle.MAX_TRIALS
+    assert limit == 10**7
+    with pytest.raises(IterationGuardError) as refused:
+        entry(InstanceSpace.default(trials=limit + 1), **args)
+    assert str(refused.value) == f"the suite would run {limit + 1} trials (limit {limit})"
+    with pytest.raises(AssertionError, match="a trial was drawn"):  # the limit itself runs
+        entry(InstanceSpace.default(trials=limit))

@@ -6,9 +6,10 @@ PARENT_ROOT is another checkout, usually the parent commit (``git worktree
 add <dir> HEAD^``).  Each report prints one markdown table; all run when none
 is named.  ``tracer`` lists the count metrics (calls, seats, steps, bytes) of
 one traced bench pass that differ; ``suites``, ``engines``, ``traced`` and
-``two-stage`` compare the sha256 of each suite's JSON, of 2,000 seeded draws
-run by the untraced table, sweep and jump, and of traced and two-stage CLI
-output at k = 50 with varied and with equal votes; ``calls`` gives the median
+``two-stage`` compare the sha256 of each suite's JSON and table, of 2,000
+seeded draws run by the untraced table, sweep and jump, and of traced and
+two-stage CLI output (two-stage as JSON and table, each with and without
+``--trace``) at k = 50 with varied and with equal votes; ``calls`` gives the median
 us per in-process ``cli.main`` call, and ``lines`` the size of src/apportion.
 
 Each command runs in a subprocess with its root as working directory and
@@ -97,10 +98,12 @@ def tracer(parent, inputs):
 
 
 def suites(parent, inputs):
-    return sha_table(parent, "Suite JSON sha256 against the parent commit", ("suite", "jobs"), [
-        ((suite, jobs), [*CLI, "--suite", suite, "--trials", "2000", "--master-seed", "7",
-                         "--jobs", jobs, "--format", "json"])
+    return sha_table(parent, "Suite output sha256 against the parent commit",
+                     ("suite", "jobs", "format"), [
+        ((suite, jobs, fmt), [*CLI, "--suite", suite, "--trials", "2000", "--master-seed", "7",
+                              "--jobs", jobs, "--format", fmt])
         for suite in ("equivalence", "bias", "paradox") for jobs in ("1", "2")
+        for fmt in ("json", "table")
     ])
 
 
@@ -175,13 +178,17 @@ def two_stage(parent, inputs):
         others = sum(districts) - districts[big]
         districts[big] = ((target + others) * votes[big] + total) // (total - votes[big]) + 1
         paths[name] = write_csv(f"{inputs}/two-stage-inputs/{name}.csv", votes, districts)
-    return sha_table(parent, "Two-stage JSON sha256 against the parent commit", ("votes", "run"), [
-        ((name, flags or "residual"), [*CLI, path, *flags.split(), "--format", "json"])
+    # each traced run here stays under the trace guards (MAX_TRACE_ROWS, MAX_TRACE_CELLS)
+    return sha_table(parent, "Two-stage output sha256 against the parent commit",
+                     ("votes", "run", "format"), [
+        ((name, flags or "residual", fmt),
+         [*CLI, path, *flags.split(), "--format", *fmt.split()])
         for name, path in paths.items()
         for flags in ("", "--cap 10000", "--fixed-extra 20000", "--method dhondt --form divisor",
                       "--method dhondt --form divisor --stop fixed --fixed-extra 20000",
                       "--method sainte-lague --form divisor",
                       "--method sainte-lague --form divisor --stop fixed --fixed-extra 20000")
+        for fmt in ("json", "table", "json --trace", "table --trace")
     ])
 
 
