@@ -87,8 +87,7 @@ def _header(source, districts_col):
     column."""
     if not isinstance(source, str):
         source = source.read()
-    lines = enumerate(csv.reader(io.StringIO(source.removeprefix("\ufeff"))), start=1)
-    rows = ((lineno, row) for lineno, row in lines if any(cell.strip() for cell in row))
+    rows = _rows(csv.reader(io.StringIO(source.removeprefix("\ufeff"))))
     header_line, header = next(rows, (None, None))
     if header is None:
         raise InputError("empty input")
@@ -100,6 +99,17 @@ def _header(source, districts_col):
     if names[2:] not in ([], [districts_col.strip().lower()]):
         raise InputError(f"line {header_line}: unexpected columns {names[2:]}")
     return rows, len(names) == 3
+
+
+def _rows(reader):
+    """The non-blank rows of ``reader`` with their line numbers; a line the csv
+    module refuses (a field over its size limit, say) is an input error."""
+    try:
+        for lineno, row in enumerate(reader, start=1):
+            if any(cell.strip() for cell in row):
+                yield lineno, row
+    except csv.Error as exc:
+        raise InputError(f"line {reader.line_num}: {exc}") from None
 
 
 def _parse_count(lineno, what, text):
@@ -329,7 +339,8 @@ def _run_seeded(config, tally, seed, tie):
     """The two-stage engine for ``config``; returns (allocation, SeededRun)."""
     seed = dataclasses.replace(seed, cap=config.cap, fixed_extra=config.fixed_extra)
     if config.form in (None, "sequential"):
-        run_result = seeded_sequential_hare(tally, seed, tie)
+        run_result = seeded_sequential_hare(tally, seed, tie,
+                                            with_trace=config.trace or config.format == "json")
         form = "seeded-sequential"
     else:
         stop = "residual" if config.fixed_extra is None else "fixed"

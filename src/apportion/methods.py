@@ -31,9 +31,9 @@ from groups of coincident values.
 Hot paths compare candidates by one exact integer key: a value whose
 denominators are at most D, scaled by ``2**shift > D**2`` and floored.
 Two different such values differ by at least 1 / D², so their keys keep
-their order, and equal values get equal keys.  The divisor table scans its
-keys with ``max``; the threshold heap compares them in C.  `Fraction`
-objects only materialise in reports, traces and once per threshold group.
+their order, and equal values get equal keys.  The divisor table and the
+threshold heap keep theirs in heaps, compared in C.  `Fraction` objects
+only materialise in reports, traces and once per threshold group.
 """
 
 from __future__ import annotations
@@ -252,17 +252,17 @@ def _award_deficits(
         top = max(nums)
         best = nums.index(top)
         if nums.count(top) > 1:
-            best = _tie(nums, top, ranks, ids, f"{context} {j}", events)
+            tied = [i for i, num in enumerate(nums) if num == top]
+            best = _tie(tied, ranks, ids, f"{context} {j}", events)
         if awards is not None:
             awards.append(SeatAward(j, house, ids[best], Fraction(top, total)))
         seats[best] += 1
         nums[best] = top - total
 
 
-def _tie(values, top, ranks, ids, context, events):
-    """The party of lowest tie rank among those whose value is ``top``;
-    appends the tie event, every tied party listed in index order."""
-    tied = [i for i, value in enumerate(values) if value == top]
+def _tie(tied, ranks, ids, context, events):
+    """The party of lowest tie rank among ``tied``, given in index order;
+    appends the tie event, which lists them all."""
     best = min(tied, key=ranks.__getitem__)
     events.append(TieEvent(context, tuple(ids[i] for i in tied), (ids[best],)))
     return best
@@ -280,17 +280,17 @@ def highest_averages(
 
     A party holding ``n`` seats bids ``v_i / (q n + p)``, t = p/q being the
     method's signpost: ``v_i / (n + 1)`` under d'Hondt-Jefferson, ``v_i /
-    (2n + 1)`` under Sainte-Laguë.  Each party keeps one integer key, its
-    bid scaled by ``2**shift`` and floored, and each seat goes to ``max``
-    of the keys; only the winner's key is recomputed.  Two different bids
-    differ by at least ``1 / (qN + p)**2`` and ``2**shift`` exceeds
-    ``(qN + p)**2``, so the keys order the bids exactly, equal bids
-    included.  Equal top bids go to the lowest tie rank and are
-    logged as a ``seat j`` tie event listing every tied party.  The trace
-    records, per seat, the full bidding table (present and next prices).
-    Only the winner's prices move, so consecutive rows share the other
-    ``Fraction`` objects (one new one per seat; values and equality are as
-    if each row were built afresh).
+    (2n + 1)`` under Sainte-Laguë.  Each bid, scaled by ``2**shift`` and
+    floored, is its party's key in a heap ordered by key, then tie rank;
+    each seat goes to the top, whose next key replaces it in O(log k).
+    Different bids differ by ``1 / (qN + p)**2`` or more, and ``2**shift``
+    exceeds ``(qN + p)**2``, so the keys order the bids exactly.  Equal top
+    bids go to the lowest tie rank (the top) and are logged as a ``seat j``
+    tie event listing every tied party, read in O(k) only when a child of
+    the top holds the same key.  The trace records, per seat, the full
+    bidding table (present and next prices).  Only the winner's prices move,
+    so consecutive rows share the other ``Fraction`` objects (one new one
+    per seat; values and equality are as if each row were built afresh).
     """
     _check_call(tally, house_size, tie)
     _check_name(method, _SIGNPOSTS, "divisor method")
@@ -303,16 +303,17 @@ def highest_averages(
     ranks = tie.ranks(tally)
     k = tally.party_count
     seats = [0] * k
-    dens = [p] * k  # q * seats[i] + p
     shift = 2 * (q * house_size + p).bit_length()
-    keys = [(v << shift) // p for v in votes]
-    steps = []
-    events = []
+    # (-key, rank, party, q * seats + p), and two sentinels below every bid
+    heap = [(-((v << shift) // p), r, i, p) for i, (v, r) in enumerate(zip(votes, ranks))]
+    heap += [(1, k, k, 0)] * 2
+    heapq.heapify(heap)
+    steps, events = [], []
     for step in range(1, house_size + 1):
-        top = max(keys)
-        best = keys.index(top)
-        if keys.count(top) > 1:
-            best = _tie(keys, top, ranks, ids, f"seat {step}", events)
+        top, rank, best, den = heap[0]
+        if heap[1][0] == top or heap[2][0] == top:  # an equal bid sits under one of them
+            _tie(sorted(i for key, _, i, _ in heap if key == top), ranks, ids,
+                 f"seat {step}", events)
         if with_trace:
             steps.append(
                 DivisorStep(
@@ -324,10 +325,9 @@ def highest_averages(
                 )
             )
             presents[best] = nexts[best]
-            nexts[best] = Fraction(votes[best], dens[best] + q)
+            nexts[best] = Fraction(votes[best], den + q)
         seats[best] += 1
-        dens[best] += q
-        keys[best] = (votes[best] << shift) // dens[best]
+        heapq.heapreplace(heap, (-((votes[best] << shift) // (den + q)), rank, best, den + q))
     allocation = Allocation(
         party_ids=ids,
         seats=tuple(seats),

@@ -89,6 +89,8 @@ def seeded_sequential_hare(
     tally: VoteTally,
     seed: SeedDistribution,
     tie: TiePolicy = TiePolicy(),
+    *,
+    with_trace: bool = True,
 ) -> SeededRun:
     """Award top-up seats one at a time to the largest current deficit.
 
@@ -101,12 +103,14 @@ def seeded_sequential_hare(
     With ``fixed_extra`` = T the run instead awards exactly T seats against
     the fixed house target D + T and reports ``fixed-extra-exhausted``;
     a T above ``MAX_TOPUP_ITERATIONS`` is refused before any award.
+    With ``with_trace=False`` the same seats and tie events come back
+    without the award log (``awards=()``).
     """
     _check_seed(tally, seed, tie)
     total = tally.total_votes
     ranks = tie.ranks(tally)
     m = list(seed.district_seats)
-    awards, events = [], []
+    awards, events = [] if with_trace else None, []
     if seed.fixed_extra is not None:
         stop_j, reason = seed.fixed_extra, STOP_FIXED
         if stop_j > MAX_TOPUP_ITERATIONS:  # the award log has a row per seat
@@ -156,7 +160,8 @@ def seeded_sequential_hare(
         stop_j = j
 
     extras = [mi - di for mi, di in zip(m, seed.district_seats)]
-    return _report(tally, seed, extras, reason, seed.total + stop_j, events, awards=tuple(awards))
+    return _report(tally, seed, extras, reason, seed.total + stop_j, events,
+                   awards=tuple(awards) if with_trace else ())
 
 
 def _topups_at(tally, seed, t, M):

@@ -96,3 +96,31 @@ def test_lines_say_when_the_parent_checkout_is_missing(tmp_path):
     assert "HEAD^" not in text and "change" not in text
     assert f"parent checkout unavailable: no src/apportion/*.py under {missing}" in text
     assert text.splitlines()[-3].endswith(" at HEAD")
+
+
+def test_json_digests_do_not_depend_on_the_input_directory(tmp_path):
+    digests = set()
+    for folder in (tmp_path / "one", tmp_path / "two" / "deeper"):
+        against.write_csv(str(folder / "three.csv"), (53, 24, 23))
+        case = (("json",), [*against.CLI, "three.csv", "--seats", "10", "--format", "json"])
+        text = against.sha_table(str(against.HEAD), "CLI output", ("format",), [case],
+                                 cwd=str(folder))
+        digests.add(_rows(text)[0].split(" | ")[1])
+    assert len(digests) == 1
+
+
+def test_input_reports_name_their_inputs_from_their_own_directory(tmp_path, monkeypatch):
+    seen = []
+
+    def record(parent, title, columns, cases, cwd=None):
+        seen.append((cwd, [args for _, args in cases]))
+        return ""
+
+    monkeypatch.setattr(against, "sha_table", record)
+    against.traced(str(tmp_path), str(tmp_path))
+    against.two_stage(str(tmp_path), str(tmp_path))
+    assert len(seen) == 2
+    for cwd, cases in seen:
+        for args in cases:
+            name = args[len(against.CLI)]
+            assert "/" not in name and (Path(cwd) / name).is_file()

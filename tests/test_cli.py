@@ -1,6 +1,7 @@
 """End-to-end command-line behaviour: parsing, rendering, exit codes."""
 
 import contextlib
+import csv
 import dataclasses
 import io
 import json
@@ -1237,6 +1238,20 @@ class TestBadInvocations:
         assert code == 1
         assert "line 2" in err
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [(f"party,votes\nA,{'9' * 200_000}\n", 2), (f"party,votes\nA,1\n{'p' * 140_000},5\n", 3),
+         (f"{'p' * 140_000},votes\nA,1\n", 1)],
+        ids=["votes", "party", "header"],
+    )
+    def test_field_over_the_csv_size_limit(self, cli, csv_file, text, line):
+        code, out, err = cli(csv_file(text), "--seats", "5")
+        assert (code, out) == (1, "")
+        limit = csv.field_size_limit()
+        assert err == f"error: line {line}: field larger than field limit ({limit})\n"
+        with pytest.raises(InputError, match=f"^line {line}: field larger"):
+            parse_votes(text)
+
 
 # ------------------------------------------------------------------ fuzzing
 
@@ -1244,6 +1259,7 @@ _DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 _FAULTS = ["bom", "byte", "blank", "short", "long", "garbage", "party", "header"]
 if _DIGIT_LIMIT:
     _FAULTS += ["past-limit", "at-limit"]
+_FAULTS += ["huge-votes", "huge-party"]
 
 
 @st.composite
@@ -1280,6 +1296,10 @@ def _csv_bytes(draw):
             rows[0] = draw(st.sampled_from([["name", "votes"], ["party"], rows[0] * 2]))
         elif fault == "past-limit":
             row[-1] = "7" * (_DIGIT_LIMIT + 1)
+        elif fault == "huge-votes":  # over csv.field_size_limit()
+            row[1:2] = ["9" * 200_000]
+        elif fault == "huge-party":
+            row[0] = "p" * 140_000
         elif not districts and len(row) > 1:  # at-limit: parses, its sums may not print
             row[1] = draw(st.sampled_from(["9", "5"])) * _DIGIT_LIMIT
     data = (prefix + "\n".join(",".join(row) for row in rows) + "\n").encode("utf-8")

@@ -268,3 +268,29 @@ def test_table_matches_the_cross_multiplication_table(votes, house_size, method,
         got = highest_averages(tally, house_size, method, tie, with_trace=with_trace)
         want = _cross_multiplication_table(tally, house_size, method, tie, with_trace)
         assert got == want  # seats, tie events and every DivisorStep
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.sampled_from([100, 200]).flatmap(lambda k: st.one_of(
+        st.lists(_TIE_PRONE, min_size=k, max_size=k),
+        st.lists(_WIDE, min_size=k, max_size=k),
+        st.tuples(_WIDE, st.integers(1, 4)).map(  # equal votes, or 1..4 times one unit
+            lambda vm: [vm[0] * (1 + i % vm[1]) for i in range(k)]),
+    )).filter(any),
+    st.integers(0, 3_000),
+    st.sampled_from(sorted(_DIVISORS)),
+    st.one_of(
+        st.just(TiePolicy()),
+        st.integers(0, 2**64 - 1).map(lambda seed: TiePolicy("random", seed)),
+    ),
+)
+@example(votes=[7] * 200, house_size=3_000, method=SAINTE_LAGUE, tie=TiePolicy("random", 3))
+@example(votes=[0, 1, 2, 3, 6] * 20, house_size=2_500, method=DHONDT, tie=TiePolicy())
+def test_the_bid_heap_at_large_k_matches_the_cross_multiplication_table(
+    votes, house_size, method, tie
+):
+    tally = VoteTally(tuple(f"P{i}" for i in range(len(votes))), tuple(votes))
+    got = highest_averages(tally, house_size, method, tie, with_trace=False)
+    want = _cross_multiplication_table(tally, house_size, method, tie, False)
+    assert got == want  # seats and every tie event

@@ -27,7 +27,7 @@ from apportion import (
     seeded_sequential_hare,
     sequential_hare,
 )
-from apportion import methods, seeded
+from apportion import cli, methods, seeded
 from apportion.methods import _round_threshold
 from apportion.seeded import _topups_at
 
@@ -599,3 +599,45 @@ class TestBatchedResidualRun:
         run = seeded_sequential_hare(tally, seed)
         assert run.stop_iteration == 400
         assert runs == [399, 1]
+
+
+class TestUntracedSequentialRun:
+    @settings(max_examples=300, deadline=None)
+    @given(batched_cases(), st.one_of(st.none(), st.integers(0, 30)))
+    def test_it_is_the_traced_run_without_its_award_log(self, case, fixed_extra):
+        tally, seed, tie, _ = case
+        if fixed_extra is not None:  # the fixed-house stop, with ties across the target
+            seed = dataclasses.replace(seed, cap=None, fixed_extra=fixed_extra)
+        traced = seeded_sequential_hare(tally, seed, tie)
+        untraced = seeded_sequential_hare(tally, seed, tie, with_trace=False)
+        assert untraced == dataclasses.replace(traced, awards=())
+
+    def test_untraced_award_calls_build_no_log(self, lopsided, monkeypatch):
+        logs = []
+
+        def spy(*args, **kwargs):
+            logs.append(args[8])  # the awards list, or None
+            return methods._award_deficits(*args, **kwargs)
+
+        monkeypatch.setattr("apportion.seeded._award_deficits", spy)
+        run = seeded_sequential_hare(*lopsided, with_trace=False)
+        assert (run.stop_iteration, run.awards) == (7, ())
+        assert logs and all(log is None for log in logs)
+
+    @pytest.mark.parametrize("flags, traced", [
+        ((), False), (("--trace",), True), (("--format", "json"), True),
+        (("--fixed-extra", "2"), False),
+    ], ids=["table", "table-trace", "json", "fixed-table"])
+    def test_the_cli_keeps_the_log_where_it_prints_it(self, tmp_path, monkeypatch,
+                                                       flags, traced):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs["with_trace"])
+            return seeded_sequential_hare(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "seeded_sequential_hare", spy)
+        path = tmp_path / "seeded.csv"
+        path.write_text("party,votes,districts\nA,20,3\nB,80,1\n")
+        assert cli.main([str(path), *flags]) == 0
+        assert calls == [traced]

@@ -12,10 +12,11 @@ two-stage CLI output (two-stage as JSON and table, each with and without
 ``--trace``) at k = 50 with varied and with equal votes; ``calls`` gives the median
 us per in-process ``cli.main`` call, and ``lines`` the size of src/apportion.
 
-Each command runs in a subprocess with its root as working directory and
-that root's ``src`` on ``PYTHONPATH``, so the two trees never meet in one
-process.  The CLI's JSON echoes the input path, so inputs go under
-``$RUNNER_TEMP`` when it is set, which keeps CI's digests stable.
+Each command runs in a subprocess with that root's ``src`` on ``PYTHONPATH``,
+so the two trees never meet in one process.  A CLI case on an input file
+runs in the file's directory and names it by its bare file name: the CLI's
+JSON echoes the input path, and so the digests do not depend on where the
+inputs were written.  Every other command runs in its root.
 """
 
 import ast
@@ -39,9 +40,9 @@ def env(root):
     return {**os.environ, "PYTHONPATH": os.path.join(root, "src")}
 
 
-def run(root, args):
-    """Standard output, as bytes, of ``python args`` run in ``root``."""
-    return subprocess.run([sys.executable, *args], cwd=root, env=env(root),
+def run(root, args, cwd=None):
+    """Standard output, as bytes, of ``python args`` run in ``cwd`` (default ``root``)."""
+    return subprocess.run([sys.executable, *args], cwd=cwd or root, env=env(root),
                           stdout=subprocess.PIPE).stdout
 
 
@@ -54,10 +55,11 @@ def table(title, columns, rows):
     return "\n".join(lines)
 
 
-def sha_table(parent, title, columns, cases):
-    """The table of the sha256 of each ``(labels, args)`` case's output in both trees."""
+def sha_table(parent, title, columns, cases, cwd=None):
+    """The table of the sha256 of each ``(labels, args)`` case's output in both
+    trees, each run in ``cwd`` if given (see :func:`run`)."""
     def sha(root, args):
-        return hashlib.sha256(run(root, args)).hexdigest()[:16]
+        return hashlib.sha256(run(root, args, cwd)).hexdigest()[:16]
     return table(title, columns, [(labels, sha(parent, args), sha(HEAD, args))
                                   for labels, args in cases])
 
@@ -154,22 +156,23 @@ def vote_sets(seed, low):
 
 
 def traced(parent, inputs):
-    paths = {name: write_csv(f"{inputs}/traced-inputs/{name}.csv", votes)
-             for name, votes in vote_sets(16, 1_000).items()}
+    folder, sets = f"{inputs}/traced-inputs", vote_sets(16, 1_000)
+    for name, votes in sets.items():
+        write_csv(f"{folder}/{name}.csv", votes)
     return sha_table(parent, "Traced output sha256 against the parent commit",
                      ("votes", "run", "format"), [
-        ((name, flags, fmt), [*CLI, path, *flags.split(), "--format", fmt, "--seats", "3000",
-                              "--trace"])
-        for name, path in paths.items()
+        ((name, flags, fmt), [*CLI, f"{name}.csv", *flags.split(), "--format", fmt,
+                              "--seats", "3000", "--trace"])
+        for name in sets
         for flags in ("--method dhondt", "--method sainte-lague",
                       "--method hare --form sequential")
         for fmt in ("table", "json")
-    ])
+    ], cwd=folder)
 
 
 def two_stage(parent, inputs):
-    paths, target = {}, 20_000
-    for name, votes in vote_sets(17, 10_000).items():
+    folder, sets, target = f"{inputs}/two-stage-inputs", vote_sets(17, 10_000), 20_000
+    for name, votes in sets.items():
         # near-proportional districts, and an overhang for the largest
         # party that keeps the residual stop about `target` top-ups away
         total = sum(votes)
@@ -177,19 +180,19 @@ def two_stage(parent, inputs):
         districts = [target * v // total for v in votes]
         others = sum(districts) - districts[big]
         districts[big] = ((target + others) * votes[big] + total) // (total - votes[big]) + 1
-        paths[name] = write_csv(f"{inputs}/two-stage-inputs/{name}.csv", votes, districts)
+        write_csv(f"{folder}/{name}.csv", votes, districts)
     # each traced run here stays under the trace guards (MAX_TRACE_ROWS, MAX_TRACE_CELLS)
     return sha_table(parent, "Two-stage output sha256 against the parent commit",
                      ("votes", "run", "format"), [
         ((name, flags or "residual", fmt),
-         [*CLI, path, *flags.split(), "--format", *fmt.split()])
-        for name, path in paths.items()
+         [*CLI, f"{name}.csv", *flags.split(), "--format", *fmt.split()])
+        for name in sets
         for flags in ("", "--cap 10000", "--fixed-extra 20000", "--method dhondt --form divisor",
                       "--method dhondt --form divisor --stop fixed --fixed-extra 20000",
                       "--method sainte-lague --form divisor",
                       "--method sainte-lague --form divisor --stop fixed --fixed-extra 20000")
         for fmt in ("json", "table", "json --trace", "table --trace")
-    ])
+    ], cwd=folder)
 
 
 WORKER = """
@@ -217,6 +220,7 @@ def calls(parent, inputs):
         "k = 6 JSON": [k6, "--seats", "100", "--format", "json"],
         "--compare": [k6, "--seats", "100", "--compare"],
         "k = 20 --compare JSON, N = 598": [k20, "--seats", "598", "--compare", "--format", "json"],
+        "k = 20 --trace table, N = 598": [k20, "--seats", "598", "--method", "dhondt", "--trace"],
         "--suite equivalence --trials 10": ["--suite", "equivalence", "--trials", "10"],
     }
     workers = {
@@ -295,8 +299,7 @@ def main(argv):
     if not argv or not set(argv[1:]) <= set(REPORTS):
         sys.exit(__doc__)
     parent = os.path.abspath(argv[0])
-    with tempfile.TemporaryDirectory() as tmp:
-        inputs = os.environ.get("RUNNER_TEMP", tmp)
+    with tempfile.TemporaryDirectory() as inputs:
         for i, name in enumerate(argv[1:] or REPORTS):
             print(("\n" if i else "") + REPORTS[name](parent, inputs), flush=True)
 
