@@ -296,7 +296,7 @@ def run(config: argparse.Namespace) -> str:
     allocations = [allocation for allocation, _ in runs]
     detail = runs[0][1]  # the trace, the two-stage run, or None
     if seed is not None and config.format == "table":  # reads no quota report
-        return _seeded_table(config, tally, allocations[0], detail)
+        return _seeded_table(tally, allocations[0], detail)
     report = compute_quotas(tally, allocations[0].house_size)
     if config.format == "json":
         key = "trace" if seed is None else "seeded_run"
@@ -488,7 +488,7 @@ def _trace_text(trace) -> str:
     return "\n".join(lines)
 
 
-def _seeded_table(config, tally, allocation, result):
+def _seeded_table(tally, allocation, result):
     head = ["party", "votes", "districts", "top-up", "total", "residual"]
     counts = (tally.votes, result.district_seats, result.extra_seats, result.totals)
     columns = [tally.party_ids, *(map(str, c) for c in counts), map(_fmt, result.residuals)]
@@ -504,11 +504,11 @@ def _seeded_table(config, tally, allocation, result):
         lo, hi = result.multiplier_interval
         lines.append(f"multiplier bracket ({_fmt(lo)}, {_fmt(hi)})")
     lines.extend(_tie_lines([allocation]))
-    if config.trace and result.awards:
+    if result.awards:
         lines.append("award log:")
         lines += [f"  top-up {award.iteration} (house {award.house_target}) -> "
                   f"{award.party} (deficit {_fmt(award.deficit)})" for award in result.awards]
-    if config.trace and result.sweep:
+    if result.sweep:
         lines.append("multiplier sweep:")
         lines += [f"  M={_fmt(step.multiplier)}  top-up=({','.join(map(str, step.extra_seats))})"
                   f"  total={step.total_extra}" for step in result.sweep]

@@ -57,6 +57,7 @@ from .types import (
     TraceTable,
     VoteTally,
     _check_name,
+    _check_type,
     _is_count,
 )
 
@@ -82,6 +83,10 @@ MAX_TRACE_ROWS = 50_000
 #: two-stage sweep row k and an award-log row one.  :func:`_check_rows`
 #: reads it at each call.
 MAX_TRACE_CELLS = 1_000_000
+
+#: Refuse a loop that awards one seat a pass (the divisor table, sequential
+#: Hare, the two-stage top-ups) past this many seats, before the first.
+MAX_LOOP_SEATS = 1_000_000
 
 #: Each divisor method, the rounding rule of its multiplier form and its
 #: signpost t = p/q.  Holding n seats, party i bids v_i / (q n + p) in the
@@ -110,18 +115,16 @@ def _check_rows(count, what, width=1):
         )
 
 
+def _check_loop(seats):
+    if seats > MAX_LOOP_SEATS:
+        raise IterationGuardError(
+            f"the run would award {seats} seats one at a time (limit {MAX_LOOP_SEATS})"
+        )
+
+
 def _check_house(house_size):
     if not _is_count(house_size):
         raise InputError("house size must be a non-negative integer")
-
-
-def _check_type(value, cls, name):
-    """Refuse an entry point's argument ``name`` unless it is a ``cls``."""
-    if not isinstance(value, cls):
-        article = "an" if cls.__name__[0] in "AEIOU" else "a"
-        raise InputError(
-            f"{name} must be {article} {cls.__name__}, not {type(value).__name__}"
-        )
 
 
 def _check_call(tally, house_size, tie):
@@ -212,6 +215,7 @@ def sequential_hare(
     _check_call(tally, house_size, tie)
     if with_trace:
         _check_rows(house_size, "award log rows")
+    _check_loop(house_size)
     seats = [0] * tally.party_count
     deficits = [house_size * v for v in tally.votes]
     awards = [] if with_trace else None
@@ -299,6 +303,7 @@ def highest_averages(
     if with_trace:
         _check_rows(house_size, "divisor table rows", 3 * len(votes))
         presents, nexts = [None] * len(votes), [Fraction(v, p) for v in votes]
+    _check_loop(house_size)
     ids = tally.party_ids
     ranks = tie.ranks(tally)
     k = tally.party_count
@@ -737,13 +742,5 @@ def _group_events(tally, ranks, context, groups, last):
     for earlier, members in sorted(groups, key=lambda group: group[0]):
         left = sorted(members)
         for step in range(earlier + 1, min(earlier + len(left), last + 1)):
-            best = min(left, key=ranks.__getitem__)
-            events.append(
-                TieEvent(
-                    context=f"{context} {step}",
-                    tied=tuple(ids[i] for i in left),
-                    winners=(ids[best],),
-                )
-            )
-            left.remove(best)
+            left.remove(_tie(left, ranks, ids, f"{context} {step}", events))
     return events

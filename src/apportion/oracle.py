@@ -20,7 +20,6 @@ give identical suites, serial or parallel.
 
 from __future__ import annotations
 
-import math
 import os
 import random
 from dataclasses import dataclass, field
@@ -33,7 +32,6 @@ from .methods import (
     SAINTE_LAGUE,
     _ROUNDING,
     _check_house,
-    _check_type,
     hare_niemeyer,
     highest_averages,
     multiplicative,
@@ -48,6 +46,7 @@ from .types import (
     TiePolicy,
     VoteTally,
     _check_name,
+    _check_type,
     _is_count,
 )
 
@@ -59,6 +58,9 @@ __all__ = [
 
 #: Hard ceiling on the number of seat vectors exhaustive enumeration may emit.
 ENUMERATION_GUARD = 10**7
+
+#: Seat vectors are counted no further: str() of a larger int raises by default.
+_PRINTABLE = 10**4300
 
 #: Hard ceiling on the trials of one suite or search, checked before the first.
 MAX_TRIALS = 10**7
@@ -102,8 +104,8 @@ class InstanceSpace:
                    trials=trials, master_seed=master_seed)
 
     def trial_instance(self, index: int) -> "TrialInstance":
-        if not 0 <= index < self.trials:
-            raise InputError(f"trial index {index} outside 0..{self.trials - 1}")
+        if not (_is_count(index) and index < self.trials):
+            raise InputError(f"trial index {index!r} outside 0..{self.trials - 1}")
         import hashlib  # loaded here, not at start-up: only suites use it
         digest = hashlib.sha256(f"{self.master_seed}:{index}".encode("ascii")).digest()
         rng = random.Random(int.from_bytes(digest[:8], "big"))
@@ -185,6 +187,10 @@ class SuiteReport:
     stats: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if not (_is_count(self.trials_run) and _is_count(self.agreements)
+                and isinstance(self.disagreements, tuple)):
+            raise InputError("trials_run and agreements must be non-negative integers "
+                             "and disagreements a tuple")
         if self.agreements + len(self.disagreements) != self.trials_run:
             raise InputError("agreements and disagreements must cover every trial")
 
@@ -194,15 +200,29 @@ def enumerate_allocations(party_count: int, house_size: int):
     ``house_size``, in lexicographic order.
 
     The count is ``C(house_size + party_count - 1, party_count - 1)``;
-    anything above :data:`ENUMERATION_GUARD` is refused up front.
+    anything above :data:`ENUMERATION_GUARD` is refused up front, and so is
+    a vector of more than that many parties.
     """
     if not _is_count(party_count) or party_count < 1:
         raise InputError("party count must be a positive integer")
     _check_house(house_size)
-    size = math.comb(house_size + party_count - 1, party_count - 1)
-    if size > ENUMERATION_GUARD:
+    if party_count > ENUMERATION_GUARD:
         raise EnumerationGuardError(
-            f"enumeration would emit {size} seat vectors (guard {ENUMERATION_GUARD})"
+            f"enumeration would build vectors of {party_count} parties "
+            f"(guard {ENUMERATION_GUARD})"
+        )
+    # C(top, r) as C(top - r + i, i), i = 1..r: each step at least doubles
+    # it, so it passes what str() prints within 15,000 steps, and stops there
+    top, r = house_size + party_count - 1, min(house_size, party_count - 1)
+    size = 1
+    for i in range(1, r + 1):
+        size = size * (top - r + i) // i
+        if size > _PRINTABLE:
+            break
+    if size > ENUMERATION_GUARD:
+        count = "over 10**4300" if size > _PRINTABLE else size
+        raise EnumerationGuardError(
+            f"enumeration would emit {count} seat vectors (guard {ENUMERATION_GUARD})"
         )
 
     def generate(k, n):

@@ -24,9 +24,9 @@ import math
 from fractions import Fraction
 
 from .methods import (
+    MAX_LOOP_SEATS,
     _award_deficits,
     _check_rows,
-    _check_type,
     _fill,
     _groups,
     _round_threshold,
@@ -45,14 +45,15 @@ from .types import (
     TiePolicy,
     VoteTally,
     _check_name,
+    _check_type,
 )
 
 __all__ = ["seeded_divisor", "seeded_sequential_hare"]
 
 #: Abort the sequential run if the residual stop is still unmet after this
 #: many top-up seats (reachable only with extreme vote/district skew), and
-#: refuse a larger ``fixed_extra``.
-MAX_TOPUP_ITERATIONS = 1_000_000
+#: refuse a larger ``fixed_extra``: the per-seat loop limit of :mod:`methods`.
+MAX_TOPUP_ITERATIONS = MAX_LOOP_SEATS
 
 #: The stop rules of :func:`seeded_divisor`.
 _STOP_RULES = ("residual", "fixed")

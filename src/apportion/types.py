@@ -9,6 +9,7 @@ reliably.  Nothing in this package goes through binary floating point.
 from __future__ import annotations
 
 import functools
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -59,6 +60,15 @@ def _check_name(name, names, what):
         raise InputError(f"unknown {what} {name!r}")
 
 
+def _check_type(value, cls, name):
+    """Refuse an entry point's argument ``name`` unless it is a ``cls``."""
+    if not isinstance(value, cls):
+        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        raise InputError(
+            f"{name} must be {article} {cls.__name__}, not {type(value).__name__}"
+        )
+
+
 @dataclass(frozen=True)
 class VoteTally:
     """Party identifiers with their raw vote counts.
@@ -90,7 +100,10 @@ class VoteTally:
 
     @classmethod
     def from_pairs(cls, pairs) -> "VoteTally":
-        pairs = list(pairs)
+        try:
+            pairs = [(pid, v) for pid, v in pairs]
+        except (TypeError, ValueError):
+            raise InputError("pairs must be an iterable of (party_id, votes) pairs") from None
         return cls(tuple(p for p, _ in pairs), tuple(v for _, v in pairs))
 
     @property
@@ -103,6 +116,8 @@ class VoteTally:
 
     def share(self, index: int) -> Fraction:
         """Exact vote share of the party at ``index``."""
+        if not (_is_count(index) and index < len(self.votes)):
+            raise InputError(f"party index {index!r} outside 0..{len(self.votes) - 1}")
         return Fraction(self.votes[index], self.total_votes)
 
 
@@ -129,6 +144,7 @@ class TiePolicy:
 
     def ranks(self, tally: VoteTally) -> tuple[int, ...]:
         """Tie rank per party index; the lower rank wins a tie."""
+        _check_type(tally, VoteTally, "tally")
         k = tally.party_count
         if self.mode == DETERMINISTIC:
             return _ranks_of(sorted(range(k), key=lambda i: (-tally.votes[i], i)))
@@ -184,6 +200,7 @@ class QuotaReport:
 
     def residuals_for(self, allocation: "Allocation") -> tuple[Fraction, ...]:
         """Exact ideal-minus-assigned residual per party under ``allocation``."""
+        _check_type(allocation, Allocation, "allocation")
         if allocation.party_ids != self.party_ids:
             raise InputError("allocation refers to a different party set")
         if allocation.house_size != self.house_size:
@@ -216,6 +233,7 @@ class Allocation:
             )
 
     def seat_of(self, party_id: str) -> int:
+        _check_name(party_id, self.party_ids, "party id")
         return self.seats[self.party_ids.index(party_id)]
 
 
@@ -361,10 +379,13 @@ class SeededRun:
     tie_events: tuple[TieEvent, ...] = ()
 
     def __post_init__(self):
+        seats = (self.district_seats, self.extra_seats, self.totals)
+        if not all(isinstance(field, tuple) for field in seats):
+            raise InputError("district_seats, extra_seats and totals must be tuples")
         if not all(map(_is_count, self.extra_seats + self.totals)):
             raise InputError("extra seats and totals must be non-negative integers")
-        expected = tuple(d + x for d, x in zip(self.district_seats, self.extra_seats))
-        if expected != self.totals:
+        # counts on the left only, so no district value can make it raise
+        if tuple(map(operator.sub, self.totals, self.extra_seats)) != self.district_seats:
             raise InputError("totals must equal district_seats + extra_seats")
 
     @property

@@ -124,3 +124,21 @@ def test_input_reports_name_their_inputs_from_their_own_directory(tmp_path, monk
         for args in cases:
             name = args[len(against.CLI)]
             assert "/" not in name and (Path(cwd) / name).is_file()
+
+
+def test_calls_time_the_tree_against_itself_in_one_worker(tmp_path, monkeypatch):
+    monkeypatch.setattr(against, "ROUNDS", 1)
+    monkeypatch.setattr(against, "CALLS", {
+        "k = 6 table": ["k6.csv", "--seats", "10"],
+        "k = 20 JSON": ["k20.csv", "--seats", "20", "--format", "json"],
+    })
+    text = against.calls(str(against.HEAD), str(tmp_path))
+    assert text.splitlines()[:4] == [
+        "### Median us per in-process `cli.main` call (100 calls a side)", "",
+        "| call | parent | this commit | ratio |", "|---|---|---|---|",
+    ]
+    rows = [row.strip("|").split(" | ") for row in _rows(text)]
+    assert [row[0].strip() for row in rows] == ["`k = 6 table`", "`k = 20 JSON`"]
+    for _, old, new, ratio in rows:
+        assert float(old) > 0 and float(new) > 0
+        assert float(ratio) > 0

@@ -11,15 +11,18 @@ from apportion import (
     SAINTE_LAGUE,
     Allocation,
     InputError,
+    InstanceSpace,
     IterationGuardError,
     TieEvent,
     TiePolicy,
     TraceTable,
     VoteTally,
     check_quota_property,
+    equivalence_suite,
     highest_averages,
+    sequential_hare,
 )
-from apportion import methods
+from apportion import methods, seeded
 from apportion.types import DivisorStep
 
 
@@ -294,3 +297,26 @@ def test_the_bid_heap_at_large_k_matches_the_cross_multiplication_table(
     got = highest_averages(tally, house_size, method, tie, with_trace=False)
     want = _cross_multiplication_table(tally, house_size, method, tie, False)
     assert got == want  # seats and every tie event
+
+
+def test_an_untraced_per_seat_loop_past_the_seat_limit_is_refused(monkeypatch):
+    tally = VoteTally(("A", "B"), (3, 1))
+    limit = methods.MAX_LOOP_SEATS
+    assert limit == seeded.MAX_TOPUP_ITERATIONS == 10**6
+    runs = (lambda n: highest_averages(tally, n, DHONDT, with_trace=False),
+            lambda n: highest_averages(tally, n, SAINTE_LAGUE, with_trace=False),
+            lambda n: sequential_hare(tally, n, with_trace=False))
+    for run in runs:  # refused before the first seat, however far past the limit
+        with pytest.raises(IterationGuardError) as refused:
+            run(10**12)
+        assert str(refused.value) == (
+            f"the run would award {10**12} seats one at a time (limit {limit})")
+    monkeypatch.setattr(methods, "MAX_LOOP_SEATS", 50)
+    for run in runs:
+        assert sum(run(50)[0].seats) == 50
+        with pytest.raises(IterationGuardError, match=r"award 51 seats one at a time"):
+            run(51)
+    space = InstanceSpace(parties=(2, 3), votes=(1, 9), house=(10**12, 10**12), trials=2,
+                          master_seed=0)
+    with pytest.raises(IterationGuardError, match=r"one at a time \(limit 50\)"):
+        equivalence_suite(space)

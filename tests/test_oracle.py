@@ -449,3 +449,25 @@ def test_a_space_over_the_trial_limit_is_refused_before_any_trial(entry, args, m
     assert str(refused.value) == f"the suite would run {limit + 1} trials (limit {limit})"
     with pytest.raises(AssertionError, match="a trial was drawn"):  # the limit itself runs
         entry(InstanceSpace.default(trials=limit))
+
+
+def test_enumeration_refuses_a_vector_longer_than_the_guard(monkeypatch):
+    guard = oracle.ENUMERATION_GUARD
+    for party_count in (guard + 1, 10**30):  # one vector of k slots, refused before it is built
+        with pytest.raises(EnumerationGuardError) as refused:
+            enumerate_allocations(party_count, 0)
+        assert str(refused.value) == (
+            f"enumeration would build vectors of {party_count} parties (guard {guard})")
+    monkeypatch.setattr(oracle, "ENUMERATION_GUARD", 5)
+    assert list(enumerate_allocations(5, 0)) == [(0,) * 5]
+    with pytest.raises(EnumerationGuardError, match="vectors of 6 parties"):
+        enumerate_allocations(6, 0)
+
+
+def test_enumeration_refuses_a_count_past_printing_without_computing_it():
+    with pytest.raises(EnumerationGuardError) as refused:
+        enumerate_allocations(10**6 + 1, 10**6)  # math.comb: 42 s on a 2-vCPU VM
+    assert str(refused.value) == (
+        f"enumeration would emit over 10**4300 seat vectors (guard {oracle.ENUMERATION_GUARD})")
+    with pytest.raises(EnumerationGuardError, match="over 10"):
+        enumerate_allocations(1000, 10**40)  # a count of 40,000 digits

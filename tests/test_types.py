@@ -10,6 +10,7 @@ from apportion import (
     STOP_RESIDUAL,
     SeedDistribution,
     SeededRun,
+    SuiteReport,
     TieEvent,
     TiePolicy,
     VoteTally,
@@ -278,6 +279,51 @@ def test_seeded_run_totals_must_be_district_plus_extra_seats():
     ids=["tie-mode", "divisor-method", "rounding-rule", "method", "oracle-method", "stop-rule"],
 )
 def test_an_unknown_name_is_refused_though_unhashable(call, message):
+    with pytest.raises(InputError) as caught:
+        call()
+    assert str(caught.value) == message
+
+
+_QUOTAS = compute_quotas(VoteTally(("A", "B"), (3, 1)), 4)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: _QUOTAS.residuals_for(None), "allocation must be an Allocation, not NoneType"),
+        (lambda: VoteTally.from_pairs(5),
+         "pairs must be an iterable of (party_id, votes) pairs"),
+        (lambda: VoteTally.from_pairs([("A", 1, 2)]),
+         "pairs must be an iterable of (party_id, votes) pairs"),
+        (lambda: VoteTally(("A", "B"), (3, 1)).share(5), "party index 5 outside 0..1"),
+        (lambda: VoteTally(("A", "B"), (3, 1)).share(-1), "party index -1 outside 0..1"),
+        (lambda: VoteTally(("A", "B"), (3, 1)).share(1.0), "party index 1.0 outside 0..1"),
+        (lambda: hare_niemeyer(VoteTally(("A", "B"), (3, 1)), 4).seat_of("Z"),
+         "unknown party id 'Z'"),
+        (lambda: InstanceSpace.default(trials=3).trial_instance(1.0),
+         "trial index 1.0 outside 0..2"),
+        (lambda: InstanceSpace.default(trials=3).trial_instance("1"),
+         "trial index '1' outside 0..2"),
+        (lambda: InstanceSpace.default(trials=3).trial_instance(True),
+         "trial index True outside 0..2"),
+        (lambda: SeededRun(("A",), 0, (1,), (1,), 1, STOP_RESIDUAL, (Fraction(0),)),
+         "district_seats, extra_seats and totals must be tuples"),
+        (lambda: SeededRun(("A",), (0,), 1, (1,), 1, STOP_RESIDUAL, (Fraction(0),)),
+         "district_seats, extra_seats and totals must be tuples"),
+        (lambda: SeededRun(("A",), ("x",), (1,), (1,), 1, STOP_RESIDUAL, (Fraction(0),)),
+         "totals must equal district_seats + extra_seats"),
+        (lambda: SuiteReport("equivalence", InstanceSpace.default(trials=1), 1, 1, 0),
+         "trials_run and agreements must be non-negative integers and disagreements a tuple"),
+        (lambda: SuiteReport("equivalence", InstanceSpace.default(trials=1), 1, "1"),
+         "trials_run and agreements must be non-negative integers and disagreements a tuple"),
+        (lambda: TiePolicy().ranks(None), "tally must be a VoteTally, not NoneType"),
+    ],
+    ids=["residuals-for", "from-pairs-int", "from-pairs-triple", "share-past-end",
+         "share-negative", "share-float", "seat-of", "trial-float", "trial-str", "trial-bool",
+         "seeded-districts", "seeded-extra", "seeded-district-str", "suite-disagreements",
+         "suite-agreements", "tie-ranks"],
+)
+def test_a_method_or_constructor_refuses_a_raw_error_by_name(call, message):
     with pytest.raises(InputError) as caught:
         call()
     assert str(caught.value) == message

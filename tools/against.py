@@ -12,8 +12,12 @@ two-stage CLI output (two-stage as JSON and table, each with and without
 ``--trace``) at k = 50 with varied and with equal votes; ``calls`` gives the median
 us per in-process ``cli.main`` call, and ``lines`` the size of src/apportion.
 
-Each command runs in a subprocess with that root's ``src`` on ``PYTHONPATH``,
-so the two trees never meet in one process.  A CLI case on an input file
+``calls`` runs both trees in one worker process: it loads each tree's
+``src/apportion`` as a package under a name of its own (the package imports
+its own modules only relatively) and swaps which tree goes first on every
+call, so drift in the machine's speed falls on both.  Every other report runs
+each command in a subprocess with that root's ``src`` on ``PYTHONPATH``, one
+interpreter per tree.  A CLI case on an input file, a ``calls`` case included,
 runs in the file's directory and names it by its bare file name: the CLI's
 JSON echoes the input path, and so the digests do not depend on where the
 inputs were written.  Every other command runs in its root.
@@ -196,57 +200,56 @@ def two_stage(parent, inputs):
 
 
 WORKER = """
-import contextlib, io, json, sys, time
-from apportion import cli
-for line in sys.stdin:  # one argv a line: run it 100 times, print each call's us
-    argv, times = json.loads(line), []
-    for _ in range(100):
-        with contextlib.redirect_stdout(io.StringIO()):
-            start = time.perf_counter()
-            code = cli.main(argv)
-            times.append((time.perf_counter() - start) * 1e6)
-        if code != 0:
-            sys.exit(f"exit code {code} from {argv}")
-    print(json.dumps(times), flush=True)
+import contextlib, importlib.util, io, json, os, sys, time
+roots, argvs, rounds = json.loads(sys.argv[1])
+mains = []
+for side, root in enumerate(roots):  # each tree's package under a name of its own
+    name, folder = f"apportion_{side}", os.path.join(root, "src", "apportion")
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(folder, "__init__.py"), submodule_search_locations=[folder])
+    sys.modules[name] = package = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(package)
+    mains.append(importlib.import_module(f"{name}.cli").main)
+times = [[[] for _ in argvs] for _ in roots]
+for _ in range(rounds):
+    for n, argv in enumerate(argvs):
+        for call in range(100):  # 100 calls a side; the side that goes first swaps each call
+            for side in (call % 2, 1 - call % 2):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    start = time.perf_counter()
+                    code = mains[side](argv)
+                    times[side][n].append((time.perf_counter() - start) * 1e6)
+                if code != 0:
+                    sys.exit(f"exit code {code} from {argv} in {roots[side]}")
+print(json.dumps(times))
 """
 ROUNDS = 10
 
 
+#: The ``calls`` report's argvs by name, run in the folder its inputs are written to.
+CALLS = {
+    "k = 6 table": ["k6.csv", "--seats", "100"],
+    "k = 6 JSON": ["k6.csv", "--seats", "100", "--format", "json"],
+    "--compare": ["k6.csv", "--seats", "100", "--compare"],
+    "k = 20 --compare JSON, N = 598": ["k20.csv", "--seats", "598", "--compare", "--format",
+                                       "json"],
+    "k = 20 --trace table, N = 598": ["k20.csv", "--seats", "598", "--method", "dhondt",
+                                      "--trace"],
+    "--suite equivalence --trials 10": ["--suite", "equivalence", "--trials", "10"],
+}
+
+
 def calls(parent, inputs):
-    k6 = write_csv(f"{inputs}/k6.csv", (48_210, 31_977, 9_504, 6_118, 2_730, 1_461))
-    k20 = write_csv(f"{inputs}/k20.csv", [1_000 + 7_919 * i * i for i in range(20)])
-    argvs = {
-        "k = 6 table": [k6, "--seats", "100"],
-        "k = 6 JSON": [k6, "--seats", "100", "--format", "json"],
-        "--compare": [k6, "--seats", "100", "--compare"],
-        "k = 20 --compare JSON, N = 598": [k20, "--seats", "598", "--compare", "--format", "json"],
-        "k = 20 --trace table, N = 598": [k20, "--seats", "598", "--method", "dhondt", "--trace"],
-        "--suite equivalence --trials 10": ["--suite", "equivalence", "--trials", "10"],
-    }
-    workers = {
-        side: subprocess.Popen([sys.executable, "-c", WORKER], cwd=root, env=env(root), text=True,
-                               stdin=subprocess.PIPE, stdout=subprocess.PIPE)
-        for side, root in (("parent", parent), ("head", HEAD))
-    }
-    times = {(side, name): [] for side in workers for name in argvs}
-    for turn in range(ROUNDS):
-        order = ("parent", "head") if turn % 2 else ("head", "parent")
-        for name, argv in argvs.items():
-            for side in order:
-                workers[side].stdin.write(json.dumps(argv) + "\n")
-                workers[side].stdin.flush()
-                line = workers[side].stdout.readline()
-                if not line:
-                    sys.exit(f"the {side} worker stopped on {name}")
-                times[side, name] += json.loads(line)
-    for worker in workers.values():
-        worker.stdin.close()
-        worker.wait()
+    write_csv(f"{inputs}/k6.csv", (48_210, 31_977, 9_504, 6_118, 2_730, 1_461))
+    write_csv(f"{inputs}/k20.csv", [1_000 + 7_919 * i * i for i in range(20)])
+    job = json.dumps([[parent, str(HEAD)], list(CALLS.values()), ROUNDS])
+    old, new = json.loads(subprocess.run([sys.executable, "-c", WORKER, job], cwd=inputs,
+                                         stdout=subprocess.PIPE, check=True).stdout)
     lines = [f"### Median us per in-process `cli.main` call ({ROUNDS * 100} calls a side)", "",
              "| call | parent | this commit | ratio |", "|---|---|---|---|"]
-    for name in argvs:
-        old, new = (statistics.median(times[side, name]) for side in ("parent", "head"))
-        lines.append(f"| `{name}` | {old:.0f} | {new:.0f} | {new / old:.2f} |")
+    for name, before, after in zip(CALLS, old, new):
+        before, after = statistics.median(before), statistics.median(after)
+        lines.append(f"| `{name}` | {before:.0f} | {after:.0f} | {after / before:.2f} |")
     return "\n".join(lines)
 
 
