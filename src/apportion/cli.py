@@ -18,7 +18,6 @@ import itertools
 import operator
 import sys
 
-from . import serialize
 from .methods import (
     HARE,
     METHODS,
@@ -29,12 +28,6 @@ from .methods import (
     jump_allocation,
     multiplicative,
     sequential_hare,
-)
-from .oracle import (
-    InstanceSpace,
-    bias_montecarlo,
-    equivalence_suite,
-    find_house_monotonicity_violation,
 )
 from .seeded import _STOP_RULES, seeded_divisor, seeded_sequential_hare
 from .types import (
@@ -362,7 +355,18 @@ def _run_seeded(config, tally, seed, tie):
 # --------------------------------------------------------------------- suites
 
 
+def equivalence_suite(space, jobs):
+    """The oracle's equivalence suite, with the oracle loaded on the first call.
+
+    A name of this module, as the engines are, so that a wrapper set here
+    (the benchmark's tracer) sees each suite the CLI runs.
+    """
+    from .oracle import equivalence_suite
+    return equivalence_suite(space, jobs=jobs)
+
+
 def _run_suite(config):
+    from .oracle import InstanceSpace, bias_montecarlo, find_house_monotonicity_violation
     space = InstanceSpace.default(trials=config.trials, master_seed=config.master_seed)
     if config.suite == "paradox":
         searches = [{"method": method, "witness": find_house_monotonicity_violation(space, method)}
@@ -375,7 +379,8 @@ def _run_suite(config):
         payload = {"suite_report": report}
         table = functools.partial(_suite_counts_table if equivalence else _bias_table, report)
     if config.format == "json":
-        return serialize.dumps({"config": _config_payload(config), **payload})
+        from .serialize import dumps
+        return dumps({"config": _config_payload(config), **payload})
     return table()
 
 
@@ -583,6 +588,7 @@ def _config_payload(config) -> dict:
 
 def _json_report(config, tally, report, allocations, detail_key, detail) -> str:
     """The canonical JSON report, with ``detail`` under ``detail_key`` if any."""
+    from .serialize import dumps
     tie_events = [
         {"source": f"{allocation.method}/{allocation.form}", "context": event.context,
          "tied": event.tied, "winners": event.winners}
@@ -599,7 +605,7 @@ def _json_report(config, tally, report, allocations, detail_key, detail) -> str:
     }
     if detail is not None:
         payload[detail_key] = detail
-    return serialize.dumps(payload)
+    return dumps(payload)
 
 
 def main(argv=None) -> int:

@@ -65,6 +65,10 @@ _PRINTABLE = 10**4300
 #: Hard ceiling on the trials of one suite or search, checked before the first.
 MAX_TRIALS = 10**7
 
+#: Hard ceiling on a space's party range: a trial draws one vote per party
+#: (10**6 parties took 6.3 s and 125 MiB a trial on a 2-vCPU VM).
+MAX_PARTIES = 10**5
+
 
 @dataclass(frozen=True)
 class InstanceSpace:
@@ -92,6 +96,8 @@ class InstanceSpace:
                 raise InputError(f"empty {name} range ({lo}, {hi})")
         if self.parties[0] < 1:
             raise InputError("party range must start at 1 or above")
+        if self.parties[1] > MAX_PARTIES:
+            raise InputError(f"party range must end at {MAX_PARTIES} or below")
         if self.votes[1] < 1:
             raise InputError("vote range must allow a positive draw")
         for name in ("trials", "master_seed"):

@@ -219,8 +219,14 @@ def from_json(hint, obj):
         raise InputError(f"malformed {name} JSON ({type(exc).__name__}: {exc})") from None
 
 
-def _same(obj):
-    return obj
+def _plain(cls):
+    """The decoder of an ``int``, ``str`` or ``bool``: the JSON value itself, if
+    it is one (an ``int`` that is not a bool)."""
+    def decode(obj):
+        if not isinstance(obj, cls) or (cls is int and isinstance(obj, bool)):
+            raise TypeError(f"expected {cls.__name__}, got {type(obj).__name__}")
+        return obj
+    return decode
 
 
 @functools.cache
@@ -228,19 +234,16 @@ def _decoder(hint):
     """The decoding function for ``hint``, built once per hint."""
     import typing  # loaded here, not at start-up: only from_json uses it
     if hint in (int, str, bool):
-        return _same
+        return _plain(hint)
     if hint is Fraction:
-        return lambda obj: Fraction(obj["num"], obj["den"])
+        integer = _decoder(int)
+        return lambda obj: Fraction(integer(obj["num"]), integer(obj["den"]))
     if dataclasses.is_dataclass(hint):
         hints = typing.get_type_hints(hint)
-        decoded = [
-            (f.name, decode)
-            for f in dataclasses.fields(hint)
-            if (decode := _decoder(hints[f.name])) is not _same
-        ]
+        decoded = [(f.name, _decoder(hints[f.name])) for f in dataclasses.fields(hint)]
 
         def build(obj):
-            kwargs = dict(obj)  # plain fields as they are, for a hand-written speed
+            kwargs = dict(obj)
             for name, decode in decoded:
                 kwargs[name] = decode(kwargs[name])
             return hint(**kwargs)
@@ -249,7 +252,7 @@ def _decoder(hint):
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin is tuple and args[-1:] == (...,):
         item = _decoder(args[0])
-        return tuple if item is _same else lambda obj: tuple(map(item, obj))
+        return lambda obj: tuple(map(item, obj))
     if origin is tuple:
         items = [_decoder(arg) for arg in args]
         return lambda obj: tuple(d(x) for d, x in zip(items, obj, strict=True))

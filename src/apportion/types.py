@@ -227,6 +227,8 @@ class Allocation:
             raise InputError("party_ids and seats must have equal length")
         if not all(map(_is_count, self.seats)):
             raise InputError("seat counts must be non-negative integers")
+        if not _is_count(self.house_size):
+            raise InputError("house_size must be a non-negative integer")
         if sum(self.seats) != self.house_size:
             raise InputError(
                 f"seats sum to {sum(self.seats)}, expected house size {self.house_size}"

@@ -142,3 +142,19 @@ def test_calls_time_the_tree_against_itself_in_one_worker(tmp_path, monkeypatch)
     for _, old, new, ratio in rows:
         assert float(old) > 0 and float(new) > 0
         assert float(ratio) > 0
+
+
+def test_startup_times_the_import_and_lists_the_modules_it_loads(monkeypatch):
+    monkeypatch.setattr(against, "PAIRS", 2)
+    text = against.startup(str(against.HEAD), None)
+    assert text.splitlines()[:4] == [
+        "### `import apportion.cli` in a fresh interpreter (2 alternating pairs)", "",
+        "| tree | median ms | quartiles ms | modules loaded |", "|---|---|---|---|",
+    ]
+    rows = [row.strip("|").split(" | ") for row in _rows(text)]
+    assert [row[0].strip() for row in rows] == ["parent", "this commit"]
+    for _, median, quartiles, modules in rows:
+        low, high = map(float, quartiles.split("-"))
+        assert 0 < low <= float(median) <= high
+        assert modules.split() == ["apportion", "apportion.cli", "apportion.methods",
+                                   "apportion.seeded", "apportion.types"]

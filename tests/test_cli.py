@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import apportion
 from apportion import (
     AwardLog,
     SeedDistribution,
@@ -1026,6 +1027,39 @@ class TestStartUp:
         assert (code, out) == (2, "")
         assert err.startswith("Traceback (most recent call last):")
         assert err.endswith(f"{type(error).__name__}: boom\n")
+
+    def test_a_table_run_loads_neither_the_oracle_nor_the_json_writer(self, csv_file):
+        [(code, out, added, loaded)] = _fresh_runs([csv_file(WORKED), "--seats", "10"])
+        assert code == 0 and "house size 10, total votes 1000" in out
+        assert {"apportion.oracle", "apportion.serialize"} & set(loaded) == set()
+
+    def test_a_json_run_loads_the_json_writer_but_not_the_oracle(self, csv_file):
+        [(code, out, added, loaded)] = _fresh_runs(
+            [csv_file(WORKED), "--seats", "10", "--format", "json"])
+        assert code == 0 and json.loads(out)["allocations"][0]["seats"]
+        assert "apportion.serialize" in added and "apportion.oracle" not in loaded
+
+    def test_a_suite_run_loads_the_oracle(self):
+        [(code, out, added, loaded)] = _fresh_runs(["--suite", "equivalence", "--trials", "2"])
+        assert code == 0 and "equivalence suite: 2 trials" in out
+        assert "apportion.oracle" in added and "apportion.serialize" not in loaded
+
+    def test_the_package_resolves_a_lazy_module_and_its_names_on_first_use(self):
+        code = ("import sys, apportion\n"
+                "assert 'apportion.oracle' not in sys.modules\n"
+                "assert apportion.oracle.InstanceSpace.default(trials=1).trials == 1\n"
+                "assert 'apportion.serialize' not in sys.modules\n"
+                "print(apportion.dumps([1]), end='')\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[\n  1\n]\n", "")
+
+    def test_dir_of_the_package_lists_every_public_name(self):
+        names = dir(apportion)
+        assert set(apportion.__all__) | {"__all__", "oracle", "serialize"} <= set(names)
+        assert names == sorted(names)
+        with pytest.raises(AttributeError, match="has no attribute 'nothing'"):
+            apportion.nothing
 
 
 _FIRST_CALL = """

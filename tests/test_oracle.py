@@ -471,3 +471,16 @@ def test_enumeration_refuses_a_count_past_printing_without_computing_it():
         f"enumeration would emit over 10**4300 seat vectors (guard {oracle.ENUMERATION_GUARD})")
     with pytest.raises(EnumerationGuardError, match="over 10"):
         enumerate_allocations(1000, 10**40)  # a count of 40,000 digits
+
+
+def test_a_party_range_past_the_limit_is_refused_before_any_vote_is_drawn():
+    limit = oracle.MAX_PARTIES
+    assert limit == 10**5
+    for top in (limit + 1, 10**9, 10**5000):  # the message prints no huge int
+        with pytest.raises(InputError) as refused:
+            InstanceSpace(parties=(1, top), votes=(0, 10), house=(1, 1), trials=1,
+                          master_seed=0)
+        assert str(refused.value) == f"party range must end at {limit} or below"
+    space = InstanceSpace(parties=(limit, limit), votes=(0, 10), house=(1, 1), trials=1,
+                          master_seed=0)
+    assert space.trial_instance(0).tally.party_count == limit

@@ -567,3 +567,45 @@ def test_from_json_passes_a_dataclass_check_through_unchanged():
     two_seats_of_three = {**_TWO_SEATS, "seats": [2, 1]}
     with pytest.raises(InputError, match="^seats sum to 3, expected house size 2$"):
         allocation_from_json(two_seats_of_three)
+
+
+_TRACE = jsonify(highest_averages(VoteTally(("A", "B"), (3, 1)), 2, "dhondt")[1])
+_MULTIPLIER = jsonify(multiplicative(VoteTally(("A", "B"), (3, 1)), 2, "floor")[1])
+
+
+def _with(obj, path, value):
+    """A copy of the JSON data ``obj`` with the item at ``path`` set to ``value``."""
+    obj = json.loads(json.dumps(obj))
+    *inner, last = path
+    target = obj
+    for key in inner:
+        target = target[key]
+    target[last] = value
+    return obj
+
+
+@pytest.mark.parametrize(
+    "decode, obj, message",
+    [
+        (trace_from_json, _with(_TRACE, ("steps", 0, "step"), 1.5), "expected int, got float"),
+        (trace_from_json, _with(_TRACE, ("steps", 0, "step"), True), "expected int, got bool"),
+        (trace_from_json, _with(_TRACE, ("steps", 0, "winner"), 1), "expected str, got int"),
+        (trace_from_json, _with(_TRACE, ("steps", 0, "seats_before", 1), 0.0),
+         "expected int, got float"),
+        (trace_from_json, _with(_TRACE, ("party_ids", 0), None), "expected str, got NoneType"),
+        (trace_from_json, _with(_MULTIPLIER, ("witness_is_exact",), 1),
+         "expected bool, got int"),
+        (trace_from_json, _with(_MULTIPLIER, ("witness", "num"), 2.0),
+         "expected int, got float"),
+        (allocation_from_json, _with(_TWO_SEATS, ("house_size",), 2.0),
+         "expected int, got float"),
+        (tally_from_json, {"party_ids": ["A"], "votes": ["1"]}, "expected int, got str"),
+    ],
+    ids=["step-float", "step-bool", "winner-int", "seats-item-float", "party-id-none",
+         "exact-int", "witness-num-float", "house-float", "votes-item-str"],
+)
+def test_from_json_refuses_a_plain_field_of_another_type(decode, obj, message):
+    with pytest.raises(InputError) as refused:
+        decode(obj)
+    assert str(refused.value).startswith("malformed ")
+    assert str(refused.value).endswith(f"(TypeError: {message})")

@@ -327,3 +327,10 @@ def test_a_method_or_constructor_refuses_a_raw_error_by_name(call, message):
     with pytest.raises(InputError) as caught:
         call()
     assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("house_size", [1.0, True, Fraction(1), "1", None, -1])
+def test_an_allocation_refuses_a_house_size_that_is_not_a_count(house_size):
+    with pytest.raises(InputError) as refused:
+        Allocation(("A",), (1,), house_size, "hare", "x")
+    assert str(refused.value) == "house_size must be a non-negative integer"

@@ -10,7 +10,10 @@ one traced bench pass that differ; ``suites``, ``engines``, ``traced`` and
 seeded draws run by the untraced table, sweep and jump, and of traced and
 two-stage CLI output (two-stage as JSON and table, each with and without
 ``--trace``) at k = 50 with varied and with equal votes; ``calls`` gives the median
-us per in-process ``cli.main`` call, and ``lines`` the size of src/apportion.
+us per in-process ``cli.main`` call, ``startup`` the median and quartiles of the
+time of ``import apportion.cli`` in fresh interpreters, alternating the trees,
+with the package and ``json`` modules that import loads, and ``lines`` the size
+of src/apportion.
 
 ``calls`` runs both trees in one worker process: it loads each tree's
 ``src/apportion`` as a package under a name of its own (the package imports
@@ -253,6 +256,36 @@ def calls(parent, inputs):
     return "\n".join(lines)
 
 
+STARTUP = """
+import sys, time
+before = set(sys.modules)
+start = time.perf_counter()
+import apportion.cli
+elapsed = time.perf_counter() - start
+loaded = [m for m in set(sys.modules) - before if m.split(".")[0] in ("apportion", "json")]
+print(elapsed, *sorted(loaded))
+"""
+PAIRS = 25
+
+
+def startup(parent, inputs):
+    """The time of ``import apportion.cli`` in fresh interpreters, PAIRS a tree,
+    and the ``apportion`` and ``json`` modules it loads."""
+    roots, times, modules = (parent, HEAD), ([], []), [[], []]
+    for root in roots:  # a first import writes the bytecode cache, where that is on
+        run(root, ["-c", STARTUP])
+    for pair in range(PAIRS):
+        for side in (pair % 2, 1 - pair % 2):  # the side that goes first swaps each pair
+            elapsed, *modules[side] = run(roots[side], ["-c", STARTUP]).decode().split()
+            times[side].append(float(elapsed) * 1e3)
+    lines = [f"### `import apportion.cli` in a fresh interpreter ({PAIRS} alternating pairs)",
+             "", "| tree | median ms | quartiles ms | modules loaded |", "|---|---|---|---|"]
+    for label, ms, loaded in zip(("parent", "this commit"), times, modules):
+        q1, q2, q3 = statistics.quantiles(ms, n=4)
+        lines.append(f"| {label} | {q2:.1f} | {q1:.1f}-{q3:.1f} | {' '.join(loaded)} |")
+    return "\n".join(lines)
+
+
 def code_lines(source):
     """Lines holding a token other than a comment or a docstring."""
     docstrings = set()
@@ -295,7 +328,7 @@ def lines(parent, inputs):
 
 
 REPORTS = {"tracer": tracer, "suites": suites, "engines": engines, "traced": traced,
-           "two-stage": two_stage, "calls": calls, "lines": lines}
+           "two-stage": two_stage, "calls": calls, "startup": startup, "lines": lines}
 
 
 def main(argv):
