@@ -51,7 +51,7 @@ from .types import (
     IterationGuardError,
     MultiplierStep,
     QuotaReport,
-    SeatAward,
+    SeatAwards,
     TieEvent,
     TiePolicy,
     TraceTable,
@@ -203,14 +203,14 @@ def sequential_hare(
     tie: TiePolicy = TiePolicy(),
     *,
     with_trace: bool = True,
-) -> tuple[Allocation, tuple[SeatAward, ...]]:
+) -> tuple[Allocation, SeatAwards | tuple[()]]:
     """One-seat-at-a-time restatement of the largest-remainder rule.
 
     Seat ``j`` goes to the party with the largest deficit
     ``N * v_i / V - n_i``.  Returns the allocation together with the award
-    log (which seat went where, at what deficit).  With
-    ``with_trace=False`` the same per-seat loop runs without building the
-    log, and ``()`` comes back in its place; tie events are kept.
+    log, a :class:`SeatAwards` (which seat went where, at what deficit).
+    With ``with_trace=False`` the same per-seat loop runs without building
+    the log, and ``()`` comes back in its place; tie events are kept.
     """
     _check_call(tally, house_size, tie)
     if with_trace:
@@ -218,11 +218,11 @@ def sequential_hare(
     _check_loop(house_size)
     seats = [0] * tally.party_count
     deficits = [house_size * v for v in tally.votes]
-    awards = [] if with_trace else None
+    columns = ([], []) if with_trace else None
     events = []
     _award_deficits(
         tally.party_ids, tally.total_votes, tie.ranks(tally), seats, deficits,
-        house_size, range(1, house_size + 1), "award", awards, events,
+        None, range(1, house_size + 1), "award", columns, events,
     )
     allocation = Allocation(
         party_ids=tally.party_ids,
@@ -232,34 +232,39 @@ def sequential_hare(
         form="sequential",
         tie_events=tuple(events),
     )
-    return allocation, tuple(awards) if with_trace else ()
+    if not with_trace:
+        return allocation, ()
+    return allocation, SeatAwards(tally.party_ids, *columns, tally.total_votes, house_size)
 
 
 def _award_deficits(
-    ids, total, ranks, seats, nums, house, iterations, context, awards, events,
-    growth=None,
+    ids, total, ranks, seats, nums, growth, iterations, context, columns, events,
 ):
     """Give one seat per iteration ``j`` to the largest deficit.
 
     ``nums[i]`` is party i's deficit ``house * v_i / V - seats[i]`` over the
     common denominator ``total`` = V; only the winner's numerator moves.
-    With ``growth`` (the votes v_i), each iteration first raises the house
-    target by one and so every deficit by v_i.  Equal deficits go to the
-    lowest tie rank and are logged as a tie event.  Updates ``seats`` and
-    ``nums`` in place and appends to ``awards`` (unless it is None) and
-    ``events``.
+    With ``growth`` (the votes v_i; None for a fixed house), each iteration
+    first raises the house target by one and so every deficit by v_i.
+    Equal deficits go to the lowest tie rank and are logged as a tie event.
+    Updates ``seats`` and ``nums`` in place and appends to ``events`` and,
+    unless ``columns`` is None, the winner's index and its deficit
+    numerator to the two lists of ``columns``, a :class:`SeatAwards`'s
+    ``winners`` and ``tops``.
     """
+    if columns is not None:
+        add_winner, add_top = columns[0].append, columns[1].append
     for j in iterations:
         if growth is not None:
-            house += 1
             nums[:] = map(operator.add, nums, growth)
         top = max(nums)
         best = nums.index(top)
         if nums.count(top) > 1:
             tied = [i for i, num in enumerate(nums) if num == top]
             best = _tie(tied, ranks, ids, f"{context} {j}", events)
-        if awards is not None:
-            awards.append(SeatAward(j, house, ids[best], Fraction(top, total)))
+        if columns is not None:
+            add_winner(best)
+            add_top(top)
         seats[best] += 1
         nums[best] = top - total
 

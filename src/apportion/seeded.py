@@ -37,6 +37,7 @@ from .types import (
     InputError,
     IterationGuardError,
     SeedDistribution,
+    SeatAwards,
     SeededRun,
     STOP_CAP,
     STOP_FIXED,
@@ -111,7 +112,7 @@ def seeded_sequential_hare(
     total = tally.total_votes
     ranks = tie.ranks(tally)
     m = list(seed.district_seats)
-    awards, events = [] if with_trace else None, []
+    columns, events = ([], []) if with_trace else None, []
     if seed.fixed_extra is not None:
         stop_j, reason = seed.fixed_extra, STOP_FIXED
         if stop_j > MAX_TOPUP_ITERATIONS:  # the award log has a row per seat
@@ -119,11 +120,11 @@ def seeded_sequential_hare(
                 f"{stop_j} fixed extra seats exceed the guard of "
                 f"{MAX_TOPUP_ITERATIONS} top-up seats"
             )
-        house = seed.total + stop_j
+        house, grows = seed.total + stop_j, False
         nums = [house * v - mi * total for v, mi in zip(tally.votes, m)]
         _award_deficits(
-            tally.party_ids, total, ranks, m, nums, house, range(1, stop_j + 1),
-            "top-up", awards, events,
+            tally.party_ids, total, ranks, m, nums, None, range(1, stop_j + 1),
+            "top-up", columns, events,
         )
     else:
         # The residual stop needs D + j > bound (or D = 0), so it is tested
@@ -132,6 +133,7 @@ def seeded_sequential_hare(
         # below the next of that point, the cap and the guard, so the seats
         # up to it are awarded in one run.
         districts = seed.total
+        house, grows = districts, True  # the house target at top-up j is D + j
         bound = _dilution_bound(tally, seed)
         earliest = math.ceil(bound) - districts
         capped = seed.cap is not None and seed.cap <= MAX_TOPUP_ITERATIONS
@@ -154,15 +156,15 @@ def seeded_sequential_hare(
                 )
             step = max(1, min(ends) - j)
             _award_deficits(
-                tally.party_ids, total, ranks, m, nums, districts + j,
-                range(j + 1, j + step + 1), "top-up", awards, events, tally.votes,
+                tally.party_ids, total, ranks, m, nums, tally.votes,
+                range(j + 1, j + step + 1), "top-up", columns, events,
             )
             j += step
         stop_j = j
 
     extras = [mi - di for mi, di in zip(m, seed.district_seats)]
-    return _report(tally, seed, extras, reason, seed.total + stop_j, events,
-                   awards=tuple(awards) if with_trace else ())
+    awards = SeatAwards(tally.party_ids, *columns, total, house, grows) if with_trace else ()
+    return _report(tally, seed, extras, reason, seed.total + stop_j, events, awards=awards)
 
 
 def _topups_at(tally, seed, t, M):

@@ -9,10 +9,12 @@ An array of exact ``int`` items, or of exact ``str`` items, is one ``map``.
 In any other, within one call, an item that is a ``Fraction``, ``int`` or
 ``str`` object already written at the same depth reuses that text, so the
 N·k shared quota cells of a traced divisor table are formatted N + k times.
-An array whose items are all of one dataclass whose fields are all
-annotated ``int``, ``str`` or ``Fraction`` (an award log's ``SeatAward``
-rows) is written a column at a time: each field is one ``map`` over the
-items and each row one ``%`` template, with no writer called per item.
+An engine's award log, a ``SeatAwards``, is written from its two int
+columns: the array of its ``SeatAward`` rows, each one ``%`` template
+filled from ``map``s over the columns, with no row object built.  A
+tuple of rows of one dataclass whose fields are all annotated ``int``,
+``str`` or ``Fraction`` (a decoded award log) is written a column at a
+time through the same template: each field is one ``map`` over the items.
 It falls back to the per-item writers when an item is of another class
 or a field value is not exactly of its annotated type (a ``bool``,
 ``None``, a tuple, a subclass); any other array costs one cached lookup
@@ -25,7 +27,9 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import json
+import math
 import operator
 import types
 from fractions import Fraction
@@ -36,6 +40,8 @@ from .types import (
     AwardLog,
     InputError,
     QuotaReport,
+    SeatAward,
+    SeatAwards,
     SeededRun,
     TraceTable,
     VoteTally,
@@ -73,6 +79,8 @@ def _writer(cls):
     """
     if issubclass(cls, Fraction):
         return _fraction
+    if cls is SeatAwards:
+        return _award_columns
     if dataclasses.is_dataclass(cls):  # before any builtin it subclasses
         keys = sorted((f.name, f"{_quote(f.name)}: ") for f in dataclasses.fields(cls))
         if len(keys) < 2:  # attrgetter of one name returns the bare value
@@ -119,8 +127,8 @@ def _array(value, newline, seen):
     The rows of a traced divisor table share their unchanged quota
     objects, so each is formatted once per depth, not per row.  An array
     of exact ``int`` or exact ``str`` items is one ``map`` of its leaf
-    writer, and one of one flat dataclass, such as an award log, is
-    written a column at a time (:func:`_column_rows`).
+    writer, and one of one flat dataclass, such as a decoded award log,
+    is written a column at a time (:func:`_column_rows`).
     """
     inner = newline + "  "
     kind = type(value[0]) if value else None
@@ -158,7 +166,18 @@ def _columns(cls):
               for f in dataclasses.fields(cls)]
     if not fields or any(kind is None for _, kind in fields):
         return None
-    return sorted(fields)
+    return tuple(sorted(fields))
+
+
+@functools.cache
+def _row_template(fields, newline):
+    """The ``%`` template of one row of ``fields`` (as :func:`_columns` gives
+    them) at ``newline``: one slot per field, and two, the denominator's
+    and the numerator's text, for a ``Fraction``."""
+    inner = newline + "  "
+    slots = [f'{_quote(name)}: {{{inner}  "den": %s,{inner}  "num": %s{inner}}}'
+             if kind is Fraction else f"{_quote(name)}: %s" for name, kind in fields]
+    return f"{{{inner}" + f",{inner}".join(slots) + f"{newline}}}"
 
 
 def _column_rows(value, fields, newline):
@@ -168,21 +187,39 @@ def _column_rows(value, fields, newline):
     annotated type (no bool, None or subclass)."""
     if set(map(type, value)) != {type(value[0])}:
         return None
-    inner = newline + "  "
-    slots, texts = [], []
+    texts = []
     for name, kind in fields:
         column = list(map(operator.attrgetter(name), value))
         if set(map(type, column)) != {kind}:
             return None
         if kind is Fraction:
-            slots.append(f'{_quote(name)}: {{{inner}  "den": %s,{inner}  "num": %s{inner}}}')
             texts += (map(int.__repr__, map(operator.attrgetter(part), column))
                       for part in ("denominator", "numerator"))
         else:
-            slots.append(f"{_quote(name)}: %s")
             texts.append(map(_quote if kind is str else int.__repr__, column))
-    template = f"{{{inner}" + f",{inner}".join(slots) + f"{newline}}}"
-    return list(map(template.__mod__, zip(*texts)))
+    return list(map(_row_template(fields, newline).__mod__, zip(*texts)))
+
+
+def _award_columns(log, newline, seen):
+    """A :class:`SeatAwards` log as the array of its ``SeatAward`` rows,
+    written from its columns with :func:`_column_rows`'s template: each
+    deficit ``top / V`` is reduced by one ``gcd`` map, and each party id
+    is quoted once.  Every text is made lazily, a row at a time, so a
+    number past the digit limit fails where the rows' writer fails."""
+    inner = newline + "  "
+    n, total, tops, house = len(log.winners), log.total, log.tops, log.house
+    gcds = list(map(math.gcd, tops, itertools.repeat(total, n)))
+    houses = range(house + 1, house + n + 1) if log.grows else itertools.repeat(house, n)
+    quoted = list(map(_quote, log.party_ids))
+    texts = (  # in the key order of _columns(SeatAward): deficit, house_target, iteration, party
+        map(int.__repr__, map(total.__floordiv__, gcds)),
+        map(int.__repr__, map(operator.floordiv, tops, gcds)),
+        map(int.__repr__, houses),
+        map(int.__repr__, range(1, n + 1)),
+        map(quoted.__getitem__, log.winners),
+    )
+    template = _row_template(_columns(SeatAward), inner)
+    return _lines(list(map(template.__mod__, zip(*texts))), "[", inner, newline, "]")
 
 
 def _lines(parts, opening, inner, newline, closing):

@@ -335,9 +335,66 @@ class SeatAward:
     deficit: Fraction
 
 
+class SeatAwards:
+    """An engine's award log, kept as two int columns: the seat awarded at
+    iteration j (from 1) went to party ``party_ids[winners[j - 1]]`` at the
+    deficit ``tops[j - 1] / total``, against the house target ``house``, or
+    ``house + j`` where the house ``grows`` with each award.
+
+    A :class:`SeatAward` row is built only when the log is indexed or
+    iterated; the log equals, and hashes as, the tuple of its rows.
+    """
+
+    __slots__ = ("party_ids", "winners", "tops", "total", "house", "grows")
+
+    def __init__(self, party_ids, winners, tops, total, house, grows=False):
+        values = (party_ids, tuple(winners), tuple(tops), total, house, grows)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return SeatAwards, tuple(map(self.__getattribute__, self.__slots__))
+
+    def _row(self, i):
+        j = i + 1
+        return SeatAward(j, self.house + self.grows * j, self.party_ids[self.winners[i]],
+                         Fraction(self.tops[i], self.total))
+
+    def __len__(self):
+        return len(self.winners)
+
+    def __iter__(self):
+        return map(self._row, range(len(self.winners)))
+
+    def __getitem__(self, index):
+        rows = range(len(self.winners))[index]
+        return self._row(rows) if isinstance(rows, int) else tuple(map(self._row, rows))
+
+    def __eq__(self, other):
+        if isinstance(other, SeatAwards):
+            other = tuple(other)
+        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __repr__(self):
+        return f"SeatAwards({tuple(self)!r})"
+
+
 @dataclass(frozen=True)
 class AwardLog:
-    """The trace of a sequential Hare run: one award per seat, in order."""
+    """The trace of a sequential Hare run: one award per seat, in order.
+
+    ``awards`` is a :class:`SeatAwards` from the engine, a tuple of
+    :class:`SeatAward` rows from :func:`from_json`; the two compare equal.
+    """
 
     form: str
     method: str
@@ -364,7 +421,8 @@ class SeededRun:
     consistent with the reported seats: every M strictly inside it yields
     the same top-up counts, and the reported ``multiplier`` itself also
     does unless a tie forced de-assignment (then ``tie_events`` is
-    non-empty and the interval is dropped).
+    non-empty and the interval is dropped).  A sequential run's
+    ``awards`` is a :class:`SeatAwards`, equal to the tuple of its rows.
     """
 
     party_ids: tuple[str, ...]

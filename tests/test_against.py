@@ -1,8 +1,12 @@
 """tools/against.py, the reports that run this tree and another checkout."""
 
 import importlib.util
+import json
 import shutil
+import types
 from pathlib import Path
+
+from apportion import cli
 
 _SPEC = importlib.util.spec_from_file_location(
     "against", Path(__file__).resolve().parents[1] / "tools" / "against.py"
@@ -142,6 +146,29 @@ def test_calls_time_the_tree_against_itself_in_one_worker(tmp_path, monkeypatch)
     for _, old, new, ratio in rows:
         assert float(old) > 0 and float(new) > 0
         assert float(ratio) > 0
+
+
+def test_every_call_reads_an_input_the_report_writes(tmp_path, monkeypatch, capsys):
+    jobs = []
+
+    def worker(argv, cwd, stdout, check):
+        _, argvs, _ = json.loads(argv[-1])  # roots, argvs, rounds
+        for args in argvs:
+            if args[0].endswith(".csv"):
+                assert (Path(cwd) / args[0]).is_file()
+        jobs.append(argvs)
+        times = [[1.0] * 100 for _ in argvs]
+        return types.SimpleNamespace(stdout=json.dumps([times, times]))
+
+    monkeypatch.setattr(against.subprocess, "run", worker)
+    text = against.calls(str(against.HEAD), str(tmp_path))
+    assert jobs == [list(against.CALLS.values())]
+    assert len(_rows(text)) == len(against.CALLS)
+    # the two-stage case is a JSON run of about 10**4 top-ups at k = 12
+    assert cli.main([str(tmp_path / "k12-two-stage.csv"), "--format", "json"]) == 0
+    run = json.loads(capsys.readouterr().out)["seeded_run"]
+    assert len(run["party_ids"]) == 12
+    assert 9_000 <= run["stop_iteration"] == len(run["awards"]) <= 11_000
 
 
 def test_startup_times_the_import_and_lists_the_modules_it_loads(monkeypatch):

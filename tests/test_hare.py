@@ -166,7 +166,7 @@ def test_award_log_is_capped_before_any_row(worked_example, monkeypatch):
     def no_row(**fields):
         raise AssertionError("an award row was built")
 
-    monkeypatch.setattr(methods, "SeatAward", no_row)
+    monkeypatch.setattr("apportion.types.SeatAward", no_row)  # where the log builds its rows
     for house_size in (6, 10**12):  # the house is checked before the first seat
         with pytest.raises(IterationGuardError) as caught:
             sequential_hare(worked_example, house_size)

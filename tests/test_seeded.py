@@ -30,6 +30,7 @@ from apportion import (
 from apportion import cli, methods, seeded
 from apportion.methods import _round_threshold
 from apportion.seeded import _topups_at
+from apportion.types import SeatAward
 
 
 @pytest.fixture
@@ -500,7 +501,7 @@ def _per_iteration_run(tally, seed, tie, guard):
     total = tally.total_votes
     ranks = tie.ranks(tally)
     m = list(seed.district_seats)
-    awards, events = [], []
+    winners, tops, events = [], [], []
     districts = seed.total
     bound = seeded._dilution_bound(tally, seed)
     earliest = math.ceil(bound) - districts
@@ -523,8 +524,8 @@ def _per_iteration_run(tally, seed, tie, guard):
         j += 1
         nums = [x + v for x, v in zip(nums, tally.votes)]
         methods._award_deficits(
-            tally.party_ids, total, ranks, m, nums, districts + j, (j,),
-            "top-up", awards, events,
+            tally.party_ids, total, ranks, m, nums, None, (j,),
+            "top-up", (winners, tops), events,
         )
     return SeededRun(
         party_ids=tally.party_ids,
@@ -534,7 +535,9 @@ def _per_iteration_run(tally, seed, tie, guard):
         stop_iteration=j,
         stop_reason=reason,
         residuals=tuple(Fraction(x, total) for x in nums),
-        awards=tuple(awards),
+        awards=tuple(  # the row of top-up n, at house D + n, built here
+            SeatAward(n, districts + n, tally.party_ids[w], Fraction(top, total))
+            for n, (w, top) in enumerate(zip(winners, tops), 1)),
         tie_events=tuple(events),
     )
 

@@ -177,17 +177,21 @@ def traced(parent, inputs):
     ], cwd=folder)
 
 
+def overhang(votes, target):
+    """Near-proportional districts, and an overhang for the largest party
+    that keeps the residual stop about ``target`` top-ups away."""
+    total = sum(votes)
+    big = max(range(len(votes)), key=votes.__getitem__)
+    districts = [target * v // total for v in votes]
+    others = sum(districts) - districts[big]
+    districts[big] = ((target + others) * votes[big] + total) // (total - votes[big]) + 1
+    return districts
+
+
 def two_stage(parent, inputs):
-    folder, sets, target = f"{inputs}/two-stage-inputs", vote_sets(17, 10_000), 20_000
+    folder, sets = f"{inputs}/two-stage-inputs", vote_sets(17, 10_000)
     for name, votes in sets.items():
-        # near-proportional districts, and an overhang for the largest
-        # party that keeps the residual stop about `target` top-ups away
-        total = sum(votes)
-        big = max(range(50), key=votes.__getitem__)
-        districts = [target * v // total for v in votes]
-        others = sum(districts) - districts[big]
-        districts[big] = ((target + others) * votes[big] + total) // (total - votes[big]) + 1
-        write_csv(f"{folder}/{name}.csv", votes, districts)
+        write_csv(f"{folder}/{name}.csv", votes, overhang(votes, 20_000))
     # each traced run here stays under the trace guards (MAX_TRACE_ROWS, MAX_TRACE_CELLS)
     return sha_table(parent, "Two-stage output sha256 against the parent commit",
                      ("votes", "run", "format"), [
@@ -239,12 +243,15 @@ CALLS = {
     "k = 20 --trace table, N = 598": ["k20.csv", "--seats", "598", "--method", "dhondt",
                                       "--trace"],
     "--suite equivalence --trials 10": ["--suite", "equivalence", "--trials", "10"],
+    "k = 12 two-stage JSON, ~10^4 top-ups": ["k12-two-stage.csv", "--format", "json"],
 }
 
 
 def calls(parent, inputs):
     write_csv(f"{inputs}/k6.csv", (48_210, 31_977, 9_504, 6_118, 2_730, 1_461))
     write_csv(f"{inputs}/k20.csv", [1_000 + 7_919 * i * i for i in range(20)])
+    votes = [10_000 + 81_799 * i for i in range(12)]
+    write_csv(f"{inputs}/k12-two-stage.csv", votes, overhang(votes, 10_000))
     job = json.dumps([[parent, str(HEAD)], list(CALLS.values()), ROUNDS])
     old, new = json.loads(subprocess.run([sys.executable, "-c", WORKER, job], cwd=inputs,
                                          stdout=subprocess.PIPE, check=True).stdout)
