@@ -14,9 +14,8 @@ import csv
 import dataclasses
 import functools
 import io
-import itertools
-import operator
 import sys
+from fractions import Fraction
 
 from .methods import (
     HARE,
@@ -393,14 +392,20 @@ def _fmt(value) -> str:
         return "-"
     if isinstance(value, int):
         return str(value)
-    if value.denominator == 1:
-        return str(value.numerator)
+    return _ratio(value.numerator, value.denominator)
+
+
+def _ratio(num, den) -> str:
+    """:func:`_fmt` of the fraction ``num / den``, given in lowest terms; no
+    ``Fraction`` is built unless it is past the float range."""
+    if den == 1:
+        return str(num)
     try:
-        approx = f"{float(value):.4f}"
+        approx = f"{num / den:.4f}"  # what float() of the Fraction computes
     except OverflowError:  # beyond the float range: round exactly instead
-        whole, frac = divmod(abs(round(value * 10_000)), 10_000)
-        approx = f"{'-' if value < 0 else ''}{whole}.{frac:04d}"
-    return f"{value} (~{approx})"
+        whole, frac = divmod(abs(round(Fraction(num, den) * 10_000)), 10_000)
+        approx = f"{'-' if num < 0 else ''}{whole}.{frac:04d}"
+    return f"{num}/{den} (~{approx})"
 
 
 def _layout(rows) -> str:
@@ -447,50 +452,11 @@ def _fixed_house_table(config, tally, report, allocations, trace):
     return "\n".join(lines) + "\n"
 
 
-def _cells(values, above, row):
-    """``row`` (a label, then the text of each value in ``above``) remade for
-    ``values``: only a value that is not the very object above it is
-    formatted, so ``_fmt`` runs only where a table row changed."""
-    row = row.copy()
-    for i in itertools.compress(range(len(values)), map(operator.is_not, values, above)):
-        row[i + 1] = _fmt(values[i])
-    return row
-
-
 def _trace_text(trace) -> str:
-    if isinstance(trace, AwardLog):
-        lines = ["award log (largest deficit first):"]
-        for award in trace.awards:
-            lines.append(
-                f"  seat {award.iteration}: -> {award.party} "
-                f"(deficit {_fmt(award.deficit)})"
-            )
-        return "\n".join(lines)
-    if trace.form == "divisor":
-        blocks = [f"divisor table ({trace.method}):"]
-        header = ["", *trace.party_ids]
-        blank = (None,) * len(trace.party_ids)  # _fmt(None) is "-"
-        above = (blank,) * 3
-        rows = [[label, *["-"] * len(blank)] for label in ("seats", "present", "next")]
-        for step in trace.steps:
-            values = (step.seats_before, step.present_quota, step.next_quota)
-            rows = [_cells(*cells) for cells in zip(values, above, rows)]
-            above = values
-            blocks.append(f"seat {step.step} -> {step.winner}")
-            blocks.append(_layout([header, *rows]))
-        return "\n".join(blocks)
-    lines = [f"multiplier search ({trace.method}):"]
-    for step in trace.steps:
-        seats = ",".join(str(s) for s in step.seats)
-        lines.append(
-            f"  {step.action:<8} M={_fmt(step.multiplier)}  "
-            f"seats=({seats})  total={step.total}"
-        )
-    exact = "exact" if trace.witness_is_exact else "over-fills before de-assignment"
-    lines.append(f"witness M={_fmt(trace.witness)} ({exact})")
-    if trace.implied_quota is not None:
-        lines.append(f"implied quota {_fmt(trace.implied_quota)}")
-    return "\n".join(lines)
+    """The text of a run's trace; the module that writes it loads on the first
+    call, so that runs that print no trace do not compile it."""
+    from .tracetext import trace_text
+    return trace_text(trace)
 
 
 def _seeded_table(tally, allocation, result):
@@ -510,9 +476,10 @@ def _seeded_table(tally, allocation, result):
         lines.append(f"multiplier bracket ({_fmt(lo)}, {_fmt(hi)})")
     lines.extend(_tie_lines([allocation]))
     if result.awards:
+        from .tracetext import award_fields  # loaded only where a log is printed
         lines.append("award log:")
-        lines += [f"  top-up {award.iteration} (house {award.house_target}) -> "
-                  f"{award.party} (deficit {_fmt(award.deficit)})" for award in result.awards]
+        lines += [f"  top-up {j} (house {house}) -> {party} (deficit {deficit})"
+                  for j, house, party, deficit in award_fields(result.awards)]
     if result.sweep:
         lines.append("multiplier sweep:")
         lines += [f"  M={_fmt(step.multiplier)}  top-up=({','.join(map(str, step.extra_seats))})"

@@ -46,7 +46,7 @@ from fractions import Fraction
 
 from .types import (
     Allocation,
-    DivisorStep,
+    DivisorSteps,
     InputError,
     IterationGuardError,
     MultiplierStep,
@@ -101,17 +101,27 @@ _SIGNPOST_METHODS = {t: method for method, _, t in _DIVISOR_RULES}
 _ROUNDING_SIGNPOSTS = {rounding: t for _, rounding, t in _DIVISOR_RULES}
 
 
+def _shown(number) -> str:
+    """``str(number)`` for a guard's message, or, for a number past the
+    int-string digit limit, "a number of about D digits" (its integer part's)."""
+    try:
+        return str(number)
+    except ValueError:
+        digits = int(abs(int(number)).bit_length() * math.log10(2)) + 1
+        return f"a number of about {digits} digits"
+
+
 def _check_rows(count, what, width=1):
     """Refuse ``count`` (or more) ``what`` beyond ``MAX_TRACE_ROWS``, or rows
     of ``width`` cells each beyond ``MAX_TRACE_CELLS`` cells in all."""
     if count > MAX_TRACE_ROWS:
         raise IterationGuardError(
-            f"the run would build at least {count} {what} (limit {MAX_TRACE_ROWS})"
+            f"the run would build at least {_shown(count)} {what} (limit {MAX_TRACE_ROWS})"
         )
     if count * width > MAX_TRACE_CELLS:
         raise IterationGuardError(
-            f"the run would build at least {count * width} cells in {count} {what} "
-            f"(limit {MAX_TRACE_CELLS} cells)"
+            f"the run would build at least {_shown(count * width)} cells in {_shown(count)} "
+            f"{what} (limit {MAX_TRACE_CELLS} cells)"
         )
 
 
@@ -234,7 +244,8 @@ def sequential_hare(
     )
     if not with_trace:
         return allocation, ()
-    return allocation, SeatAwards(tally.party_ids, *columns, tally.total_votes, house_size)
+    return allocation, SeatAwards(tally.party_ids, *map(tuple, columns), tally.total_votes,
+                                  house_size, False)  # the house does not grow
 
 
 def _award_deficits(
@@ -297,9 +308,11 @@ def highest_averages(
     bids go to the lowest tie rank (the top) and are logged as a ``seat j``
     tie event listing every tied party, read in O(k) only when a child of
     the top holds the same key.  The trace records, per seat, the full
-    bidding table (present and next prices).  Only the winner's prices move,
-    so consecutive rows share the other ``Fraction`` objects (one new one
-    per seat; values and equality are as if each row were built afresh).
+    bidding table (present and next prices), kept as the winner of each
+    seat: a :class:`DivisorSteps`, whose rows are built only when it is
+    indexed or iterated.  Only the winner's prices move, so consecutive
+    rows share the other ``Fraction`` objects (values and equality are as
+    if each row were built afresh).
     """
     _check_call(tally, house_size, tie)
     _check_name(method, _SIGNPOSTS, "divisor method")
@@ -307,7 +320,6 @@ def highest_averages(
     votes = tally.votes
     if with_trace:
         _check_rows(house_size, "divisor table rows", 3 * len(votes))
-        presents, nexts = [None] * len(votes), [Fraction(v, p) for v in votes]
     _check_loop(house_size)
     ids = tally.party_ids
     ranks = tie.ranks(tally)
@@ -318,24 +330,14 @@ def highest_averages(
     heap = [(-((v << shift) // p), r, i, p) for i, (v, r) in enumerate(zip(votes, ranks))]
     heap += [(1, k, k, 0)] * 2
     heapq.heapify(heap)
-    steps, events = [], []
+    winners, events = [], []
     for step in range(1, house_size + 1):
         top, rank, best, den = heap[0]
         if heap[1][0] == top or heap[2][0] == top:  # an equal bid sits under one of them
             _tie(sorted(i for key, _, i, _ in heap if key == top), ranks, ids,
                  f"seat {step}", events)
         if with_trace:
-            steps.append(
-                DivisorStep(
-                    step=step,
-                    seats_before=tuple(seats),
-                    present_quota=tuple(presents),
-                    next_quota=tuple(nexts),
-                    winner=ids[best],
-                )
-            )
-            presents[best] = nexts[best]
-            nexts[best] = Fraction(votes[best], den + q)
+            winners.append(best)
         seats[best] += 1
         heapq.heapreplace(heap, (-((votes[best] << shift) // (den + q)), rank, best, den + q))
     allocation = Allocation(
@@ -350,7 +352,7 @@ def highest_averages(
         form="divisor",
         method=method,
         party_ids=ids,
-        steps=tuple(steps),
+        steps=DivisorSteps(ids, votes, p, q, tuple(winners)) if with_trace else (),
         final_seats=tuple(seats),
     )
     return allocation, trace

@@ -31,6 +31,7 @@ from .methods import (
     _groups,
     _round_threshold,
     _rounded,
+    _shown,
     _straddle_event,
 )
 from .types import (
@@ -152,7 +153,7 @@ def seeded_sequential_hare(
             if doomed or j >= MAX_TOPUP_ITERATIONS:
                 raise IterationGuardError(
                     f"no residual stop within {MAX_TOPUP_ITERATIONS} top-up seats; "
-                    f"the stop region begins above multiplier {bound}"
+                    f"the stop region begins above multiplier {_shown(bound)}"
                 )
             step = max(1, min(ends) - j)
             _award_deficits(
@@ -163,7 +164,8 @@ def seeded_sequential_hare(
         stop_j = j
 
     extras = [mi - di for mi, di in zip(m, seed.district_seats)]
-    awards = SeatAwards(tally.party_ids, *columns, total, house, grows) if with_trace else ()
+    awards = (SeatAwards(tally.party_ids, *map(tuple, columns), total, house, grows)
+              if with_trace else ())
     return _report(tally, seed, extras, reason, seed.total + stop_j, events, awards=awards)
 
 

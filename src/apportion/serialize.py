@@ -6,9 +6,11 @@ writes canonical text (sorted keys, two-space indents, trailing newline):
 each value's writer returns its text, and each object or array is put
 together with one ``str.join``, so the cost is linear in the output.
 An array of exact ``int`` items, or of exact ``str`` items, is one ``map``.
-In any other, within one call, an item that is a ``Fraction``, ``int`` or
-``str`` object already written at the same depth reuses that text, so the
-N·k shared quota cells of a traced divisor table are formatted N + k times.
+An engine's divisor table, a ``DivisorSteps``, is written from three
+running lists of cell texts, one text per party (next and present quota,
+seats): each ``DivisorStep`` row is one ``%`` template filled with three
+``str.join``s, and after it only the winner's three cells are rewritten,
+so a seat costs one ``gcd`` and three short texts besides the joins.
 An engine's award log, a ``SeatAwards``, is written from its two int
 columns: the array of its ``SeatAward`` rows, each one ``%`` template
 filled from ``map``s over the columns, with no row object built.  A
@@ -27,9 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import itertools
 import json
-import math
 import operator
 import types
 from fractions import Fraction
@@ -38,6 +38,7 @@ from json.encoder import encode_basestring_ascii as _quote  # json.dumps's C fun
 from .types import (
     Allocation,
     AwardLog,
+    DivisorSteps,
     InputError,
     QuotaReport,
     SeatAward,
@@ -55,7 +56,7 @@ __all__ = [
 
 def dumps(payload) -> str:
     """Canonical JSON text of plain/domain values; a float is a bug upstream."""
-    return _writer(type(payload))(payload, "\n", {}) + "\n"
+    return _writer(type(payload))(payload, "\n") + "\n"
 
 
 def jsonify(value):
@@ -63,72 +64,63 @@ def jsonify(value):
     return json.loads(dumps(value))
 
 
-#: Array items whose text :func:`_array` keeps by identity: immutable leaves.
-_SHARED = frozenset((Fraction, int, str))
 #: The writer of an array whose items are all exactly ``int`` or all ``str``.
 _LEAVES = {int: int.__repr__, str: _quote}  # int.__repr__ raises past the digit limit
 
 
 @functools.cache
 def _writer(cls):
-    """``text(value, newline, seen)``: a ``cls`` value's text at ``newline``.
-
-    ``seen`` maps each indentation to the text of the leaves already
-    written at it, by ``id``; it lives for one :func:`dumps` call, whose
-    payload keeps every one of those leaves alive.
-    """
+    """``text(value, newline)``: a ``cls`` value's text at ``newline``."""
     if issubclass(cls, Fraction):
         return _fraction
     if cls is SeatAwards:
         return _award_columns
+    if cls is DivisorSteps:
+        return _table_columns
     if dataclasses.is_dataclass(cls):  # before any builtin it subclasses
         keys = sorted((f.name, f"{_quote(f.name)}: ") for f in dataclasses.fields(cls))
         if len(keys) < 2:  # attrgetter of one name returns the bare value
-            return lambda value, newline, seen: _object(
-                [(key, getattr(value, name)) for name, key in keys], newline, seen)
+            return lambda value, newline: _object(
+                [(key, getattr(value, name)) for name, key in keys], newline)
         prefixes = [key for _, key in keys]
         values = operator.attrgetter(*[name for name, _ in keys])
-        return lambda value, newline, seen: _object(
-            zip(prefixes, values(value)), newline, seen)
+        return lambda value, newline: _object(
+            zip(prefixes, values(value)), newline)
     if issubclass(cls, dict):  # keys that str() merges keep the last value
-        return lambda value, newline, seen: _object([
+        return lambda value, newline: _object([
             (f"{_quote(k)}: ", v) for k, v in sorted(
-                {str(k): v for k, v in value.items()}.items())], newline, seen)
+                {str(k): v for k, v in value.items()}.items())], newline)
     if issubclass(cls, (list, tuple)):
         return _array
     if cls is bool or cls is type(None):
         literals = {None: "null", True: "true", False: "false"}
-        return lambda value, newline, seen: literals[value]
+        return lambda value, newline: literals[value]
     if issubclass(cls, int):  # int.__repr__ raises past the digit limit
-        return lambda value, newline, seen: int.__repr__(value)
+        return lambda value, newline: int.__repr__(value)
     if issubclass(cls, str):
-        return lambda value, newline, seen: _quote(value)
+        return lambda value, newline: _quote(value)
 
-    def refuse(value, newline, seen):
+    def refuse(value, newline):
         raise TypeError(f"cannot serialise {cls.__name__} value {value!r}")
     return refuse
 
 
-def _fraction(value, newline, seen):
+def _fraction(value, newline):
     return (f'{{{newline}  "den": {int.__repr__(value.denominator)},'
             f'{newline}  "num": {int.__repr__(value.numerator)}{newline}}}')
 
 
-def _object(items, newline, seen):
+def _object(items, newline):
     """An object of ``('"key": ', value)`` items, in the order given."""
     inner = newline + "  "
-    return _lines([f"{key}{_writer(type(v))(v, inner, seen)}" for key, v in items],
+    return _lines([f"{key}{_writer(type(v))(v, inner)}" for key, v in items],
                   "{", inner, newline, "}")
 
 
-def _array(value, newline, seen):
-    """An array; a leaf already written at this depth reuses its text.
-
-    The rows of a traced divisor table share their unchanged quota
-    objects, so each is formatted once per depth, not per row.  An array
-    of exact ``int`` or exact ``str`` items is one ``map`` of its leaf
-    writer, and one of one flat dataclass, such as a decoded award log,
-    is written a column at a time (:func:`_column_rows`).
+def _array(value, newline):
+    """An array.  One of exact ``int`` or exact ``str`` items is one ``map``
+    of its leaf writer, and one of one flat dataclass, such as a decoded
+    award log, is written a column at a time (:func:`_column_rows`).
     """
     inner = newline + "  "
     kind = type(value[0]) if value else None
@@ -137,19 +129,7 @@ def _array(value, newline, seen):
     fields = _columns(kind)
     if fields is not None and (parts := _column_rows(value, fields, inner)) is not None:
         return _lines(parts, "[", inner, newline, "]")
-    texts = seen.get(inner)
-    if texts is None:
-        texts = seen[inner] = {}
-    parts = []
-    for v in value:
-        text = texts.get(id(v))
-        if text is None:
-            cls = type(v)
-            text = _writer(cls)(v, inner, seen)
-            if cls in _SHARED:
-                texts[id(v)] = text
-        parts.append(text)
-    return _lines(parts, "[", inner, newline, "]")
+    return _lines([_writer(type(v))(v, inner) for v in value], "[", inner, newline, "]")
 
 
 #: Field annotations the column path writes, as postponed strings or types.
@@ -200,26 +180,69 @@ def _column_rows(value, fields, newline):
     return list(map(_row_template(fields, newline).__mod__, zip(*texts)))
 
 
-def _award_columns(log, newline, seen):
+def _award_columns(log, newline):
     """A :class:`SeatAwards` log as the array of its ``SeatAward`` rows,
-    written from its columns with :func:`_column_rows`'s template: each
-    deficit ``top / V`` is reduced by one ``gcd`` map, and each party id
-    is quoted once.  Every text is made lazily, a row at a time, so a
-    number past the digit limit fails where the rows' writer fails."""
+    written from its columns (:meth:`SeatAwards.columns`, whose deficits
+    are reduced by one ``gcd`` map) with :func:`_column_rows`'s template;
+    each party id is quoted once.  Every text is made lazily, a row at a
+    time, so a number past the digit limit fails where the rows' writer
+    fails."""
     inner = newline + "  "
-    n, total, tops, house = len(log.winners), log.total, log.tops, log.house
-    gcds = list(map(math.gcd, tops, itertools.repeat(total, n)))
-    houses = range(house + 1, house + n + 1) if log.grows else itertools.repeat(house, n)
+    iterations, houses, _, nums, dens = log.columns()
     quoted = list(map(_quote, log.party_ids))
     texts = (  # in the key order of _columns(SeatAward): deficit, house_target, iteration, party
-        map(int.__repr__, map(total.__floordiv__, gcds)),
-        map(int.__repr__, map(operator.floordiv, tops, gcds)),
+        map(int.__repr__, dens),
+        map(int.__repr__, nums),
         map(int.__repr__, houses),
-        map(int.__repr__, range(1, n + 1)),
+        map(int.__repr__, iterations),
         map(quoted.__getitem__, log.winners),
     )
     template = _row_template(_columns(SeatAward), inner)
     return _lines(list(map(template.__mod__, zip(*texts))), "[", inner, newline, "]")
+
+
+@functools.cache
+def _table_templates(newline):
+    """The ``%`` templates of a :class:`DivisorStep` row at ``newline``
+    (filled with its next, present and seat cells, each array's items
+    joined, then its step and quoted winner) and of a quota cell (the
+    denominator's and numerator's text), and the separator of the items."""
+    field, item = newline + "  ", newline + "    "
+    arrays = ",".join(f'{field}"{name}": [{item}%s{field}]'
+                      for name in ("next_quota", "present_quota", "seats_before"))
+    row = f'{{{arrays},{field}"step": %s,{field}"winner": %s{newline}}}'
+    return row, f'{{{item}  "den": %s,{item}  "num": %s{item}}}', f",{item}"
+
+
+def _table_columns(table, newline):
+    """A :class:`DivisorSteps` table as the array of its ``DivisorStep``
+    rows, written from three running lists of cell texts (next, present
+    and seats), one text per party: each row is one ``%`` template filled
+    with three ``str.join``s, and after it only the winner's three cells
+    are rewritten, with one ``gcd`` for its new bid.  An empty table
+    writes no cell, so a number past the digit limit fails where the rows'
+    writer fails."""
+    if not table.winners:
+        return "[]"
+    inner = newline + "  "
+    row, cell, sep = _table_templates(inner)
+
+    def bid(i, n):
+        num, den = table.bid(i, n)
+        return cell % (int.__repr__(den), int.__repr__(num))
+
+    k = len(table.party_ids)
+    nexts = [bid(i, 0) for i in range(k)]
+    presents, seats, counts = ["null"] * k, ["0"] * k, [0] * k
+    quoted = list(map(_quote, table.party_ids))
+    parts = []
+    for step, best in enumerate(table.winners, 1):
+        parts.append(row % (sep.join(nexts), sep.join(presents), sep.join(seats), step,
+                            quoted[best]))
+        n = counts[best] = counts[best] + 1
+        presents[best], nexts[best] = nexts[best], bid(best, n)
+        seats[best] = int.__repr__(n)
+    return _lines(parts, "[", inner, newline, "]")
 
 
 def _lines(parts, opening, inner, newline, closing):

@@ -9,6 +9,8 @@ reliably.  Nothing in this package goes through binary floating point.
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 import operator
 import random
 from dataclasses import dataclass
@@ -245,8 +247,10 @@ class DivisorStep:
 
     ``present_quota[i]`` is the votes-per-seat price at which party ``i``
     won its most recent seat (``None`` while seatless); ``next_quota[i]``
-    is its standing bid for the next seat.  Consecutive rows may share the
-    same immutable ``Fraction`` objects; values and equality are unchanged.
+    is its standing bid for the next seat.  The engine's table is a
+    :class:`DivisorSteps`, which builds these rows only when it is indexed
+    or iterated; consecutive rows may share the same immutable ``Fraction``
+    objects, and values and equality are unchanged.
     """
 
     step: int
@@ -277,6 +281,9 @@ class TraceTable:
     strips the surplus.  ``implied_quota`` converts the witness to the
     votes-per-seat scale when the rounding rule has a standard one
     (``V/M`` for floor rounding, ``V/(2M)`` for nearest rounding).
+    A traced divisor table's ``steps`` is a :class:`DivisorSteps` from the
+    engine, a tuple of :class:`DivisorStep` rows from :func:`from_json`;
+    the two compare equal.
     """
 
     form: str
@@ -335,7 +342,56 @@ class SeatAward:
     deficit: Fraction
 
 
-class SeatAwards:
+class _LazyRows:
+    """A frozen sequence of rows kept as columns, the ``__slots__`` a
+    subclass names, with one ``winners`` entry per row.
+
+    A row is built only when the sequence is indexed (``_row``) or
+    iterated; the sequence equals, and hashes as, the tuple of its rows.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *columns):
+        for name, value in zip(self.__slots__, columns, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(map(self.__getattribute__, self.__slots__))
+
+    def __len__(self):
+        return len(self.winners)
+
+    def __iter__(self):
+        return self._rows(range(len(self.winners)))
+
+    def __getitem__(self, index):
+        rows = range(len(self.winners))[index]
+        return self._row(rows) if isinstance(rows, int) else tuple(self._rows(rows))
+
+    def _rows(self, rows):
+        """The rows at the indices in the range ``rows``, built one by one."""
+        return map(self._row, rows)
+
+    def __eq__(self, other):
+        if isinstance(other, _LazyRows):
+            other = tuple(other)
+        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({tuple(self)!r})"
+
+
+class SeatAwards(_LazyRows):
     """An engine's award log, kept as two int columns: the seat awarded at
     iteration j (from 1) went to party ``party_ids[winners[j - 1]]`` at the
     deficit ``tops[j - 1] / total``, against the house target ``house``, or
@@ -347,45 +403,65 @@ class SeatAwards:
 
     __slots__ = ("party_ids", "winners", "tops", "total", "house", "grows")
 
-    def __init__(self, party_ids, winners, tops, total, house, grows=False):
-        values = (party_ids, tuple(winners), tuple(tops), total, house, grows)
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return SeatAwards, tuple(map(self.__getattribute__, self.__slots__))
-
     def _row(self, i):
         j = i + 1
         return SeatAward(j, self.house + self.grows * j, self.party_ids[self.winners[i]],
                          Fraction(self.tops[i], self.total))
 
-    def __len__(self):
-        return len(self.winners)
+    def columns(self):
+        """The rows' fields as columns: iteration, house target, party, and
+        the deficit's numerator and denominator in lowest terms, reduced by
+        one ``gcd`` map."""
+        n, total, tops, house = len(self.winners), self.total, self.tops, self.house
+        gcds = list(map(math.gcd, tops, itertools.repeat(total, n)))
+        houses = range(house + 1, house + n + 1) if self.grows else itertools.repeat(house, n)
+        return (range(1, n + 1), houses, map(self.party_ids.__getitem__, self.winners),
+                map(operator.floordiv, tops, gcds), map(total.__floordiv__, gcds))
 
-    def __iter__(self):
-        return map(self._row, range(len(self.winners)))
 
-    def __getitem__(self, index):
-        rows = range(len(self.winners))[index]
-        return self._row(rows) if isinstance(rows, int) else tuple(map(self._row, rows))
+class DivisorSteps(_LazyRows):
+    """An engine's divisor table, kept as its winners: the seat handed out
+    at step j (from 1) went to party ``party_ids[winners[j - 1]]``, and a
+    party holding n seats bids ``votes[i] / (q n + p)``.
 
-    def __eq__(self, other):
-        if isinstance(other, SeatAwards):
-            other = tuple(other)
-        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
+    A :class:`DivisorStep` row is built only when the table is indexed or
+    iterated: an index builds one row, from the seats each party holds at
+    its step, and a pass or a slice carries them on from row to row.  The
+    table equals, and hashes as, the tuple of its rows.
+    """
 
-    def __hash__(self):
-        return hash(tuple(self))
+    __slots__ = ("party_ids", "votes", "p", "q", "winners")
 
-    def __repr__(self):
-        return f"SeatAwards({tuple(self)!r})"
+    def bid(self, i, n):
+        """Party i's bid holding n seats, ``(numerator, denominator)`` in
+        lowest terms."""
+        v, den = self.votes[i], self.q * n + self.p
+        g = math.gcd(v, den)
+        return v // g, den // g
+
+    def _row(self, i):
+        return next(self._rows(range(i, i + 1)))
+
+    def _rows(self, rows):
+        """The rows at the indices in ``rows``: the seats and quotas are
+        counted once up to the first of them, then carried from row to row,
+        where only the winners' cells change."""
+        if rows.step < 0:
+            return reversed(tuple(self._rows(rows[::-1])))
+        return self._walk(rows)
+
+    def _walk(self, rows):
+        winners, at = self.winners, rows.start
+        seats = list(map(winners[:at].count, range(len(self.votes))))
+        presents = [Fraction(*self.bid(j, n - 1)) if n else None for j, n in enumerate(seats)]
+        nexts = [Fraction(*self.bid(j, n)) for j, n in enumerate(seats)]
+        for i in rows:
+            for best in winners[at:i]:
+                n = seats[best] = seats[best] + 1
+                presents[best], nexts[best] = nexts[best], Fraction(*self.bid(best, n))
+            at = i
+            yield DivisorStep(i + 1, tuple(seats), tuple(presents), tuple(nexts),
+                              self.party_ids[winners[i]])
 
 
 @dataclass(frozen=True)

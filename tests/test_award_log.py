@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from apportion import (
     STOP_CAP,
+    Allocation,
     STOP_FIXED,
     STOP_RESIDUAL,
     IterationGuardError,
@@ -44,17 +45,27 @@ def _check_log(log):
         assert dumps(rows) == text
 
 
-def _check_run(run):
-    """A two-stage run's log, and its JSON against the same run with the
-    log's rows in a tuple."""
+def _table(tally, run):
+    """The CLI's two-stage table of ``run``."""
+    allocation = Allocation(tally.party_ids, run.totals, run.house_size, "hare",
+                            "seeded-sequential", run.tie_events)
+    return cli._seeded_table(tally, allocation, run)
+
+
+def _check_run(run, tally):
+    """A two-stage run's log, and its JSON and table against the same run
+    with the log's rows in a tuple."""
     _check_log(run.awards)
-    assert dumps(run) == dumps(dataclasses.replace(run, awards=tuple(run.awards)))
+    rows = dataclasses.replace(run, awards=tuple(run.awards))
+    assert dumps(run) == dumps(rows)
+    assert _table(tally, run) == _table(tally, rows)
 
 
 def _check_fixed_house(log):
     _check_log(log)
-    columns, rows = (dumps(AwardLog("sequential", "hare", awards)) for awards in (log, tuple(log)))
-    assert columns == rows
+    traces = [AwardLog("sequential", "hare", awards) for awards in (log, tuple(log))]
+    assert dumps(traces[0]) == dumps(traces[1])
+    assert cli._trace_text(traces[0]) == cli._trace_text(traces[1])
 
 
 _TALLY = VoteTally(("A", "B", "C"), (6, 3, 3))  # V = 12: most deficits reduce
@@ -81,7 +92,7 @@ def test_each_stop_and_an_empty_log(case, stop, count):
     else:
         run = seeded_sequential_hare(tally, second)
         assert run.stop_reason == stop
-        _check_run(run)
+        _check_run(run, tally)
         log = run.awards
     assert len(log) == count
     if count and tally is _TALLY:  # deficits whose gcd with V exceeds 1
@@ -91,7 +102,7 @@ def test_each_stop_and_an_empty_log(case, stop, count):
 @st.composite
 def award_logs(draw):
     """Tie-prone votes under the fixed-house loop or a two-stage stop:
-    (the log, the two-stage run or None)."""
+    (the log, the two-stage run or None, the tally)."""
     k = draw(st.integers(1, 5))
     votes = draw(st.lists(st.sampled_from([0, 1, 2, 3, 6]), min_size=k, max_size=k)
                  .filter(any))
@@ -100,23 +111,23 @@ def award_logs(draw):
         lambda s: TiePolicy("random", s)))
     stop = draw(st.sampled_from(["house", "residual", "cap", "fixed"]))
     if stop == "house":
-        return sequential_hare(tally, draw(st.integers(0, 40)), tie)[1], None
+        return sequential_hare(tally, draw(st.integers(0, 40)), tie)[1], None, tally
     districts = tuple(draw(st.integers(0, 9)) if v else 0 for v in votes)
     rule = {"residual": {}, "cap": {"cap": draw(st.integers(0, 20))},
             "fixed": {"fixed_extra": draw(st.integers(0, 40))}}[stop]
     run = seeded_sequential_hare(tally, SeedDistribution(tally.party_ids, districts, **rule),
                                  tie)
-    return run.awards, run
+    return run.awards, run, tally
 
 
 @settings(max_examples=300, deadline=None)
 @given(award_logs())
 def test_the_log_is_the_tuple_of_its_rows(case):
-    log, run = case
+    log, run, tally = case
     if run is None:
         _check_fixed_house(log)
     else:
-        _check_run(run)
+        _check_run(run, tally)
 
 
 @pytest.mark.skipif(
@@ -137,13 +148,19 @@ def test_a_number_past_the_digit_limit_fails_as_the_rows_do():
     ]
     logs = [sequential_hare(huge, 3)[1], *(run.awards for run in runs)]
     assert all(logs)
-    cases = [(log, tuple(log)) for log in logs]
-    cases += [(run, dataclasses.replace(run, awards=tuple(run.awards))) for run in runs]
-    for mine, rows in cases:
+    cases = [(dumps, log, tuple(log)) for log in logs]
+    cases += [(dumps, run, dataclasses.replace(run, awards=tuple(run.awards))) for run in runs]
+    cases += [(cli._trace_text, *(AwardLog("sequential", "hare", awards)
+                                  for awards in (log, tuple(log))))
+              for log in logs[:3]]  # the last one's deficits are small: only its houses are not
+    cases += [(lambda run, tally=tally: _table(tally, run), run,
+               dataclasses.replace(run, awards=tuple(run.awards)))
+              for tally, run in zip((huge, huge, pair), runs)]
+    for write, mine, rows in cases:
         with pytest.raises(ValueError) as expected:
-            dumps(rows)
+            write(rows)
         with pytest.raises(ValueError) as caught:
-            dumps(mine)
+            write(mine)
         assert str(caught.value) == str(expected.value)
         assert "integer string conversion" in str(caught.value)
 

@@ -1033,6 +1033,19 @@ class TestStartUp:
         assert code == 0 and "house size 10, total votes 1000" in out
         assert {"apportion.oracle", "apportion.serialize"} & set(loaded) == set()
 
+    def test_only_a_run_that_prints_a_trace_loads_the_trace_text(self, csv_file):
+        path = csv_file(WORKED)
+        plain, json_trace, table_trace = _fresh_runs(
+            [path, "--seats", "10", "--method", "dhondt"],
+            [path, "--seats", "10", "--method", "dhondt", "--trace", "--format", "json"],
+            [path, "--seats", "10", "--method", "dhondt", "--trace"],
+        )
+        assert plain[0] == json_trace[0] == table_trace[0] == 0
+        assert "apportion.tracetext" not in json_trace[3]
+        assert "apportion.tracetext" in table_trace[2]
+        assert table_trace[1].startswith(plain[1].rstrip("\n"))
+        assert "\ndivisor table (dhondt):\nseat 1 -> A\n" in table_trace[1]
+
     def test_a_json_run_loads_the_json_writer_but_not_the_oracle(self, csv_file):
         [(code, out, added, loaded)] = _fresh_runs(
             [csv_file(WORKED), "--seats", "10", "--format", "json"])
@@ -1266,6 +1279,31 @@ class TestBadInvocations:
         code, out, err = cli(path, *flags)
         assert (code, out) == (1, "")
         assert err == f"error: a result has a number over the {digits}-digit limit\n"
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"),
+        reason="this interpreter converts ints of any length",
+    )
+    @pytest.mark.parametrize("flags, code, message", [
+        ((), 2, "execution error: no residual stop within 1000000 top-up seats; the stop "
+                "region begins above multiplier a number of about {} digits"),
+        (("--format", "json"), 2, "execution error: no residual stop within 1000000 top-up "
+                                  "seats; the stop region begins above multiplier a number "
+                                  "of about {} digits"),
+        (("--method", "dhondt", "--form", "divisor", "--trace"), 2,
+         "execution error: the run would build at least a number of about {} digits sweep "
+         "rows (limit 50000)"),
+        # untraced, no guard applies: the multiplier itself is past the limit
+        (("--method", "dhondt", "--form", "divisor"), 1,
+         "error: a result has a number over the 4300-digit limit"),
+    ], ids=["sequential", "sequential-json", "divisor-traced", "divisor"])
+    def test_a_guard_on_a_number_past_the_digit_limit(self, cli, csv_file, flags, code,
+                                                      message):
+        # the stop region begins above 9 V / 2, V = 10**digits + 1
+        digits = sys.get_int_max_str_digits()
+        path = csv_file(f"party,votes,districts\nA,2,10\nB,{'9' * digits},0\n")
+        message = message.format(digits + 1).replace("4300", str(digits))
+        assert cli(path, *flags) == (code, "", message + "\n")
 
     def test_bad_csv(self, cli, csv_file):
         code, _, err = cli(csv_file("party,votes\nA,x\n"), "--seats", "5")

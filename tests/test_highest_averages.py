@@ -22,7 +22,7 @@ from apportion import (
     highest_averages,
     sequential_hare,
 )
-from apportion import methods, seeded
+from apportion import methods, seeded, types
 from apportion.types import DivisorStep
 
 
@@ -127,10 +127,10 @@ def test_trace_is_capped_before_any_row(worked_example, method, monkeypatch):
     monkeypatch.setattr(methods, "MAX_TRACE_ROWS", 5)
     assert len(highest_averages(worked_example, 5, method)[1].steps) == 5
 
-    def no_row(**fields):
+    def no_row(*fields, **named):
         raise AssertionError("a table row was built")
 
-    monkeypatch.setattr(methods, "DivisorStep", no_row)
+    monkeypatch.setattr(types, "DivisorStep", no_row)  # where DivisorSteps builds rows
     for house_size in (6, 10**12):  # the house is checked before the first seat
         with pytest.raises(IterationGuardError) as caught:
             highest_averages(worked_example, house_size, method)

@@ -35,7 +35,7 @@ from apportion import (
 from apportion import serialize
 from apportion.serialize import fraction_from_json, from_json
 from apportion.types import (
-    AwardLog, InputError, MultiplierStep, SeatAward, SeatAwards, TraceTable,
+    AwardLog, DivisorSteps, InputError, MultiplierStep, SeatAward, SeatAwards, TraceTable,
 )
 
 
@@ -50,7 +50,7 @@ def _reference_jsonify(value):
         }
     if isinstance(value, dict):
         return {str(k): _reference_jsonify(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple, SeatAwards)):  # an award log row by row
+    if isinstance(value, (list, tuple, SeatAwards, DivisorSteps)):  # engine logs row by row
         return [_reference_jsonify(v) for v in value]
     if value is None or isinstance(value, (bool, int, str)):
         return value

@@ -242,6 +242,10 @@ CALLS = {
                                        "json"],
     "k = 20 --trace table, N = 598": ["k20.csv", "--seats", "598", "--method", "dhondt",
                                       "--trace"],
+    "k = 20 --trace table, N = 2000": ["k20.csv", "--seats", "2000", "--method", "dhondt",
+                                       "--trace"],
+    "k = 20 --trace JSON, N = 2000": ["k20.csv", "--seats", "2000", "--method", "dhondt",
+                                      "--trace", "--format", "json"],
     "--suite equivalence --trials 10": ["--suite", "equivalence", "--trials", "10"],
     "k = 12 two-stage JSON, ~10^4 top-ups": ["k12-two-stage.csv", "--format", "json"],
 }
