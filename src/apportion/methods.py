@@ -80,8 +80,9 @@ MAX_TRACE_ROWS = 50_000
 
 #: Refuse to build more cells than this in one trace: a divisor-table row
 #: holds 3·k (seat counts, present and next quotas), a multiplier-search or
-#: two-stage sweep row k and an award-log row one.  :func:`_check_rows`
-#: reads it at each call.
+#: two-stage sweep row k, an award-log row one, and a tie event one per
+#: name it lists, tied or winning.  :func:`_check_cells` reads it at each
+#: call.
 MAX_TRACE_CELLS = 1_000_000
 
 #: Refuse a loop that awards one seat a pass (the divisor table, sequential
@@ -111,16 +112,21 @@ def _shown(number) -> str:
         return f"a number of about {digits} digits"
 
 
-def _check_rows(count, what, width=1):
-    """Refuse ``count`` (or more) ``what`` beyond ``MAX_TRACE_ROWS``, or rows
-    of ``width`` cells each beyond ``MAX_TRACE_CELLS`` cells in all."""
+def _check_rows(count, what, width=1, cells=None):
+    """Refuse ``count`` (or more) ``what`` beyond ``MAX_TRACE_ROWS``, or their
+    ``cells`` (by default ``width`` a row) beyond ``MAX_TRACE_CELLS``."""
     if count > MAX_TRACE_ROWS:
         raise IterationGuardError(
             f"the run would build at least {_shown(count)} {what} (limit {MAX_TRACE_ROWS})"
         )
-    if count * width > MAX_TRACE_CELLS:
+    _check_cells(count * width if cells is None else cells, count, what)
+
+
+def _check_cells(cells, count, what):
+    """Refuse ``cells`` (or more) in ``count`` ``what`` beyond ``MAX_TRACE_CELLS``."""
+    if cells > MAX_TRACE_CELLS:
         raise IterationGuardError(
-            f"the run would build at least {_shown(count * width)} cells in {_shown(count)} "
+            f"the run would build at least {_shown(cells)} cells in {_shown(count)} "
             f"{what} (limit {MAX_TRACE_CELLS} cells)"
         )
 
@@ -249,7 +255,7 @@ def sequential_hare(
 
 
 def _award_deficits(
-    ids, total, ranks, seats, nums, growth, iterations, context, columns, events,
+    ids, total, ranks, seats, nums, growth, iterations, context, columns, events, names=0,
 ):
     """Give one seat per iteration ``j`` to the largest deficit.
 
@@ -257,11 +263,13 @@ def _award_deficits(
     common denominator ``total`` = V; only the winner's numerator moves.
     With ``growth`` (the votes v_i; None for a fixed house), each iteration
     first raises the house target by one and so every deficit by v_i.
-    Equal deficits go to the lowest tie rank and are logged as a tie event.
+    Equal deficits go to the lowest tie rank and are logged as a tie event;
+    ``names`` counts the names that ``events`` list, tied or winning, and
+    is charged against ``MAX_TRACE_CELLS`` before each event is built.
     Updates ``seats`` and ``nums`` in place and appends to ``events`` and,
     unless ``columns`` is None, the winner's index and its deficit
     numerator to the two lists of ``columns``, a :class:`SeatAwards`'s
-    ``winners`` and ``tops``.
+    ``winners`` and ``tops``.  Returns the new count of names.
     """
     if columns is not None:
         add_winner, add_top = columns[0].append, columns[1].append
@@ -272,12 +280,15 @@ def _award_deficits(
         best = nums.index(top)
         if nums.count(top) > 1:
             tied = [i for i, num in enumerate(nums) if num == top]
+            names += len(tied) + 1
+            _check_cells(names, len(events) + 1, "tie events")
             best = _tie(tied, ranks, ids, f"{context} {j}", events)
         if columns is not None:
             add_winner(best)
             add_top(top)
         seats[best] += 1
         nums[best] = top - total
+    return names
 
 
 def _tie(tied, ranks, ids, context, events):
@@ -330,12 +341,14 @@ def highest_averages(
     heap = [(-((v << shift) // p), r, i, p) for i, (v, r) in enumerate(zip(votes, ranks))]
     heap += [(1, k, k, 0)] * 2
     heapq.heapify(heap)
-    winners, events = [], []
+    winners, events, names = [], [], 0
     for step in range(1, house_size + 1):
         top, rank, best, den = heap[0]
         if heap[1][0] == top or heap[2][0] == top:  # an equal bid sits under one of them
-            _tie(sorted(i for key, _, i, _ in heap if key == top), ranks, ids,
-                 f"seat {step}", events)
+            tied = sorted(i for key, _, i, _ in heap if key == top)
+            names += len(tied) + 1
+            _check_cells(names, len(events) + 1, "tie events")
+            _tie(tied, ranks, ids, f"seat {step}", events)
         if with_trace:
             winners.append(best)
         seats[best] += 1
@@ -641,6 +654,11 @@ def _jump_divisor(tally, house_size, t, ranks):
     seats, _, taken, overhang, _ = _multiplicative_sweep(
         tally, house_size, t, ranks, False
     )
+    if len(set(tally.votes)) < len(seats):  # equal votes tie at each level they share
+        equal = {}
+        for v, n in zip(tally.votes, seats):
+            equal.setdefault(v, []).append(n)
+        _check_levels(equal.values())  # a lower bound, before the O(k²) pair scan
     ties = _divisor_groups(tally, seats, t)
     if overhang:  # the parties left out still tied for seat N
         earlier = house_size - len(taken)
@@ -681,9 +699,10 @@ def _divisor_groups(tally, seats, t):
         if not count or q == 2 and not a & b & 1:
             continue
         # Lower bounds on the events: each m is a value of its own, and a
-        # value s parties share is found by s(s - 1)/2 <= (s - 1)k/2 pairs.
+        # value s parties share is found by s(s - 1)/2 <= (s - 1)k/2 pairs,
+        # and its s - 1 events list (s - 1)(s + 4)/2 >= s(s - 1)/2 names.
         found += count
-        _check_rows(max(count, 2 * found // k), "tie events")
+        _check_rows(max(count, 2 * found // k), "tie events", cells=found)
         for m in range(1, last + 1, q):
             d = math.gcd(m, g)
             groups.setdefault((m // d, g // d), set()).update((i, j))
@@ -713,12 +732,7 @@ def _jump_hare(tally, house_size, ranks):
     classes = {}  # remainder -> (deficits above it, parties)
     for position, i in enumerate(order):
         classes.setdefault(rems[i], (base + position, []))[1].append(i)
-    # Level c >= 1 of a class logs (members holding c) - 1 events: summed
-    # over the levels, every member's seats but the largest count.
-    _check_rows(sum(
-        sum(held) - max(held)
-        for held in ([seats[i] for i in members] for _, members in classes.values())
-    ), "tie events")
+    _check_levels([seats[i] for i in members] for _, members in classes.values())
     groups = []
     for remainder, (first, members) in classes.items():
         if len(members) < 2:
@@ -734,6 +748,23 @@ def _jump_hare(tally, house_size, ranks):
     return seats, _group_events(tally, ranks, "award", groups, house_size)
 
 
+def _check_levels(classes):
+    """Check the tie events of classes of parties that tie at each level
+    c >= 1 their members hold, and the names they list; ``classes`` gives
+    each class's seat counts.  A level that s members hold logs s - 1
+    events, which list s, s - 1, ..., 2 tied names and a winner's."""
+    events = names = 0
+    for held in classes:
+        if len(held) < 2:
+            continue
+        held = sorted(held, reverse=True) + [0]
+        for s in range(2, len(held)):
+            levels = held[s - 1] - held[s]  # the levels exactly s members hold
+            events += levels * (s - 1)
+            names += levels * (s - 1) * (s + 4) // 2
+    _check_rows(events, "tie events", cells=names)
+
+
 def _group_events(tally, ranks, context, groups, last):
     """The tie events a per-seat loop logs for groups of coincident values.
 
@@ -741,10 +772,14 @@ def _group_events(tally, ranks, context, groups, last):
     steps ``earlier + 1 .. earlier + g``; at each step but the last the
     members left tie, listed in index order, and the lowest tie rank wins.
     The loop ends at step ``last``, so a group straddling it logs the ties
-    up to ``last`` only.  Their total is checked before any event is built.
+    up to ``last`` only.  Their total, and that of the names they list,
+    tied or winning, is checked before any event is built.
     """
     ids = tally.party_ids
-    _check_rows(sum(max(0, min(len(m) - 1, last - e)) for e, m in groups), "tie events")
+    counts = [(max(0, min(len(m) - 1, last - e)), len(m)) for e, m in groups]
+    # n events of a group of g list g, g - 1, ..., g - n + 1 tied names and n winners
+    _check_rows(sum(n for n, _ in counts), "tie events",
+                cells=sum(n * (g + 1) - n * (n - 1) // 2 for n, g in counts))
     events = []
     for earlier, members in sorted(groups, key=lambda group: group[0]):
         left = sorted(members)

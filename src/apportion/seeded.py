@@ -142,7 +142,7 @@ def seeded_sequential_hare(
         ends = (earliest, MAX_TOPUP_ITERATIONS) + (() if seed.cap is None else (seed.cap,))
         # nums[i] is the residual (D + j) * v_i / V - m_i over the denominator V
         nums = [districts * v - mi * total for v, mi in zip(tally.votes, m)]
-        j = 0
+        j = names = 0
         while True:
             if j >= earliest and all(-total < x < total for x in nums):  # |residual| < 1
                 reason = STOP_RESIDUAL
@@ -156,9 +156,9 @@ def seeded_sequential_hare(
                     f"the stop region begins above multiplier {_shown(bound)}"
                 )
             step = max(1, min(ends) - j)
-            _award_deficits(
+            names = _award_deficits(
                 tally.party_ids, total, ranks, m, nums, tally.votes,
-                range(j + 1, j + step + 1), "top-up", columns, events,
+                range(j + 1, j + step + 1), "top-up", columns, events, names,
             )
             j += step
         stop_j = j

@@ -13,16 +13,12 @@ seats): each ``DivisorStep`` row is one ``%`` template filled with three
 so a seat costs one ``gcd`` and three short texts besides the joins.
 An engine's award log, a ``SeatAwards``, is written from its two int
 columns: the array of its ``SeatAward`` rows, each one ``%`` template
-filled from ``map``s over the columns, with no row object built.  A
-tuple of rows of one dataclass whose fields are all annotated ``int``,
-``str`` or ``Fraction`` (a decoded award log) is written a column at a
-time through the same template: each field is one ``map`` over the items.
-It falls back to the per-item writers when an item is of another class
-or a field value is not exactly of its annotated type (a ``bool``,
-``None``, a tuple, a subclass); any other array costs one cached lookup
-of its first item's class.  Identical data always gives byte-identical
-output; ``jsonify`` is that text parsed.  ``from_json`` inverts it for
-any domain dataclass, guided by its field annotations.
+filled from ``map``s over the columns, with no row object built.  Any
+other array, a decoded award log among them, is written item by item,
+each item's writer a cached lookup of its class.  Identical data always
+gives byte-identical output; ``jsonify`` is that text parsed.
+``from_json`` inverts it for any domain dataclass, guided by its field
+annotations.
 """
 
 from __future__ import annotations
@@ -41,7 +37,6 @@ from .types import (
     DivisorSteps,
     InputError,
     QuotaReport,
-    SeatAward,
     SeatAwards,
     SeededRun,
     TraceTable,
@@ -118,87 +113,44 @@ def _object(items, newline):
 
 
 def _array(value, newline):
-    """An array.  One of exact ``int`` or exact ``str`` items is one ``map``
-    of its leaf writer, and one of one flat dataclass, such as a decoded
-    award log, is written a column at a time (:func:`_column_rows`).
-    """
+    """An array: one of exact ``int`` or exact ``str`` items is one ``map``
+    of its leaf writer, any other is written item by item."""
     inner = newline + "  "
     kind = type(value[0]) if value else None
     if kind in _LEAVES and set(map(type, value)) == {kind}:
         return _lines(list(map(_LEAVES[kind], value)), "[", inner, newline, "]")
-    fields = _columns(kind)
-    if fields is not None and (parts := _column_rows(value, fields, inner)) is not None:
-        return _lines(parts, "[", inner, newline, "]")
     return _lines([_writer(type(v))(v, inner) for v in value], "[", inner, newline, "]")
 
 
-#: Field annotations the column path writes, as postponed strings or types.
-_FLAT = {name: cls for cls in (int, str, Fraction) for name in (cls, cls.__name__)}
-
-
 @functools.cache
-def _columns(cls):
-    """The ``(name, type)`` fields, in key order, of a dataclass whose
-    fields are all annotated ``int``, ``str`` or ``Fraction``; else None."""
-    if not dataclasses.is_dataclass(cls):
-        return None
-    fields = [(f.name, _FLAT.get(f.type) if isinstance(f.type, (str, type)) else None)
-              for f in dataclasses.fields(cls)]
-    if not fields or any(kind is None for _, kind in fields):
-        return None
-    return tuple(sorted(fields))
-
-
-@functools.cache
-def _row_template(fields, newline):
-    """The ``%`` template of one row of ``fields`` (as :func:`_columns` gives
-    them) at ``newline``: one slot per field, and two, the denominator's
-    and the numerator's text, for a ``Fraction``."""
+def _award_template(newline):
+    """The ``%`` template of a :class:`SeatAward` row at ``newline``, filled
+    with its deficit's denominator and numerator, house target, iteration
+    and quoted party, in key order."""
     inner = newline + "  "
-    slots = [f'{_quote(name)}: {{{inner}  "den": %s,{inner}  "num": %s{inner}}}'
-             if kind is Fraction else f"{_quote(name)}: %s" for name, kind in fields]
-    return f"{{{inner}" + f",{inner}".join(slots) + f"{newline}}}"
-
-
-def _column_rows(value, fields, newline):
-    """The texts of ``value``'s items at ``newline``, written a field at a
-    time and joined by one ``%`` template per row; None unless every item
-    is of the first one's class and every field value exactly of its
-    annotated type (no bool, None or subclass)."""
-    if set(map(type, value)) != {type(value[0])}:
-        return None
-    texts = []
-    for name, kind in fields:
-        column = list(map(operator.attrgetter(name), value))
-        if set(map(type, column)) != {kind}:
-            return None
-        if kind is Fraction:
-            texts += (map(int.__repr__, map(operator.attrgetter(part), column))
-                      for part in ("denominator", "numerator"))
-        else:
-            texts.append(map(_quote if kind is str else int.__repr__, column))
-    return list(map(_row_template(fields, newline).__mod__, zip(*texts)))
+    return (f'{{{inner}"deficit": {{{inner}  "den": %s,{inner}  "num": %s{inner}}},'
+            f'{inner}"house_target": %s,{inner}"iteration": %s,{inner}"party": %s{newline}}}')
 
 
 def _award_columns(log, newline):
     """A :class:`SeatAwards` log as the array of its ``SeatAward`` rows,
     written from its columns (:meth:`SeatAwards.columns`, whose deficits
-    are reduced by one ``gcd`` map) with :func:`_column_rows`'s template;
-    each party id is quoted once.  Every text is made lazily, a row at a
+    are reduced by one ``gcd`` map) with :func:`_award_template`; each
+    party id is quoted once.  Every text is made lazily, a row at a
     time, so a number past the digit limit fails where the rows' writer
     fails."""
     inner = newline + "  "
     iterations, houses, _, nums, dens = log.columns()
     quoted = list(map(_quote, log.party_ids))
-    texts = (  # in the key order of _columns(SeatAward): deficit, house_target, iteration, party
+    texts = (  # in key order: deficit (den, num), house_target, iteration, party
         map(int.__repr__, dens),
         map(int.__repr__, nums),
         map(int.__repr__, houses),
         map(int.__repr__, iterations),
         map(quoted.__getitem__, log.winners),
     )
-    template = _row_template(_columns(SeatAward), inner)
-    return _lines(list(map(template.__mod__, zip(*texts))), "[", inner, newline, "]")
+    return _lines(list(map(_award_template(inner).__mod__, zip(*texts))),
+                  "[", inner, newline, "]")
 
 
 @functools.cache
@@ -329,10 +281,6 @@ def _decoder(hint):
             raise TypeError(f"members of {hint} share their field names")
         return lambda obj: by_keys[frozenset(obj)](obj)
     raise TypeError(f"cannot decode {hint!r}")
-
-
-def fraction_from_json(obj) -> Fraction | None:
-    return from_json(Fraction | None, obj)
 
 
 def tally_from_json(obj) -> VoteTally:

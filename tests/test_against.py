@@ -171,6 +171,23 @@ def test_every_call_reads_an_input_the_report_writes(tmp_path, monkeypatch, caps
     assert 9_000 <= run["stop_iteration"] == len(run["awards"]) <= 11_000
 
 
+def test_the_tie_heavy_calls_stay_under_the_cell_limit(tmp_path, monkeypatch, capsys):
+    def worker(argv, cwd, stdout, check):
+        times = [[1.0] * 100 for _ in against.CALLS]
+        return types.SimpleNamespace(stdout=json.dumps([times, times]))
+
+    monkeypatch.setattr(against.subprocess, "run", worker)
+    against.calls(str(against.HEAD), str(tmp_path))
+    capsys.readouterr()
+    for name in ("k = 200 equal votes, N = 400",
+                 "k = 200 equal votes --trace sequential Hare, N = 400"):
+        path, *flags = against.CALLS[name]
+        assert cli.main([str(tmp_path / path), *flags, "--format", "json"]) == 0
+        events = json.loads(capsys.readouterr().out)["allocations"][0]["tie_events"]
+        assert len(events) == 398
+        assert sum(len(e["tied"]) + len(e["winners"]) for e in events) == 40_596
+
+
 def test_startup_times_the_import_and_lists_the_modules_it_loads(monkeypatch):
     monkeypatch.setattr(against, "PAIRS", 2)
     text = against.startup(str(against.HEAD), None)

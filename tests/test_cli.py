@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -563,6 +564,24 @@ class TestTraceCellLimit:
         assert err == (
             "execution error: the run would build at least 1200000 cells in 20000 "
             "divisor table rows (limit 1000000 cells)\n"
+        )
+
+    @pytest.mark.parametrize("flags", [
+        ("--method", "dhondt"), ("--method", "sainte-lague"),
+        ("--method", "hare", "--form", "sequential"), ("--compare",),
+        ("--method", "dhondt", "--format", "json"),
+    ])
+    def test_equal_vote_ties_over_the_cell_limit_exit_2_at_once(self, cli, csv_file, flags):
+        # 2,000 equal parties tie at both of their levels: 3,998 events, under
+        # the row limit, list 4,005,996 names
+        path = csv_file("party,votes\n" + "".join(f"P{i},7\n" for i in range(2_000)))
+        start = time.perf_counter()
+        code, out, err = cli(path, "--seats", "4000", *flags)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == (
+            "execution error: the run would build at least 4005996 cells in 3998 "
+            "tie events (limit 1000000 cells)\n"
         )
 
     def test_a_wide_multiplier_search_exits_2(self, cli, csv_file):

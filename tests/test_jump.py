@@ -31,9 +31,9 @@ def _tally(votes):
     return VoteTally(tuple(f"P{i}" for i in range(len(votes))), tuple(votes))
 
 
-def _per_seat(tally, house_size, method, tie=TiePolicy()):
+def _per_seat(tally, house_size, method, tie=TiePolicy(), traced=True):
     if method == HARE:
-        return sequential_hare(tally, house_size, tie)[0]
+        return sequential_hare(tally, house_size, tie, with_trace=traced)[0]
     return highest_averages(tally, house_size, method, tie, with_trace=False)[0]
 
 
@@ -155,6 +155,71 @@ def test_stepped_ties_count_against_the_limit(method, votes, house_size, monkeyp
     message = rf"at least {count} tie events \(limit {count - 1}\)$"
     with pytest.raises(IterationGuardError, match=message):
         jump_allocation(tally, house_size, method)
+
+
+def _names(allocation):
+    """The names an allocation's tie events list, tied or winning."""
+    return sum(len(event.tied) + len(event.winners) for event in allocation.tie_events)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_tie_names_up_to_the_cell_limit(method, monkeypatch):
+    # 30 equal parties tie at both of their levels: 58 events, 986 names
+    tally = _tally((7,) * 30)
+    jumped = jump_allocation(tally, 60, method)
+    count, names = len(jumped.tie_events), _names(jumped)
+    assert (count, names) == (58, 986)
+    # a traced award log's 60 cells are charged apart from the names
+    runs = [jump_allocation, _per_seat, lambda *args: _per_seat(*args, traced=False)]
+    monkeypatch.setattr(methods, "MAX_TRACE_CELLS", names)
+    assert all(run(tally, 60, method) == jumped for run in runs)
+    monkeypatch.setattr(methods, "MAX_TRACE_CELLS", names - 1)
+    message = rf"at least {names} cells in {count} tie events \(limit {names - 1} cells\)$"
+    for run in runs:
+        with pytest.raises(IterationGuardError, match=message):
+            run(tally, 60, method)
+
+
+# 1,000 equal parties at N = 2,000: 1,998 events, which list 1,002,996 names
+_CROWD = _tally((7,) * 1_000)
+
+
+@pytest.mark.parametrize("run", [
+    lambda: jump_allocation(_CROWD, 2_000, DHONDT),
+    lambda: jump_allocation(_CROWD, 2_000, SAINTE_LAGUE),
+    lambda: jump_allocation(_CROWD, 2_000, HARE),
+    lambda: sequential_hare(_CROWD, 2_000),
+], ids=["jump-dhondt", "jump-sainte-lague", "jump-hare", "sequential-hare-traced"])
+def test_many_equal_parties_go_over_the_cell_limit(run):
+    with pytest.raises(IterationGuardError, match=r"cells in \d+ tie events \(limit 1000000"):
+        run()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(0, 6), min_size=1, max_size=8).filter(any),
+    st.integers(0, 60),
+    st.sampled_from(METHODS),
+    _TIES,
+    st.integers(0, 2),
+)
+def test_the_jump_refuses_tie_names_where_the_per_seat_loop_does(
+    votes, house_size, method, tie, under
+):
+    tally = _tally(votes)
+    names = _names(_per_seat(tally, house_size, method, tie, traced=False))
+    limit = max(0, names - under)
+
+    def outcome(run, **kwargs):
+        try:
+            return run(tally, house_size, method, tie, **kwargs)
+        except IterationGuardError:
+            return None
+
+    with mock.patch.object(methods, "MAX_TRACE_CELLS", limit):
+        jumped, per_seat = outcome(jump_allocation), outcome(_per_seat, traced=False)
+    assert jumped == per_seat
+    assert (jumped is None) == (names > limit)
 
 
 @pytest.mark.parametrize("method", METHODS)

@@ -166,6 +166,30 @@ class TestSequential:
         assert run.stop_iteration == 500
         assert run.totals == (30, 500)
 
+    def test_many_equal_parties_go_over_the_cell_limit(self):
+        # 2,000 top-ups over 1,000 equal parties: 1,998 tie events, which
+        # list 1,002,996 names
+        ids = tuple(f"P{i}" for i in range(1_000))
+        fixed = SeedDistribution(ids, (0,) * 1_000, fixed_extra=2_000)
+        for with_trace in (True, False):
+            with pytest.raises(IterationGuardError,
+                               match=r"cells in \d+ tie events \(limit 1000000 cells\)$"):
+                seeded_sequential_hare(VoteTally(ids, (7,) * 1_000), fixed,
+                                       with_trace=with_trace)
+
+    def test_tie_names_add_up_across_the_award_runs(self, monkeypatch):
+        # the three tie events, of three names each, fall in three award runs
+        tally = VoteTally(("A", "B", "C", "D", "E"), (2, 1, 5, 1, 5))
+        seed = SeedDistribution(tally.party_ids, (3, 2, 3, 2, 0))
+        run = seeded_sequential_hare(tally, seed)
+        assert [len(e.tied) + len(e.winners) for e in run.tie_events] == [3, 3, 3]
+        monkeypatch.setattr(methods, "MAX_TRACE_CELLS", 9)
+        assert seeded_sequential_hare(tally, seed) == run
+        monkeypatch.setattr(methods, "MAX_TRACE_CELLS", 8)
+        with pytest.raises(IterationGuardError,
+                           match=r"^the run would build at least 9 cells in 3 tie events"):
+            seeded_sequential_hare(tally, seed)
+
 
 class TestDivisorResidualStop:
     def test_origin_already_balanced(self):

@@ -33,7 +33,7 @@ from apportion import (
     trace_from_json,
 )
 from apportion import serialize
-from apportion.serialize import fraction_from_json, from_json
+from apportion.serialize import from_json
 from apportion.types import (
     AwardLog, DivisorSteps, InputError, MultiplierStep, SeatAward, SeatAwards, TraceTable,
 )
@@ -72,7 +72,7 @@ def test_fractions_become_num_den_pairs():
     assert jsonify(Fraction(53, 6)) == {"num": 53, "den": 6}
     assert jsonify(Fraction(6, 4)) == {"num": 3, "den": 2}  # normalized
     assert jsonify(Fraction(-1, 5)) == {"num": -1, "den": 5}
-    assert fraction_from_json(None) is None
+    assert from_json(Fraction | None, None) is None
 
 
 def test_plain_values_pass_through():
@@ -277,7 +277,7 @@ _TWO_SEATS = json.loads(dumps(hare_niemeyer(VoteTally(("A", "B"), (3, 1)), 2)))
         (allocation_from_json, {"x": 1}),
         (allocation_from_json, [1, 2]),
         (allocation_from_json, {**_TWO_SEATS, "extra": 1}),
-        (fraction_from_json, {"num": 1, "den": 0}),
+        (lambda obj: from_json(Fraction | None, obj), {"num": 1, "den": 0}),
     ],
     ids=["missing-field", "list", "extra-key", "zero-denominator"],
 )
@@ -408,15 +408,9 @@ def test_seeded_runs_round_trip(votes, districts, rule, extra, cap, tie):
 
 
 def _per_item_dumps(value):
-    """``dumps`` with the column and leaf paths off: every item by its writer."""
-    with mock.patch.object(serialize, "_columns", lambda cls: None), \
-            mock.patch.object(serialize, "_LEAVES", {}):
+    """``dumps`` with the leaf path off: every item by its writer."""
+    with mock.patch.object(serialize, "_LEAVES", {}):
         return dumps(value)
-
-
-def _takes_columns(array):
-    fields = serialize._columns(type(array[0])) if array else None
-    return fields is not None and serialize._column_rows(array, fields, "\n") is not None
 
 
 _HUGE = st.integers() | st.integers(-(10**300), 10**300)
@@ -438,7 +432,6 @@ def _wrapped(awards, log, shapes):
 @given(_AWARDS, st.booleans(), st.lists(st.sampled_from(["list", "dict"]), max_size=4))
 def test_award_columns_match_the_per_item_writer(awards, log, shapes):
     value = _wrapped(awards, log, shapes)
-    assert _takes_columns(awards) == bool(awards)
     text = dumps(value)
     assert text == _per_item_dumps(value) == _reference_dumps(value)
 
@@ -465,29 +458,28 @@ _AWARD = SeatAward(1, 12, "A", Fraction(-7, 3))
 
 
 @pytest.mark.parametrize(
-    "array, columns",
+    "array",
     [
-        ([], False),
-        ((_AWARD,), True),
-        ([_AWARD, SeatAward(2, 13, "B", Fraction(10**40, 3))], True),
-        ([_AWARD, _LookAlike(2, 13, "B", Fraction(1, 3))], False),
-        ([_AWARD, TieEvent("seat 1", ("A", "B"), ("A",))], False),
-        ([_AWARD, 3], False),
-        ([_AWARD, SeatAward(True, 13, "B", Fraction(1, 3))], False),
-        ([_AWARD, SeatAward(2, 13, None, Fraction(1, 3))], False),
-        ([_AWARD, SeatAward(2, 13, "B", (1, 3))], False),
-        ([_AWARD, SeatAward(2, _Count(13), "B", Fraction(1, 3))], False),
-        ([_AWARD, SeatAward(2, 13, _Word("B"), Fraction(1, 3))], False),
-        ([_AWARD, SeatAward(2, 13, "B", _Third(1, 3))], False),
-        ([_AWARD, SeatAward(2, 13, "B", 1)], False),  # an int in a Fraction field
-        ([MultiplierStep("start", Fraction(7), (1,), 1)] * 2, False),
+        [],
+        (_AWARD,),
+        [_AWARD, SeatAward(2, 13, "B", Fraction(10**40, 3))],
+        [_AWARD, _LookAlike(2, 13, "B", Fraction(1, 3))],
+        [_AWARD, TieEvent("seat 1", ("A", "B"), ("A",))],
+        [_AWARD, 3],
+        [_AWARD, SeatAward(True, 13, "B", Fraction(1, 3))],
+        [_AWARD, SeatAward(2, 13, None, Fraction(1, 3))],
+        [_AWARD, SeatAward(2, 13, "B", (1, 3))],
+        [_AWARD, SeatAward(2, _Count(13), "B", Fraction(1, 3))],
+        [_AWARD, SeatAward(2, 13, _Word("B"), Fraction(1, 3))],
+        [_AWARD, SeatAward(2, 13, "B", _Third(1, 3))],
+        [_AWARD, SeatAward(2, 13, "B", 1)],  # an int in a Fraction field
+        [MultiplierStep("start", Fraction(7), (1,), 1)] * 2,
     ],
     ids=["empty", "one", "two", "look-alike", "other-class", "int-item", "bool",
          "none", "tuple", "int-subclass", "str-subclass", "fraction-subclass",
          "int-deficit", "not-flat"],
 )
-def test_arrays_that_cannot_take_the_columns_fall_back(array, columns):
-    assert _takes_columns(array) == columns
+def test_arrays_that_cannot_take_the_columns_fall_back(array):
     for value in (array, {"awards": array}, [[array]]):
         assert dumps(value) == _per_item_dumps(value) == _reference_dumps(value)
 

@@ -248,6 +248,13 @@ CALLS = {
                                       "--trace", "--format", "json"],
     "--suite equivalence --trials 10": ["--suite", "equivalence", "--trials", "10"],
     "k = 12 two-stage JSON, ~10^4 top-ups": ["k12-two-stage.csv", "--format", "json"],
+    # 200 equal votes tie at both of their levels: 398 events listing 40,596 names,
+    # through the jump's tie groups and the award loop's tie branch
+    "k = 200 equal votes, N = 400": ["k200-equal.csv", "--seats", "400", "--method",
+                                     "dhondt"],
+    "k = 200 equal votes --trace sequential Hare, N = 400": [
+        "k200-equal.csv", "--seats", "400", "--method", "hare", "--form", "sequential",
+        "--trace"],
 }
 
 
@@ -256,6 +263,7 @@ def calls(parent, inputs):
     write_csv(f"{inputs}/k20.csv", [1_000 + 7_919 * i * i for i in range(20)])
     votes = [10_000 + 81_799 * i for i in range(12)]
     write_csv(f"{inputs}/k12-two-stage.csv", votes, overhang(votes, 10_000))
+    write_csv(f"{inputs}/k200-equal.csv", [7] * 200)
     job = json.dumps([[parent, str(HEAD)], list(CALLS.values()), ROUNDS])
     old, new = json.loads(subprocess.run([sys.executable, "-c", WORKER, job], cwd=inputs,
                                          stdout=subprocess.PIPE, check=True).stdout)
