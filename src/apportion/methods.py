@@ -38,6 +38,8 @@ only materialise in reports, traces and once per threshold group.
 
 from __future__ import annotations
 
+import bisect
+import collections
 import heapq
 import itertools
 import math
@@ -74,14 +76,15 @@ SAINTE_LAGUE = "sainte-lague"
 METHODS = (HARE, DHONDT, SAINTE_LAGUE)
 
 #: Refuse to build more rows than this: the divisor table and the award log
-#: have one row per seat, a two-stage sweep one per top-up, and a jump's tie
-#: events count as rows too.  :func:`_check_rows` reads it at each call.
+#: have one row per seat, a two-stage sweep one per top-up, and tie events,
+#: a jump's or a per-seat loop's, count as rows too.  :func:`_check_rows`
+#: reads it at each call.
 MAX_TRACE_ROWS = 50_000
 
 #: Refuse to build more cells than this in one trace: a divisor-table row
 #: holds 3·k (seat counts, present and next quotas), a multiplier-search or
 #: two-stage sweep row k, an award-log row one, and a tie event one per
-#: name it lists, tied or winning.  :func:`_check_cells` reads it at each
+#: name it lists, tied or winning.  :func:`_check_rows` reads it at each
 #: call.
 MAX_TRACE_CELLS = 1_000_000
 
@@ -119,11 +122,7 @@ def _check_rows(count, what, width=1, cells=None):
         raise IterationGuardError(
             f"the run would build at least {_shown(count)} {what} (limit {MAX_TRACE_ROWS})"
         )
-    _check_cells(count * width if cells is None else cells, count, what)
-
-
-def _check_cells(cells, count, what):
-    """Refuse ``cells`` (or more) in ``count`` ``what`` beyond ``MAX_TRACE_CELLS``."""
+    cells = count * width if cells is None else cells
     if cells > MAX_TRACE_CELLS:
         raise IterationGuardError(
             f"the run would build at least {_shown(cells)} cells in {_shown(count)} "
@@ -265,7 +264,8 @@ def _award_deficits(
     first raises the house target by one and so every deficit by v_i.
     Equal deficits go to the lowest tie rank and are logged as a tie event;
     ``names`` counts the names that ``events`` list, tied or winning, and
-    is charged against ``MAX_TRACE_CELLS`` before each event is built.
+    is charged against ``MAX_TRACE_CELLS``, and the events against
+    ``MAX_TRACE_ROWS``, before each event is built.
     Updates ``seats`` and ``nums`` in place and appends to ``events`` and,
     unless ``columns`` is None, the winner's index and its deficit
     numerator to the two lists of ``columns``, a :class:`SeatAwards`'s
@@ -281,7 +281,7 @@ def _award_deficits(
         if nums.count(top) > 1:
             tied = [i for i, num in enumerate(nums) if num == top]
             names += len(tied) + 1
-            _check_cells(names, len(events) + 1, "tie events")
+            _check_rows(len(events) + 1, "tie events", cells=names)
             best = _tie(tied, ranks, ids, f"{context} {j}", events)
         if columns is not None:
             add_winner(best)
@@ -347,7 +347,7 @@ def highest_averages(
         if heap[1][0] == top or heap[2][0] == top:  # an equal bid sits under one of them
             tied = sorted(i for key, _, i, _ in heap if key == top)
             names += len(tied) + 1
-            _check_cells(names, len(events) + 1, "tie events")
+            _check_rows(len(events) + 1, "tie events", cells=names)
             _tie(tied, ranks, ids, f"seat {step}", events)
         if with_trace:
             winners.append(best)
@@ -725,24 +725,30 @@ def _jump_hare(tally, house_size, ranks):
     at every level ``c V + remainder`` that both of them hold, the
     remainder itself (level 0) included.
     """
-    total, seats, rems = _quota_split(tally, house_size)
-    ideals = [house_size * v for v in tally.votes]
+    _, seats, rems = _quota_split(tally, house_size)
     base = sum(seats)
     order = _remainder_order(rems, ranks)
     classes = {}  # remainder -> (deficits above it, parties)
     for position, i in enumerate(order):
         classes.setdefault(rems[i], (base + position, []))[1].append(i)
     _check_levels([seats[i] for i in members] for _, members in classes.values())
+    lowers = sorted(seats)
+    larger = collections.Counter()  # lower quotas of the classes walked so far
     groups = []
-    for remainder, (first, members) in classes.items():
-        if len(members) < 2:
-            continue
-        groups.append((first, members))
-        for c in range(1, sorted(seats[i] for i in members)[-2] + 1):
-            level = c * total + remainder
-            # party l's deficits above the level: N v_l - n V > level
-            earlier = sum(max(0, -((level - x) // total)) for x in ideals)
-            groups.append((earlier, [i for i in members if seats[i] >= c]))
+    for earlier, members in classes.values():  # largest remainder first
+        if len(members) > 1:
+            groups.append((earlier, members))
+            held = sorted(members, key=seats.__getitem__, reverse=True)
+            n = len(held)
+            for c in range(1, seats[held[1]] + 1):
+                # from level (c - 1) V + r up to c V + r, a deficit drops below
+                # the level for each party holding c seats or more, and for
+                # each party of a larger remainder holding c - 1
+                earlier -= len(lowers) - bisect.bisect_left(lowers, c) + larger[c - 1]
+                while seats[held[n - 1]] < c:
+                    n -= 1
+                groups.append((earlier, held[:n]))
+        larger.update(map(seats.__getitem__, members))
     for i in order[:house_size - base]:
         seats[i] += 1
     return seats, _group_events(tally, ranks, "award", groups, house_size)

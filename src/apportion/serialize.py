@@ -6,11 +6,11 @@ writes canonical text (sorted keys, two-space indents, trailing newline):
 each value's writer returns its text, and each object or array is put
 together with one ``str.join``, so the cost is linear in the output.
 An array of exact ``int`` items, or of exact ``str`` items, is one ``map``.
-An engine's divisor table, a ``DivisorSteps``, is written from three
-running lists of cell texts, one text per party (next and present quota,
-seats): each ``DivisorStep`` row is one ``%`` template filled with three
-``str.join``s, and after it only the winner's three cells are rewritten,
-so a seat costs one ``gcd`` and three short texts besides the joins.
+An engine's divisor table, a ``DivisorSteps``, is written from the cell
+texts of ``DivisorSteps.cells``, the one walk of the table that its rows
+and its table text read too: each ``DivisorStep`` row is one ``%``
+template filled with three ``str.join``s of the running cells, and a seat
+costs one ``gcd`` and three short texts besides the joins.
 An engine's award log, a ``SeatAwards``, is written from its two int
 columns: the array of its ``SeatAward`` rows, each one ``%`` template
 filled from ``map``s over the columns, with no row object built.  Any
@@ -168,33 +168,18 @@ def _table_templates(newline):
 
 def _table_columns(table, newline):
     """A :class:`DivisorSteps` table as the array of its ``DivisorStep``
-    rows, written from three running lists of cell texts (next, present
-    and seats), one text per party: each row is one ``%`` template filled
-    with three ``str.join``s, and after it only the winner's three cells
-    are rewritten, with one ``gcd`` for its new bid.  An empty table
-    writes no cell, so a number past the digit limit fails where the rows'
-    writer fails."""
-    if not table.winners:
-        return "[]"
+    rows, each one ``%`` template filled with the running cell texts of
+    :meth:`DivisorSteps.cells` (three ``str.join``s), its step and its
+    quoted winner.  An empty table makes no cell, so a number past the
+    digit limit fails where the rows' writer fails."""
     inner = newline + "  "
     row, cell, sep = _table_templates(inner)
-
-    def bid(i, n):
-        num, den = table.bid(i, n)
-        return cell % (int.__repr__(den), int.__repr__(num))
-
-    k = len(table.party_ids)
-    nexts = [bid(i, 0) for i in range(k)]
-    presents, seats, counts = ["null"] * k, ["0"] * k, [0] * k
-    quoted = list(map(_quote, table.party_ids))
-    parts = []
-    for step, best in enumerate(table.winners, 1):
-        parts.append(row % (sep.join(nexts), sep.join(presents), sep.join(seats), step,
-                            quoted[best]))
-        n = counts[best] = counts[best] + 1
-        presents[best], nexts[best] = nexts[best], bid(best, n)
-        seats[best] = int.__repr__(n)
-    return _lines(parts, "[", inner, newline, "]")
+    quoted, winners = list(map(_quote, table.party_ids)), table.winners
+    walk = table.cells(lambda num, den: cell % (int.__repr__(den), int.__repr__(num)),
+                       "null", int.__repr__)
+    return _lines([row % (sep.join(nexts), sep.join(presents), sep.join(seats), i + 1,
+                          quoted[winners[i]]) for i, seats, presents, nexts in walk],
+                  "[", inner, newline, "]")
 
 
 def _lines(parts, opening, inner, newline, closing):

@@ -2,9 +2,10 @@
 award logs, for the CLI's table output.
 
 :mod:`cli` loads this module on the first trace it prints, so runs that
-print none do not compile it.  An engine's divisor table and award log
-are written from their columns; decoded ones, tuples of rows, a row at a
-time.
+print none do not compile it.  An engine's divisor table is written from
+the running cells of ``DivisorSteps.cells``, the one walk of the table
+that its rows and its JSON read too, and an engine's award log from its
+columns; decoded ones, tuples of rows, a row at a time.
 """
 
 from __future__ import annotations
@@ -24,30 +25,22 @@ def award_fields(awards):
 
 def _table_blocks(table):
     """An engine's divisor table (a :class:`DivisorSteps`) as one block per
-    seat, as the row path below lays them out.  The four rows of padded
-    cells are kept from seat to seat; after each block only the winner's
-    column is rewritten: its cells, and its width over the four of them."""
-    if not table.winners:
-        return []
-    ids = table.party_ids
-
-    def pad(i):
-        width = max(map(len, columns[i]))
-        for row, text in zip(rows, columns[i]):
-            row[i + 1] = text.ljust(width)
-
-    columns = [[pid, "0", "-", _ratio(*table.bid(i, 0))] for i, pid in enumerate(ids)]
+    seat, as the row path below lays them out, from the running cells of
+    :meth:`DivisorSteps.cells`.  The four rows of padded cells are kept from
+    seat to seat; only the column that changed is padded again, to its
+    width over the four."""
+    ids, winners = table.party_ids, table.winners
     rows = [[label.ljust(7), *ids] for label in ("", "seats", "present", "next")]  # 7: "present"
-    for i in range(len(ids)):
-        pad(i)
-    seats, blocks = [0] * len(ids), []
-    for step, best in enumerate(table.winners, 1):
-        blocks.append(f"seat {step} -> {ids[best]}")
+    blocks, changed = [], range(len(ids))
+    for i, seats, presents, nexts in table.cells(_ratio, "-", str):
+        for j in changed:
+            column = ids[j], seats[j], presents[j], nexts[j]
+            width = max(map(len, column))
+            for row, text in zip(rows, column):
+                row[j + 1] = text.ljust(width)
+        changed = (winners[i],)
+        blocks.append(f"seat {i + 1} -> {ids[winners[i]]}")
         blocks += ["  ".join(row).rstrip() for row in rows]
-        n = seats[best] = seats[best] + 1
-        column = columns[best]
-        column[1:] = str(n), column[3], _ratio(*table.bid(best, n))
-        pad(best)
     return blocks
 
 

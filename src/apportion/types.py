@@ -424,44 +424,51 @@ class DivisorSteps(_LazyRows):
     at step j (from 1) went to party ``party_ids[winners[j - 1]]``, and a
     party holding n seats bids ``votes[i] / (q n + p)``.
 
-    A :class:`DivisorStep` row is built only when the table is indexed or
-    iterated: an index builds one row, from the seats each party holds at
-    its step, and a pass or a slice carries them on from row to row.  The
-    table equals, and hashes as, the tuple of its rows.
+    :meth:`cells` is the one walk of the table, which its rows, its JSON
+    and its table text all read.  A :class:`DivisorStep` row is built only
+    when the table is indexed or iterated; the table equals, and hashes
+    as, the tuple of its rows.
     """
 
     __slots__ = ("party_ids", "votes", "p", "q", "winners")
 
-    def bid(self, i, n):
-        """Party i's bid holding n seats, ``(numerator, denominator)`` in
-        lowest terms."""
-        v, den = self.votes[i], self.q * n + self.p
-        g = math.gcd(v, den)
-        return v // g, den // g
+    def cells(self, quota, none, seat, start=0):
+        """``(i, seats, presents, nexts)`` for each row i from ``start`` on:
+        running lists of ``seat(n)`` per seat count and ``quota(num, den)``
+        per bid in lowest terms (``none`` while seatless).  The seats are
+        counted once up to ``start``, and after each row only the winner's
+        three cells are rewritten; no cell is made when no row is left."""
+        winners, votes, p, q = self.winners, self.votes, self.p, self.q
+        if start >= len(winners):
+            return
+
+        def bid(i, n):
+            v, den = votes[i], q * n + p
+            g = math.gcd(v, den)
+            return quota(v // g, den // g)
+
+        counts = list(map(winners[:start].count, range(len(votes))))
+        seats = list(map(seat, counts))
+        presents = [bid(i, n - 1) if n else none for i, n in enumerate(counts)]
+        nexts = [bid(i, n) for i, n in enumerate(counts)]
+        for i in range(start, len(winners)):
+            yield i, seats, presents, nexts
+            best = winners[i]
+            n = counts[best] = counts[best] + 1
+            seats[best] = seat(n)
+            presents[best], nexts[best] = nexts[best], bid(best, n)
 
     def _row(self, i):
         return next(self._rows(range(i, i + 1)))
 
     def _rows(self, rows):
-        """The rows at the indices in ``rows``: the seats and quotas are
-        counted once up to the first of them, then carried from row to row,
-        where only the winners' cells change."""
-        if rows.step < 0:
+        if rows.step < 0:  # walk forwards, then reverse
             return reversed(tuple(self._rows(rows[::-1])))
-        return self._walk(rows)
-
-    def _walk(self, rows):
-        winners, at = self.winners, rows.start
-        seats = list(map(winners[:at].count, range(len(self.votes))))
-        presents = [Fraction(*self.bid(j, n - 1)) if n else None for j, n in enumerate(seats)]
-        nexts = [Fraction(*self.bid(j, n)) for j, n in enumerate(seats)]
-        for i in rows:
-            for best in winners[at:i]:
-                n = seats[best] = seats[best] + 1
-                presents[best], nexts[best] = nexts[best], Fraction(*self.bid(best, n))
-            at = i
-            yield DivisorStep(i + 1, tuple(seats), tuple(presents), tuple(nexts),
-                              self.party_ids[winners[i]])
+        walk = self.cells(Fraction, None, int, rows.start)
+        return (DivisorStep(i + 1, tuple(seats), tuple(presents), tuple(nexts),
+                            self.party_ids[self.winners[i]])
+                for i, seats, presents, nexts in
+                itertools.islice(walk, 0, len(rows) * rows.step, rows.step))
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,8 @@ import shutil
 import types
 from pathlib import Path
 
+import pytest
+
 from apportion import cli
 
 _SPEC = importlib.util.spec_from_file_location(
@@ -72,6 +74,34 @@ def test_sha_table_reads_no_where_one_byte_differs(tmp_path):
     assert [row.split(" | ")[0] for row in rows] == ["| table", "| json"]
     assert [row.split(" | ")[-1] for row in rows] == ["NO |", "yes |"]
 
+
+def test_rows_read_yes_for_the_same_tree_and_no_where_a_row_differs(tmp_path, monkeypatch):
+    monkeypatch.setattr(against, "ROW_TRIALS", 2)
+    text = against.rows(str(against.HEAD), None)
+    assert text.splitlines()[:4] == [
+        "### Trace rows sha256 against the parent commit (2 draws)", "",
+        "| trace | rows | parent | this commit | equal |", "|---|---|---|---|---|",
+    ]
+    traces = ("award log", "divisor table", "two-stage award log")
+    parts = ("ends", "rows", "step -3", "step 2")
+    rows = [row.strip("|").split(" | ") for row in _rows(text)]
+    assert [(trace.strip(), part) for trace, part, *_ in rows] == [
+        (trace, part) for trace in traces for part in parts]
+    assert {row[-1].strip() for row in rows} == {"yes"}
+    parent = tmp_path / "parent"
+    shutil.copytree(against.HEAD / "src", parent / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    source = parent / "src" / "apportion" / "types.py"
+    text = source.read_text()
+    assert text.count("DivisorStep(i + 1, ") == 1
+    source.write_text(text.replace("DivisorStep(i + 1, ", "DivisorStep(i + 2, "))
+    rows = [row.strip("|").split(" | ") for row in _rows(against.rows(str(parent), None))]
+    assert {(trace.strip(), equal.strip()) for trace, *_, equal in rows} == {
+        ("divisor table", "NO"), ("award log", "yes"), ("two-stage award log", "yes")}
+
+def test_a_digest_script_that_prints_nothing_fails_the_report(tmp_path):
+    with pytest.raises(SystemExit, match="^title: 0 digests in the parent, 0 in this commit$"):
+        against.digest_table(str(tmp_path), "title", ("label",), ["-c", "raise SystemExit(1)"])
 
 def test_count_diffs_list_only_a_differing_count_or_byte_metric():
     parent = {

@@ -25,9 +25,10 @@ from apportion import cli, methods
 from apportion.types import AwardLog, SeatAward, SeatAwards
 
 
-def _check_log(log):
+def _check_log(log, cuts=()):
     """``log`` against the tuple of its rows: equality both ways, hash,
-    length, the first and last row, and its JSON text."""
+    length, the first and last row, the slices ``cuts``, and its JSON
+    text."""
     rows = tuple(log)
     assert type(log) is SeatAwards
     assert all(type(row) is SeatAward for row in rows)
@@ -38,6 +39,8 @@ def _check_log(log):
     if rows:
         assert (log[0], log[-1]) == (rows[0], rows[-1])
         assert log != rows[:-1] and rows[:-1] != log
+    for cut in cuts:
+        assert log[cut] == rows[cut]
     assert dumps(log) == dumps(rows)  # the columns against a row at a time
 
 
@@ -48,17 +51,17 @@ def _table(tally, run):
     return cli._seeded_table(tally, allocation, run)
 
 
-def _check_run(run, tally):
+def _check_run(run, tally, cuts=()):
     """A two-stage run's log, and its JSON and table against the same run
     with the log's rows in a tuple."""
-    _check_log(run.awards)
+    _check_log(run.awards, cuts)
     rows = dataclasses.replace(run, awards=tuple(run.awards))
     assert dumps(run) == dumps(rows)
     assert _table(tally, run) == _table(tally, rows)
 
 
-def _check_fixed_house(log):
-    _check_log(log)
+def _check_fixed_house(log, cuts=()):
+    _check_log(log, cuts)
     traces = [AwardLog("sequential", "hare", awards) for awards in (log, tuple(log))]
     assert dumps(traces[0]) == dumps(traces[1])
     assert cli._trace_text(traces[0]) == cli._trace_text(traces[1])
@@ -95,6 +98,13 @@ def test_each_stop_and_an_empty_log(case, stop, count):
         assert any(row.deficit.denominator < tally.total_votes for row in log)
 
 
+#: Slices of a log: bounds negative, past either end or none, steps of
+#: either sign.
+_BOUNDS = st.none() | st.integers(-60, 60)
+_CUTS = st.lists(st.builds(slice, _BOUNDS, _BOUNDS, st.none() | st.integers(-9, 9).filter(bool)),
+                 max_size=4)
+
+
 @st.composite
 def award_logs(draw):
     """Tie-prone votes under the fixed-house loop or a two-stage stop:
@@ -117,13 +127,13 @@ def award_logs(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(award_logs())
-def test_the_log_is_the_tuple_of_its_rows(case):
+@given(award_logs(), _CUTS)
+def test_the_log_is_the_tuple_of_its_rows(case, cuts):
     log, run, tally = case
     if run is None:
-        _check_fixed_house(log)
+        _check_fixed_house(log, cuts)
     else:
-        _check_run(run, tally)
+        _check_run(run, tally, cuts)
 
 
 @pytest.mark.skipif(

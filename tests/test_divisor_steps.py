@@ -50,9 +50,10 @@ def _per_step_rows(tally, house_size, method, tie):
     return tuple(rows)
 
 
-def _check_table(steps, rows):
+def _check_table(steps, rows, cuts=()):
     """``steps`` against the reference ``rows``: equality both ways, hash,
-    length, the first and last row, slices and pickling."""
+    length, the first and last row, eight fixed slices and ``cuts``, and
+    pickling."""
     assert type(steps) is DivisorSteps
     assert all(type(row) is DivisorStep for row in steps)
     assert steps == rows and rows == steps
@@ -67,7 +68,8 @@ def _check_table(steps, rows):
     with pytest.raises(IndexError):
         steps[len(rows)]
     for cut in (slice(None), slice(1, None), slice(None, None, 2), slice(-2, None),
-                slice(5, 1), slice(None, None, -1), slice(-2, 0, -3), slice(3, -1, 4)):
+                slice(5, 1), slice(None, None, -1), slice(-2, 0, -3), slice(3, -1, 4),
+                *cuts):
         assert steps[cut] == rows[cut]
     copy = pickle.loads(pickle.dumps(steps))
     assert type(copy) is DivisorSteps and copy == steps
@@ -103,14 +105,21 @@ def tables(draw):
     return VoteTally(ids, tuple(votes)), house, draw(st.sampled_from(sorted(_DIVISORS))), tie
 
 
+#: Slices of a table of up to 300 rows: bounds negative, past either end
+#: or none, steps of either sign.
+_BOUNDS = st.none() | st.integers(-320, 320)
+_CUTS = st.lists(st.builds(slice, _BOUNDS, _BOUNDS, st.none() | st.integers(-9, 9).filter(bool)),
+                max_size=4)
+
+
 @settings(max_examples=300, deadline=None)
-@given(tables())
-@example((VoteTally(("A",), (7,)), 5, DHONDT, TiePolicy()))
-@example((VoteTally(("A", "B"), (3, 3)), 0, SAINTE_LAGUE, TiePolicy()))
-def test_the_table_is_the_tuple_of_its_rows(case):
+@given(tables(), _CUTS)
+@example((VoteTally(("A",), (7,)), 5, DHONDT, TiePolicy()), [])
+@example((VoteTally(("A", "B"), (3, 3)), 0, SAINTE_LAGUE, TiePolicy()), [])
+def test_the_table_is_the_tuple_of_its_rows(case, cuts):
     tally, house, method, tie = case
     allocation, trace = highest_averages(tally, house, method, tie)
-    _check_table(trace.steps, _per_step_rows(tally, house, method, tie))
+    _check_table(trace.steps, _per_step_rows(tally, house, method, tie), cuts)
     assert trace.final_seats == allocation.seats
     _check_texts(trace)
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 from fractions import Fraction
 from unittest import mock
 
@@ -195,6 +196,35 @@ def test_many_equal_parties_go_over_the_cell_limit(run):
         run()
 
 
+# (7, 7) tie at every other seat: 100,000 events at N = 2 * 10**5
+_PAIR = _tally((7, 7))
+
+
+@pytest.mark.parametrize("run", [
+    lambda: highest_averages(_PAIR, 200_000, DHONDT, with_trace=False),
+    lambda: highest_averages(_PAIR, 200_000, SAINTE_LAGUE, with_trace=False),
+    lambda: sequential_hare(_PAIR, 200_000, with_trace=False),
+    lambda: jump_allocation(_PAIR, 200_000, DHONDT),
+    lambda: jump_allocation(_PAIR, 200_000, SAINTE_LAGUE),
+    lambda: jump_allocation(_PAIR, 200_000, HARE),
+], ids=["dhondt-untraced", "sainte-lague-untraced", "sequential-hare-untraced",
+        "jump-dhondt", "jump-sainte-lague", "jump-hare"])
+def test_two_equal_parties_go_over_the_row_limit(run):
+    with pytest.raises(IterationGuardError, match=r" tie events \(limit 50000\)$"):
+        run()
+
+
+def test_hare_level_groups_cost_the_events_not_the_levels_times_k():
+    # two equal large parties tie at each of their 49,451 levels among 1,998
+    # small ones: a sum over all k ideals at each level took about 30 s
+    tally = _tally((10**6, 10**6) + (1,) * 1_998)
+    start = time.perf_counter()
+    allocation = jump_allocation(tally, 99_000, HARE)
+    assert time.perf_counter() - start < 5.0
+    assert len(allocation.tie_events) == 49_549
+    assert allocation.seats[:2] == (49_451, 49_451)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.lists(st.integers(0, 6), min_size=1, max_size=8).filter(any),
@@ -202,13 +232,17 @@ def test_many_equal_parties_go_over_the_cell_limit(run):
     st.sampled_from(METHODS),
     _TIES,
     st.integers(0, 2),
+    st.sampled_from(["MAX_TRACE_CELLS", "MAX_TRACE_ROWS"]),
 )
 def test_the_jump_refuses_tie_names_where_the_per_seat_loop_does(
-    votes, house_size, method, tie, under
+    votes, house_size, method, tie, under, guard
 ):
+    # the names the tie events list against the cell limit, or the events
+    # themselves against the row limit
     tally = _tally(votes)
-    names = _names(_per_seat(tally, house_size, method, tie, traced=False))
-    limit = max(0, names - under)
+    allocation = _per_seat(tally, house_size, method, tie, traced=False)
+    count = _names(allocation) if guard == "MAX_TRACE_CELLS" else len(allocation.tie_events)
+    limit = max(0, count - under)
 
     def outcome(run, **kwargs):
         try:
@@ -216,10 +250,10 @@ def test_the_jump_refuses_tie_names_where_the_per_seat_loop_does(
         except IterationGuardError:
             return None
 
-    with mock.patch.object(methods, "MAX_TRACE_CELLS", limit):
+    with mock.patch.object(methods, guard, limit):
         jumped, per_seat = outcome(jump_allocation), outcome(_per_seat, traced=False)
     assert jumped == per_seat
-    assert (jumped is None) == (names > limit)
+    assert (jumped is None) == (count > limit)
 
 
 @pytest.mark.parametrize("method", METHODS)

@@ -191,6 +191,18 @@ class TestSequential:
             seeded_sequential_hare(tally, seed)
 
 
+    def test_tie_events_count_against_the_row_limit(self):
+        # two equal parties tie at every other top-up: 50,001 events in 100,001
+        tally = VoteTally(("A", "B"), (1, 1))
+        fixed = SeedDistribution(tally.party_ids, (0, 0), fixed_extra=100_000)
+        assert len(seeded_sequential_hare(tally, fixed, with_trace=False).tie_events) == 50_000
+        over = dataclasses.replace(fixed, fixed_extra=100_001)
+        for with_trace in (True, False):
+            with pytest.raises(IterationGuardError,
+                               match=r"^the run would build at least 50001 tie events "
+                                     r"\(limit 50000\)$"):
+                seeded_sequential_hare(tally, over, with_trace=with_trace)
+
 class TestDivisorResidualStop:
     def test_origin_already_balanced(self):
         tally = VoteTally(("A", "B", "C"), (50, 30, 20))

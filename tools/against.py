@@ -9,7 +9,10 @@ one traced bench pass that differ; ``suites``, ``engines``, ``traced`` and
 ``two-stage`` compare the sha256 of each suite's JSON and table, of 2,000
 seeded draws run by the untraced table, sweep and jump, and of traced and
 two-stage CLI output (two-stage as JSON and table, each with and without
-``--trace``) at k = 50 with varied and with equal votes; ``calls`` gives the median
+``--trace``) at k = 50 with varied and with equal votes; ``rows`` compares
+the sha256 of the rows of 200 seeded traced divisor tables, fixed-house
+award logs and two-stage award logs (k <= 50, N <= 5,000), read whole, at
+both ends and in slices of step 2 and -3; ``calls`` gives the median
 us per in-process ``cli.main`` call, ``startup`` the median and quartiles of the
 time of ``import apportion.cli`` in fresh interpreters, alternating the trees,
 with the package and ``json`` modules that import loads, and ``lines`` the size
@@ -145,15 +148,70 @@ for trial in range(2_000):
     for engine, output in outputs.items():
         digests.setdefault((kind, engine), hashlib.sha256()).update(dumps(output).encode())
 for (kind, engine), digest in sorted(digests.items()):
-    print(kind, engine, digest.hexdigest()[:16])
+    print(kind, engine, digest.hexdigest()[:16], sep="\t")
 """
 
 
-def engines(parent, inputs):
-    old, new = ([line.split() for line in run(root, ["-c", ENGINES]).decode().splitlines()]
+def digest_table(parent, title, columns, args):
+    """The table of the tab-separated ``labels..., digest`` lines that
+    ``python args`` prints in both trees.  A script that prints no line, or
+    not as many in both, fails the report rather than read as equal."""
+    old, new = ([line.split("\t") for line in run(root, args).decode().splitlines()]
                 for root in (parent, HEAD))
-    return table("Untraced divisor engines sha256 against the parent commit", ("votes", "engine"),
-                 [(line[:2], line[2], other[2]) for line, other in zip(old, new)])
+    if not old or len(old) != len(new):
+        sys.exit(f"{title}: {len(old)} digests in the parent, {len(new)} in this commit")
+    return table(title, columns, [(line[:-1], line[-1], other[-1])
+                                  for line, other in zip(old, new)])
+
+
+def engines(parent, inputs):
+    return digest_table(parent, "Untraced divisor engines sha256 against the parent commit",
+                        ("votes", "engine"), ["-c", ENGINES])
+
+
+ROWS = """
+import hashlib, random, sys
+from apportion import (DHONDT, SAINTE_LAGUE, SeedDistribution, TiePolicy, VoteTally, dumps,
+                       highest_averages, seeded_sequential_hare, sequential_hare)
+rng = random.Random(19)
+digests = {}
+for trial in range(int(sys.argv[1])):
+    kind = ("wide", "tie-prone")[trial % 2]
+    k = rng.randint(1, 50)
+    if kind == "wide":
+        votes = [rng.randint(0, 10**12) for _ in range(k)]
+    else:  # zeros, equal votes and small multiples of one unit
+        unit = rng.choice((1, 7, 1_000, 10**9))
+        votes = [unit * rng.randint(0, 6) for _ in range(k)]
+    votes[rng.randrange(k)] += 1  # some party has votes
+    tie = TiePolicy("random", rng.getrandbits(64)) if rng.random() < 0.75 else TiePolicy()
+    tally = VoteTally(tuple(f"P{i}" for i in range(k)), tuple(votes))
+    n = rng.randint(0, 5_000)
+    districts = tuple(rng.randint(0, 9) if v else 0 for v in votes)  # none without votes
+    seed = SeedDistribution(tally.party_ids, districts, fixed_extra=rng.randint(0, 2_000))
+    logs = {
+        "divisor table": highest_averages(tally, n, rng.choice((DHONDT, SAINTE_LAGUE)),
+                                          tie)[1].steps,
+        "award log": sequential_hare(tally, n, tie)[1],
+        "two-stage award log": seeded_sequential_hare(tally, seed, tie).awards,
+    }
+    for name, rows in logs.items():
+        ends = (rows[0], rows[-1]) if rows else ()
+        for part, value in (("rows", tuple(rows)), ("ends", ends), ("step 2", rows[::2]),
+                            ("step -3", rows[::-3])):
+            digests.setdefault((name, part), hashlib.sha256()).update(dumps(value).encode())
+for (name, part), digest in sorted(digests.items()):
+    print(name, part, digest.hexdigest()[:16], sep="\t")
+"""
+ROW_TRIALS = 200
+
+
+def rows(parent, inputs):
+    """The sha256 of the rows that the engines' divisor tables and award logs
+    build, in a pass, at both ends and in two slices: the row API, which no
+    CLI call reads whole."""
+    title = f"Trace rows sha256 against the parent commit ({ROW_TRIALS} draws)"
+    return digest_table(parent, title, ("trace", "rows"), ["-c", ROWS, str(ROW_TRIALS)])
 
 
 def vote_sets(seed, low):
@@ -347,7 +405,8 @@ def lines(parent, inputs):
 
 
 REPORTS = {"tracer": tracer, "suites": suites, "engines": engines, "traced": traced,
-           "two-stage": two_stage, "calls": calls, "startup": startup, "lines": lines}
+           "two-stage": two_stage, "rows": rows, "calls": calls, "startup": startup,
+           "lines": lines}
 
 
 def main(argv):
