@@ -5,7 +5,8 @@ allocation in both their divisor-table and multiplicative forms, plus
 two-stage (district-seeded) variants, a brute-force verification oracle,
 and a CSV/JSON command-line front end.  All arithmetic is exact rational.
 Each module lists its public names in its own ``__all__``; the package
-republishes their union.
+re-exports those of ``types`` and ``methods`` (every engine, the two-stage
+ones included) and republishes the union of all four lists.
 
 The oracle and the JSON reader and writer load on first use (PEP 562), so
 that a CLI run which needs neither does not pay for their import: the
@@ -18,9 +19,8 @@ import importlib
 import os
 import re
 
-from . import methods, seeded, types
+from . import methods, types
 from .methods import *
-from .seeded import *
 from .types import *
 
 __version__ = "0.1.0"
@@ -48,7 +48,7 @@ def _owners():
 
 def __getattr__(name):
     if name == "__all__":
-        return sorted([*methods.__all__, *seeded.__all__, *types.__all__, *_owners()])
+        return sorted([*methods.__all__, *types.__all__, *_owners()])
     module = name if name in _LAZY else _owners().get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

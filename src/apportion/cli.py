@@ -21,14 +21,16 @@ from .methods import (
     HARE,
     METHODS,
     _ROUNDING,
+    _STOP_RULES,
     compute_quotas,
     hare_niemeyer,
     highest_averages,
     jump_allocation,
     multiplicative,
+    seeded_divisor,
+    seeded_sequential_hare,
     sequential_hare,
 )
-from .seeded import _STOP_RULES, seeded_divisor, seeded_sequential_hare
 from .types import (
     _TIE_MODES,
     Allocation,

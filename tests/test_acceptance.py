@@ -33,7 +33,7 @@ from apportion import (
     seeded_sequential_hare,
     sequential_hare,
 )
-from apportion.seeded import _topups_at
+from apportion.methods import _topups_at
 
 SUITE_TRIALS = 10_000
 SUITE_TIME_BUDGET = 120.0  # seconds

@@ -117,11 +117,38 @@ def test_count_diffs_list_only_a_differing_count_or_byte_metric():
     assert against.count_diffs("suite", parent, head) == ["| suite | cli.main.calls | 460 | 461 |"]
 
 
-def test_lines_against_the_same_tree_change_nothing():
+def _module_rows(text):
+    """Each file row of a ``lines`` report, the total's included: its name
+    and its numbers."""
+    return {row.split()[-1]: list(map(int, row.split()[:-1]))
+            for row in text.splitlines()[2:] if row.split()[0].isdigit()}
+
+
+def test_lines_against_the_same_tree_change_nothing(tmp_path):
     text = against.lines(str(against.HEAD), None)
     assert " total\n" in text
     assert "change 0 (target 2740)" in text
     assert text.splitlines()[-2].endswith("change 0")
+    assert text.splitlines()[1].split() == ["lines", "HEAD^", "lines", "HEAD", "code",
+                                            "HEAD^", "code", "HEAD"]
+    rows = _module_rows(text)
+    modules = sorted(Path(against.HEAD, "src/apportion").glob("*.py"))
+    assert list(rows) == [str(path.relative_to(against.HEAD)) for path in modules] + ["total"]
+    for path, (lines, same, code, same_code) in zip(modules, rows.values()):
+        assert lines == same == path.read_text().count("\n")
+        assert code == same_code == against.code_lines(path.read_text())
+    assert rows["total"] == [sum(column) for column in zip(*list(rows.values())[:-1])]
+    # a module that only one tree holds reads 0 in the other
+    parent = tmp_path / "parent"
+    shutil.copytree(Path(against.HEAD, "src/apportion"), parent / "src/apportion")
+    (parent / "src/apportion/gone.py").write_text("# a comment\nGONE = 1\n")
+    (parent / "src/apportion/types.py").unlink()
+    moved = _module_rows(against.lines(str(parent), None))
+    kept = rows["src/apportion/types.py"]
+    assert moved.pop("src/apportion/gone.py") == [2, 0, 1, 0]
+    assert moved.pop("src/apportion/types.py") == [0, kept[1], 0, kept[3]]
+    assert moved.pop("total")[1::2] == rows["total"][1::2]
+    assert all(row[0] == row[1] and row[2] == row[3] for row in moved.values())
 
 
 def test_lines_say_when_the_parent_checkout_is_missing(tmp_path):
@@ -130,6 +157,10 @@ def test_lines_say_when_the_parent_checkout_is_missing(tmp_path):
     assert "HEAD^" not in text and "change" not in text
     assert f"parent checkout unavailable: no src/apportion/*.py under {missing}" in text
     assert text.splitlines()[-3].endswith(" at HEAD")
+    assert text.splitlines()[1].split() == ["lines", "HEAD", "code", "HEAD"]
+    rows = _module_rows(text)
+    assert rows == {path: row[1::2] for path, row in _module_rows(
+        against.lines(str(against.HEAD), None)).items()}
 
 
 def test_json_digests_do_not_depend_on_the_input_directory(tmp_path):
@@ -231,4 +262,4 @@ def test_startup_times_the_import_and_lists_the_modules_it_loads(monkeypatch):
         low, high = map(float, quartiles.split("-"))
         assert 0 < low <= float(median) <= high
         assert modules.split() == ["apportion", "apportion.cli", "apportion.methods",
-                                   "apportion.seeded", "apportion.types"]
+                                   "apportion.types"]

@@ -28,7 +28,7 @@ from apportion.types import AwardLog, SeatAward, SeatAwards
 def _check_log(log, cuts=()):
     """``log`` against the tuple of its rows: equality both ways, hash,
     length, the first and last row, the slices ``cuts``, and its JSON
-    text."""
+    text; and its fields refuse assignment and deletion."""
     rows = tuple(log)
     assert type(log) is SeatAwards
     assert all(type(row) is SeatAward for row in rows)
@@ -42,6 +42,10 @@ def _check_log(log, cuts=()):
     for cut in cuts:
         assert log[cut] == rows[cut]
     assert dumps(log) == dumps(rows)  # the columns against a row at a time
+    with pytest.raises(AttributeError, match="cannot assign to field 'tops'"):
+        log.tops = ()
+    with pytest.raises(AttributeError, match="cannot delete field 'tops'"):
+        del log.tops
 
 
 def _table(tally, run):

@@ -25,7 +25,6 @@ from apportion import (
     jsonify,
     methods,
     oracle,
-    seeded,
 )
 
 CALLABLES = [getattr(apportion, name) for name in apportion.__all__
@@ -141,7 +140,7 @@ def _low_guards():
             mock.patch.object(oracle, "ENUMERATION_GUARD", 1000),
             mock.patch.object(methods, "MAX_TRACE_ROWS", 200),
             mock.patch.object(methods, "MAX_LOOP_SEATS", 300),
-            mock.patch.object(seeded, "MAX_TOPUP_ITERATIONS", 300)]
+            mock.patch.object(methods, "MAX_TOPUP_ITERATIONS", 300)]
 
 
 FUZZ = settings(max_examples=500, deadline=None,

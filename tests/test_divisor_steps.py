@@ -52,8 +52,8 @@ def _per_step_rows(tally, house_size, method, tie):
 
 def _check_table(steps, rows, cuts=()):
     """``steps`` against the reference ``rows``: equality both ways, hash,
-    length, the first and last row, eight fixed slices and ``cuts``, and
-    pickling."""
+    length, the first and last row, eight fixed slices and ``cuts``,
+    pickling, and that its fields refuse assignment and deletion."""
     assert type(steps) is DivisorSteps
     assert all(type(row) is DivisorStep for row in steps)
     assert steps == rows and rows == steps
@@ -73,6 +73,10 @@ def _check_table(steps, rows, cuts=()):
         assert steps[cut] == rows[cut]
     copy = pickle.loads(pickle.dumps(steps))
     assert type(copy) is DivisorSteps and copy == steps
+    with pytest.raises(AttributeError, match="cannot assign to field 'winners'"):
+        steps.winners = ()
+    with pytest.raises(AttributeError, match="cannot delete field 'winners'"):
+        del steps.winners
 
 
 def _check_texts(trace):

@@ -24,7 +24,7 @@ from apportion import (
     seeded_sequential_hare,
     sequential_hare,
 )
-from apportion.seeded import _topups_at
+from apportion.methods import _topups_at
 
 DIVISOR_METHODS = (DHONDT, SAINTE_LAGUE)
 ROUNDING_OF = {DHONDT: "floor", SAINTE_LAGUE: "nearest"}

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import apportion
 
-MODULES = ("methods", "oracle", "seeded", "serialize", "types")
+MODULES = ("methods", "oracle", "serialize", "types")
 PACKAGE = Path(apportion.__file__).parent
 
 # The public interface, in the order ``apportion.__all__`` lists it.

@@ -27,9 +27,8 @@ from apportion import (
     seeded_sequential_hare,
     sequential_hare,
 )
-from apportion import cli, methods, seeded
-from apportion.methods import _round_threshold
-from apportion.seeded import _topups_at
+from apportion import cli, methods
+from apportion.methods import _round_threshold, _topups_at
 from apportion.types import SeatAward
 
 
@@ -125,7 +124,7 @@ class TestSequential:
 
     def test_iteration_guard(self, lopsided, monkeypatch):
         tally, seed = lopsided
-        monkeypatch.setattr(seeded, "MAX_TOPUP_ITERATIONS", 5)
+        monkeypatch.setattr(methods, "MAX_TOPUP_ITERATIONS", 5)
         with pytest.raises(IterationGuardError):
             seeded_sequential_hare(tally, seed)
 
@@ -136,8 +135,8 @@ class TestSequential:
         def no_awards(*args):
             raise AssertionError("a seat was awarded")
 
-        monkeypatch.setattr("apportion.seeded._award_deficits", no_awards)
-        monkeypatch.setattr(seeded, "MAX_TOPUP_ITERATIONS", 1000)
+        monkeypatch.setattr("apportion.methods._award_deficits", no_awards)
+        monkeypatch.setattr(methods, "MAX_TOPUP_ITERATIONS", 1000)
         seed = SeedDistribution(("A", "B"), (30, 0))
         with pytest.raises(IterationGuardError, match="above multiplier 290029"):
             seeded_sequential_hare(tally, seed)
@@ -145,14 +144,14 @@ class TestSequential:
     def test_fixed_extra_over_the_guard_fails_before_any_award(self, monkeypatch):
         tally = VoteTally(("A", "B"), (50, 50))
         at_guard = SeedDistribution(("A", "B"), (2, 2), fixed_extra=5)
-        monkeypatch.setattr(seeded, "MAX_TOPUP_ITERATIONS", 5)
+        monkeypatch.setattr(methods, "MAX_TOPUP_ITERATIONS", 5)
         run = seeded_sequential_hare(tally, at_guard)
         assert run.totals == (5, 4)
 
         def no_awards(*args):
             raise AssertionError("a seat was awarded")
 
-        monkeypatch.setattr("apportion.seeded._award_deficits", no_awards)
+        monkeypatch.setattr("apportion.methods._award_deficits", no_awards)
         over = SeedDistribution(("A", "B"), (2, 2), fixed_extra=6)
         with pytest.raises(IterationGuardError, match="6 fixed extra seats"):
             seeded_sequential_hare(tally, over)
@@ -160,7 +159,7 @@ class TestSequential:
     def test_a_cap_inside_the_guard_still_ends_the_run(self, monkeypatch):
         tally = VoteTally(("A", "B"), (1, 10_000))
         capped = SeedDistribution(("A", "B"), (30, 0), cap=500)
-        monkeypatch.setattr(seeded, "MAX_TOPUP_ITERATIONS", 1000)
+        monkeypatch.setattr(methods, "MAX_TOPUP_ITERATIONS", 1000)
         run = seeded_sequential_hare(tally, capped)
         assert run.stop_reason == STOP_CAP
         assert run.stop_iteration == 500
@@ -342,7 +341,7 @@ class TestDivisorFixedStop:
         def no_fill(*args):
             raise AssertionError("a threshold was taken")
 
-        monkeypatch.setattr(seeded, "_fill", no_fill)
+        monkeypatch.setattr(methods, "_fill", no_fill)
         with pytest.raises(IterationGuardError) as caught:
             seeded_divisor(tally, over, stop="fixed")
         assert str(caught.value) == "the run would build at least 6 sweep rows (limit 5)"
@@ -519,7 +518,7 @@ class TestSequentialResidualStop:
         tally = VoteTally(tuple(f"P{i + 1}" for i in range(len(votes))), votes)
         seed = SeedDistribution(tally.party_ids, districts)
         run = seeded_sequential_hare(tally, seed)
-        assert seeded._dilution_bound(tally, seed) > 20 * seed.total
+        assert methods._dilution_bound(tally, seed) > 20 * seed.total
         assert (run.stop_reason, run.stop_iteration, run.totals) == (STOP_RESIDUAL, stop, totals)
         _assert_stops_at_the_first_balanced_house(tally, seed, run)
 
@@ -539,7 +538,7 @@ def _per_iteration_run(tally, seed, tie, guard):
     m = list(seed.district_seats)
     winners, tops, events = [], [], []
     districts = seed.total
-    bound = seeded._dilution_bound(tally, seed)
+    bound = methods._dilution_bound(tally, seed)
     earliest = math.ceil(bound) - districts
     capped = seed.cap is not None and seed.cap <= guard
     doomed = math.floor(bound) - districts + 1 > guard and not capped
@@ -590,13 +589,13 @@ def batched_cases(draw):
     districts = tuple(draw(st.integers(0, 9)) if v and draw(st.booleans()) else 0
                       for v in votes)
     seed = SeedDistribution(tally.party_ids, districts)
-    earliest = math.ceil(seeded._dilution_bound(tally, seed)) - seed.total
+    earliest = math.ceil(methods._dilution_bound(tally, seed)) - seed.total
     first = max(0, earliest)
     cap = draw(st.none() | st.just(0) | st.integers(0, first)
                | st.integers(first + 1, first + 5))
     tie = draw(st.sampled_from([TiePolicy()]) | st.integers(0, 99).map(
         lambda s: TiePolicy("random", s)))
-    guard = draw(st.sampled_from([seeded.MAX_TOPUP_ITERATIONS, 0, 1, first, first + 1]))
+    guard = draw(st.sampled_from([methods.MAX_TOPUP_ITERATIONS, 0, 1, first, first + 1]))
     return tally, SeedDistribution(tally.party_ids, districts, cap=cap), tie, guard
 
 
@@ -605,7 +604,7 @@ class TestBatchedResidualRun:
     @given(batched_cases())
     def test_it_equals_the_per_iteration_loop(self, case):
         tally, seed, tie, guard = case
-        with mock.patch.object(seeded, "MAX_TOPUP_ITERATIONS", guard):
+        with mock.patch.object(methods, "MAX_TOPUP_ITERATIONS", guard):
             try:
                 expected = _per_iteration_run(tally, seed, tie, guard)
             except IterationGuardError as exc:
@@ -629,12 +628,13 @@ class TestBatchedResidualRun:
         tally = VoteTally(("A", "B"), (1, 100))
         seed = SeedDistribution(("A", "B"), (5, 0))
         runs = []
+        award = methods._award_deficits
 
         def counted(*args):
             runs.append(len(args[6]))
-            return methods._award_deficits(*args)
+            return award(*args)
 
-        monkeypatch.setattr("apportion.seeded._award_deficits", counted)
+        monkeypatch.setattr(methods, "_award_deficits", counted)
         run = seeded_sequential_hare(tally, seed)
         assert run.stop_iteration == 400
         assert runs == [399, 1]
@@ -653,12 +653,13 @@ class TestUntracedSequentialRun:
 
     def test_untraced_award_calls_build_no_log(self, lopsided, monkeypatch):
         logs = []
+        award = methods._award_deficits
 
         def spy(*args, **kwargs):
             logs.append(args[8])  # the awards list, or None
-            return methods._award_deficits(*args, **kwargs)
+            return award(*args, **kwargs)
 
-        monkeypatch.setattr("apportion.seeded._award_deficits", spy)
+        monkeypatch.setattr(methods, "_award_deficits", spy)
         run = seeded_sequential_hare(*lopsided, with_trace=False)
         assert (run.stop_iteration, run.awards) == (7, ())
         assert logs and all(log is None for log in logs)

@@ -15,8 +15,8 @@ award logs and two-stage award logs (k <= 50, N <= 5,000), read whole, at
 both ends and in slices of step 2 and -3; ``calls`` gives the median
 us per in-process ``cli.main`` call, ``startup`` the median and quartiles of the
 time of ``import apportion.cli`` in fresh interpreters, alternating the trees,
-with the package and ``json`` modules that import loads, and ``lines`` the size
-of src/apportion.
+with the package and ``json`` modules that import loads, and ``lines`` the
+lines and code lines of each module in src/apportion in both trees.
 
 ``calls`` runs both trees in one worker process: it loads each tree's
 ``src/apportion`` as a package under a name of its own (the package imports
@@ -383,22 +383,33 @@ def code_lines(source):
 
 
 def lines(parent, inputs):
-    files = [sorted(Path(root, "src/apportion").glob("*.py")) for root in (parent, HEAD)]
-    old, new = ([path.read_bytes().count(b"\n") for path in paths] for paths in files)
-    code = [sum(code_lines(path.read_text()) for path in paths) for paths in files]
-    width = len(str(sum(path.stat().st_size for path in files[1])))  # as GNU wc pads
-    if files[0]:
-        counts = [f"{a} at HEAD^, {b} at HEAD, change {b - a}" for a, b in (
-            (sum(old), sum(new)), code)]
-    else:  # no parent files would read as 0 lines at HEAD^
-        counts = [f"{sum(new)} at HEAD", f"{code[1]} at HEAD"]
+    """Lines and code lines of each module in src/apportion in both trees (a
+    module that one tree lacks reads 0 there), their totals and the change."""
+    trees = [Path(root, "src/apportion") for root in (parent, HEAD)]
+    labels = ["HEAD^", "HEAD"]
+    if not any(trees[0].glob("*.py")):  # no parent files would read as 0 lines at HEAD^
+        del trees[0], labels[0]
+    counts = {}  # per file: its lines in each tree, then its code lines in each tree
+    for name in sorted({path.name for tree in trees for path in tree.glob("*.py")}):
+        texts = [(tree / name).read_text() if (tree / name).exists() else "" for tree in trees]
+        counts[f"src/apportion/{name}"] = ([text.count("\n") for text in texts]
+                                           + [code_lines(text) for text in texts])
+    totals = [sum(column) for column in zip(*counts.values())]
+    columns = [f"{kind} {label}" for kind in ("lines", "code") for label in labels]
+    width = max(map(len, columns))
+    if len(trees) == 2:
+        summary = [f"{a} at HEAD^, {b} at HEAD, change {b - a}" for a, b in (
+            totals[:2], totals[2:])]
+    else:
+        summary = [f"{n} at HEAD" for n in totals]
     return "\n".join([
         "```",
-        *(f"{n:>{width}} {path.relative_to(HEAD)}" for n, path in zip(new, files[1])),
-        f"{sum(new):>{width}} total",
-        f"src/ total: {counts[0]} (target 2740)",
-        f"src/ code lines (no blank lines, comments or docstrings): {counts[1]}",
-        *([] if files[0] else
+        "  ".join(f"{column:>{width}}" for column in columns),
+        *("  ".join(f"{n:>{width}}" for n in row) + f"  {path}"
+          for path, row in [*counts.items(), ("total", totals)]),
+        f"src/ total: {summary[0]} (target 2740)",
+        f"src/ code lines (no blank lines, comments or docstrings): {summary[1]}",
+        *([] if len(trees) == 2 else
           [f"parent checkout unavailable: no src/apportion/*.py under {parent}"]),
         "```",
     ])
