@@ -4,7 +4,8 @@ Fixed-house runs need ``--seats``; a districts column in the input
 switches to the two-stage (seeded) engines; ``--suite`` runs the oracle
 suites instead of allocating.  ``--format json`` emits the canonical
 report (exact rationals as num/den pairs); the default table output may
-append decimal approximations, always marked with ``~``.
+append decimal approximations, always marked with ``~``, and the step
+traces that :mod:`tracetext` writes.  No module imports this one.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import dataclasses
 import functools
 import io
 import sys
-from fractions import Fraction
 
 from .methods import (
     HARE,
@@ -40,6 +40,8 @@ from .types import (
     SeedDistribution,
     TiePolicy,
     VoteTally,
+    _fmt,
+    _layout,
 )
 
 
@@ -388,34 +390,6 @@ def _run_suite(config):
 # ------------------------------------------------------------------ rendering
 
 
-def _fmt(value) -> str:
-    """Exact rendering; non-integers get a ~ approximation appended."""
-    if value is None:
-        return "-"
-    if isinstance(value, int):
-        return str(value)
-    return _ratio(value.numerator, value.denominator)
-
-
-def _ratio(num, den) -> str:
-    """:func:`_fmt` of the fraction ``num / den``, given in lowest terms; no
-    ``Fraction`` is built unless it is past the float range."""
-    if den == 1:
-        return str(num)
-    try:
-        approx = f"{num / den:.4f}"  # what float() of the Fraction computes
-    except OverflowError:  # beyond the float range: round exactly instead
-        whole, frac = divmod(abs(round(Fraction(num, den) * 10_000)), 10_000)
-        approx = f"{'-' if num < 0 else ''}{whole}.{frac:04d}"
-    return f"{num}/{den} (~{approx})"
-
-
-def _layout(rows) -> str:
-    """Left-aligned columns two spaces apart, trailing blanks stripped."""
-    widths = [max(map(len, column)) for column in zip(*rows)]
-    return "\n".join(["  ".join(map(str.ljust, row, widths)).rstrip() for row in rows])
-
-
 def _tie_lines(allocations):
     lines = []
     for allocation in allocations:
@@ -477,15 +451,8 @@ def _seeded_table(tally, allocation, result):
         lo, hi = result.multiplier_interval
         lines.append(f"multiplier bracket ({_fmt(lo)}, {_fmt(hi)})")
     lines.extend(_tie_lines([allocation]))
-    if result.awards:
-        from .tracetext import award_fields  # loaded only where a log is printed
-        lines.append("award log:")
-        lines += [f"  top-up {j} (house {house}) -> {party} (deficit {deficit})"
-                  for j, house, party, deficit in award_fields(result.awards)]
-    if result.sweep:
-        lines.append("multiplier sweep:")
-        lines += [f"  M={_fmt(step.multiplier)}  top-up=({','.join(map(str, step.extra_seats))})"
-                  f"  total={step.total_extra}" for step in result.sweep]
+    if result.awards or result.sweep:
+        lines.append(_trace_text(result))
     return "\n".join(lines) + "\n"
 
 

@@ -817,11 +817,6 @@ def _group_events(tally, ranks, context, groups, last):
     return events
 
 
-#: Abort the sequential run if the residual stop is still unmet after this
-#: many top-up seats (reachable only with extreme vote/district skew), and
-#: refuse a larger ``fixed_extra``: the per-seat loop limit.
-MAX_TOPUP_ITERATIONS = MAX_LOOP_SEATS
-
 #: The stop rules of :func:`seeded_divisor`.
 _STOP_RULES = ("residual", "fixed")
 
@@ -870,7 +865,7 @@ def seeded_sequential_hare(
 
     With ``fixed_extra`` = T the run instead awards exactly T seats against
     the fixed house target D + T and reports ``fixed-extra-exhausted``;
-    a T above ``MAX_TOPUP_ITERATIONS`` is refused before any award.
+    a T above ``MAX_LOOP_SEATS`` is refused before any award.
     With ``with_trace=False`` the same seats and tie events come back
     without the award log (``awards=()``).
     """
@@ -881,10 +876,10 @@ def seeded_sequential_hare(
     columns, events = ([], []) if with_trace else None, []
     if seed.fixed_extra is not None:
         stop_j, reason = seed.fixed_extra, STOP_FIXED
-        if stop_j > MAX_TOPUP_ITERATIONS:  # the award log has a row per seat
+        if stop_j > MAX_LOOP_SEATS:  # the award log has a row per seat
             raise IterationGuardError(
                 f"{stop_j} fixed extra seats exceed the guard of "
-                f"{MAX_TOPUP_ITERATIONS} top-up seats"
+                f"{MAX_LOOP_SEATS} top-up seats"
             )
         house, grows = seed.total + stop_j, False
         nums = [house * v - mi * total for v, mi in zip(tally.votes, m)]
@@ -902,9 +897,9 @@ def seeded_sequential_hare(
         house, grows = districts, True  # the house target at top-up j is D + j
         bound = _dilution_bound(tally, seed)
         earliest = math.ceil(bound) - districts
-        capped = seed.cap is not None and seed.cap <= MAX_TOPUP_ITERATIONS
-        doomed = math.floor(bound) - districts + 1 > MAX_TOPUP_ITERATIONS and not capped
-        ends = (earliest, MAX_TOPUP_ITERATIONS) + (() if seed.cap is None else (seed.cap,))
+        capped = seed.cap is not None and seed.cap <= MAX_LOOP_SEATS
+        doomed = math.floor(bound) - districts + 1 > MAX_LOOP_SEATS and not capped
+        ends = (earliest, MAX_LOOP_SEATS) + (() if seed.cap is None else (seed.cap,))
         # nums[i] is the residual (D + j) * v_i / V - m_i over the denominator V
         nums = [districts * v - mi * total for v, mi in zip(tally.votes, m)]
         j = names = 0
@@ -915,9 +910,9 @@ def seeded_sequential_hare(
             if seed.cap is not None and j >= seed.cap:
                 reason = STOP_CAP
                 break
-            if doomed or j >= MAX_TOPUP_ITERATIONS:
+            if doomed or j >= MAX_LOOP_SEATS:
                 raise IterationGuardError(
-                    f"no residual stop within {MAX_TOPUP_ITERATIONS} top-up seats; "
+                    f"no residual stop within {MAX_LOOP_SEATS} top-up seats; "
                     f"the stop region begins above multiplier {_shown(bound)}"
                 )
             step = max(1, min(ends) - j)

@@ -1,17 +1,17 @@
-"""Table text of the step traces: divisor tables, multiplier searches and
-award logs, for the CLI's table output.
+"""Table text of every step trace the CLI prints: divisor tables,
+multiplier searches, award logs, and a two-stage run's award log or sweep.
 
 :mod:`cli` loads this module on the first trace it prints, so runs that
-print none do not compile it.  An engine's divisor table is written from
-the running cells of ``DivisorSteps.cells``, the one walk of the table
-that its rows and its JSON read too, and an engine's award log from its
-columns; decoded ones, tuples of rows, a row at a time.
+print none do not compile it; it imports only :mod:`types`.  An engine's
+divisor table is written from the running cells of ``DivisorSteps.cells``,
+the one walk of the table that its rows and its JSON read too, and an
+engine's award log from its columns; decoded ones, tuples of rows, a row
+at a time.
 """
 
 from __future__ import annotations
 
-from .cli import _fmt, _layout, _ratio
-from .types import AwardLog, DivisorSteps, SeatAwards
+from .types import AwardLog, DivisorSteps, SeatAwards, SeededRun, _fmt, _layout, _ratio
 
 
 def award_fields(awards):
@@ -45,7 +45,15 @@ def _table_blocks(table):
 
 
 def trace_text(trace) -> str:
-    """The table text of a divisor table, multiplier search or award log."""
+    """The table text of a trace, or of a two-stage run's award log and sweep."""
+    if isinstance(trace, SeededRun):
+        lines = ["award log:"] if trace.awards else []
+        lines += [f"  top-up {j} (house {house}) -> {party} (deficit {deficit})"
+                  for j, house, party, deficit in award_fields(trace.awards)]
+        lines += ["multiplier sweep:"] if trace.sweep else []
+        lines += [f"  M={_fmt(step.multiplier)}  top-up=({','.join(map(str, step.extra_seats))})"
+                  f"  total={step.total_extra}" for step in trace.sweep]
+        return "\n".join(lines)
     if isinstance(trace, AwardLog):
         lines = ["award log (largest deficit first):"]
         lines += [f"  seat {j}: -> {party} (deficit {deficit})"

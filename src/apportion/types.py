@@ -1,4 +1,5 @@
-"""Exact domain types shared by every allocation engine.
+"""Exact domain types shared by every allocation engine, and the table text
+of exact values and columns (``_fmt``, ``_ratio``, ``_layout``).
 
 All fractional quantities — vote shares, ideal seat counts, residuals,
 divisor bids, multipliers — are `fractions.Fraction` values built from
@@ -69,6 +70,34 @@ def _check_type(value, cls, name):
         raise InputError(
             f"{name} must be {article} {cls.__name__}, not {type(value).__name__}"
         )
+
+
+def _fmt(value) -> str:
+    """Exact rendering; non-integers get a ~ approximation appended."""
+    if value is None:
+        return "-"
+    if isinstance(value, int):
+        return str(value)
+    return _ratio(value.numerator, value.denominator)
+
+
+def _ratio(num, den) -> str:
+    """:func:`_fmt` of the fraction ``num / den``, given in lowest terms; no
+    ``Fraction`` is built unless it is past the float range."""
+    if den == 1:
+        return str(num)
+    try:
+        approx = f"{num / den:.4f}"  # what float() of the Fraction computes
+    except OverflowError:  # beyond the float range: round exactly instead
+        whole, frac = divmod(abs(round(Fraction(num, den) * 10_000)), 10_000)
+        approx = f"{'-' if num < 0 else ''}{whole}.{frac:04d}"
+    return f"{num}/{den} (~{approx})"
+
+
+def _layout(rows) -> str:
+    """Left-aligned columns two spaces apart, trailing blanks stripped."""
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return "\n".join(["  ".join(map(str.ljust, row, widths)).rstrip() for row in rows])
 
 
 @dataclass(frozen=True)

@@ -197,7 +197,7 @@ def test_the_cli_exits_1_on_a_log_past_the_digit_limit(tmp_path, capsys, distric
 def test_the_two_stage_log_is_bounded_by_the_top_up_guard_not_the_row_limit(
         monkeypatch, tmp_path, capsys, rule, flags):
     # the fixed-house log refuses more rows than MAX_TRACE_ROWS; the
-    # two-stage log has a row per top-up, up to MAX_TOPUP_ITERATIONS
+    # two-stage log has a row per top-up, up to MAX_LOOP_SEATS
     monkeypatch.setattr(methods, "MAX_TRACE_ROWS", 5)
     tally = VoteTally(("A", "B"), (1, 100))
     run = seeded_sequential_hare(tally, SeedDistribution(tally.party_ids, (5, 0), **rule))

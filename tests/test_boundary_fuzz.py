@@ -139,8 +139,7 @@ def _low_guards():
     return [mock.patch.object(oracle, "MAX_TRIALS", 20),
             mock.patch.object(oracle, "ENUMERATION_GUARD", 1000),
             mock.patch.object(methods, "MAX_TRACE_ROWS", 200),
-            mock.patch.object(methods, "MAX_LOOP_SEATS", 300),
-            mock.patch.object(methods, "MAX_TOPUP_ITERATIONS", 300)]
+            mock.patch.object(methods, "MAX_LOOP_SEATS", 300)]
 
 
 FUZZ = settings(max_examples=500, deadline=None,

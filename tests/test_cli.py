@@ -1064,6 +1064,31 @@ class TestStartUp:
         assert "apportion.tracetext" in table_trace[2]
         assert table_trace[1].startswith(plain[1].rstrip("\n"))
         assert "\ndivisor table (dhondt):\nseat 1 -> A\n" in table_trace[1]
+        two_stage = [csv_file(SEEDED, "seeded.csv"), "--method", "dhondt", "--form", "divisor",
+                     "--trace"]
+        json_sweep, table_sweep = _fresh_runs(two_stage + ["--format", "json"], two_stage)
+        assert json_sweep[0] == table_sweep[0] == 0
+        assert "apportion.tracetext" not in json_sweep[3]
+        assert "apportion.tracetext" in table_sweep[2]
+        assert "\nmultiplier sweep:\n  M=" in table_sweep[1]
+
+    @pytest.mark.parametrize("rows,flags,trace", [
+        (WORKED, ["--seats", "10", "--method", "dhondt"], "divisor table (dhondt):"),
+        (SEEDED, [], "award log:"),
+        (SEEDED, ["--method", "dhondt", "--form", "divisor"], "multiplier sweep:"),
+    ], ids=["fixed-house", "two-stage-sequential", "two-stage-divisor"])
+    def test_a_traced_table_run_as_a_module_loads_the_cli_once(self, csv_file, rows, flags,
+                                                                trace):
+        # run as ``-m``, the CLI is ``__main__``: an import of ``apportion.cli``
+        # from the package would compile and run the module a second time
+        argv = ["-X", "importtime", "-m", "apportion.cli", csv_file(rows), *flags, "--trace"]
+        proc = subprocess.run(
+            [sys.executable, *argv],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
+            timeout=120)
+        assert proc.returncode == 0 and f"\n{trace}\n" in proc.stdout
+        assert "apportion.tracetext" in proc.stderr
+        assert [line for line in proc.stderr.splitlines() if "apportion.cli" in line] == []
 
     def test_a_json_run_loads_the_json_writer_but_not_the_oracle(self, csv_file):
         [(code, out, added, loaded)] = _fresh_runs(

@@ -69,3 +69,22 @@ def test_the_package_init_spells_out_no_public_name():
     spelled |= {alias.name for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert spelled & set(PUBLIC) == set()
+
+
+def _imported(path):
+    """The dotted names that the imports of a package module name, each
+    relative one resolved against the package."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["apportion" if node.level else "", node.module]))
+            yield base
+            yield from (f"{base}.{alias.name}" for alias in node.names)
+
+
+def test_no_module_of_the_package_imports_the_cli():
+    assert "apportion.tracetext" in set(_imported(PACKAGE / "cli.py"))
+    for path in sorted(PACKAGE.glob("*.py")):
+        names = [n for n in _imported(path) if f"{n}.".startswith("apportion.cli.")]
+        assert names == [], path.name

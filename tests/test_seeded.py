@@ -124,7 +124,7 @@ class TestSequential:
 
     def test_iteration_guard(self, lopsided, monkeypatch):
         tally, seed = lopsided
-        monkeypatch.setattr(methods, "MAX_TOPUP_ITERATIONS", 5)
+        monkeypatch.setattr(methods, "MAX_LOOP_SEATS", 5)
         with pytest.raises(IterationGuardError):
             seeded_sequential_hare(tally, seed)
 
@@ -136,7 +136,7 @@ class TestSequential:
             raise AssertionError("a seat was awarded")
 
         monkeypatch.setattr("apportion.methods._award_deficits", no_awards)
-        monkeypatch.setattr(methods, "MAX_TOPUP_ITERATIONS", 1000)
+        monkeypatch.setattr(methods, "MAX_LOOP_SEATS", 1000)
         seed = SeedDistribution(("A", "B"), (30, 0))
         with pytest.raises(IterationGuardError, match="above multiplier 290029"):
             seeded_sequential_hare(tally, seed)
@@ -144,7 +144,7 @@ class TestSequential:
     def test_fixed_extra_over_the_guard_fails_before_any_award(self, monkeypatch):
         tally = VoteTally(("A", "B"), (50, 50))
         at_guard = SeedDistribution(("A", "B"), (2, 2), fixed_extra=5)
-        monkeypatch.setattr(methods, "MAX_TOPUP_ITERATIONS", 5)
+        monkeypatch.setattr(methods, "MAX_LOOP_SEATS", 5)
         run = seeded_sequential_hare(tally, at_guard)
         assert run.totals == (5, 4)
 
@@ -159,7 +159,7 @@ class TestSequential:
     def test_a_cap_inside_the_guard_still_ends_the_run(self, monkeypatch):
         tally = VoteTally(("A", "B"), (1, 10_000))
         capped = SeedDistribution(("A", "B"), (30, 0), cap=500)
-        monkeypatch.setattr(methods, "MAX_TOPUP_ITERATIONS", 1000)
+        monkeypatch.setattr(methods, "MAX_LOOP_SEATS", 1000)
         run = seeded_sequential_hare(tally, capped)
         assert run.stop_reason == STOP_CAP
         assert run.stop_iteration == 500
@@ -595,7 +595,7 @@ def batched_cases(draw):
                | st.integers(first + 1, first + 5))
     tie = draw(st.sampled_from([TiePolicy()]) | st.integers(0, 99).map(
         lambda s: TiePolicy("random", s)))
-    guard = draw(st.sampled_from([methods.MAX_TOPUP_ITERATIONS, 0, 1, first, first + 1]))
+    guard = draw(st.sampled_from([methods.MAX_LOOP_SEATS, 0, 1, first, first + 1]))
     return tally, SeedDistribution(tally.party_ids, districts, cap=cap), tie, guard
 
 
@@ -604,7 +604,7 @@ class TestBatchedResidualRun:
     @given(batched_cases())
     def test_it_equals_the_per_iteration_loop(self, case):
         tally, seed, tie, guard = case
-        with mock.patch.object(methods, "MAX_TOPUP_ITERATIONS", guard):
+        with mock.patch.object(methods, "MAX_LOOP_SEATS", guard):
             try:
                 expected = _per_iteration_run(tally, seed, tie, guard)
             except IterationGuardError as exc:
